@@ -23,20 +23,21 @@ data = sample_matrix_normal(n, np.zeros((d1, d2)), true_row, true_col, seed=rng_
 print(f"drew {n} samples of shape {d1}x{d2}")
 
 params = flipflop_fit(data)
+sigma_row, sigma_col = params.sigmas
 print(f"flip-flop converged: {params.converged} after {params.iterations} sweeps")
 print(f"log-likelihood path (first 5): {np.round(params.loglik_path[:5], 2)}")
 print(f"monotone likelihood: {np.all(np.diff(params.loglik_path) >= -1e-9)}")
 
 # The factors are only identified up to a reciprocal scale, so compare the
 # Kronecker products.
-est = np.kron(params.sigma_col, params.sigma_row)
+est = np.kron(sigma_col, sigma_row)
 ref = np.kron(true_col, true_row)
 rel_err = np.linalg.norm(est - ref) / np.linalg.norm(ref)
 print(f"relative error of the Kronecker product: {rel_err:.4f}")
 
 # Whitening check: transformed samples should have identity row and column
 # second moments.
-z = whiten(data, params).samples
+z = whiten(data, params)
 row_moment = np.einsum("nij,nkj->ik", z, z) / (d2 * n)
 col_moment = np.einsum("nji,njk->ik", z, z) / (d1 * n)
 print(f"row whitening deviation:    {np.abs(row_moment - np.eye(d1)).max():.2e}")
@@ -44,4 +45,4 @@ print(f"column whitening deviation: {np.abs(col_moment - np.eye(d2)).max():.2e}"
 
 # Scale convention: the column factor carries trace d2, the row factor the
 # overall scale.
-print(f"trace(sigma_col) = {np.trace(params.sigma_col):.12f} (convention: {d2})")
+print(f"trace(sigma_col) = {np.trace(sigma_col):.12f} (convention: {d2})")

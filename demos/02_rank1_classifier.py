@@ -10,8 +10,8 @@ pair, so we can watch the alternation recover it.
 import numpy as np
 
 from psmm import (
-    MatNormParams,
     MatrixDataset,
+    TensorNormParams,
     fit_rank1_smm,
     init_directions,
     objective_eval,
@@ -30,7 +30,7 @@ v0 /= np.linalg.norm(v0)
 labels = np.where(np.einsum("i,nij,j->n", u0, x, v0) > 0, 1, -1)
 print(f"planted directions; class sizes: {(labels > 0).sum()} / {(labels < 0).sum()}")
 
-params = MatNormParams(x.mean(axis=0), np.eye(d), np.eye(d))
+params = TensorNormParams(x.mean(axis=0), [np.eye(d), np.eye(d)])
 lam = 100.0
 
 def cosines(u, v):
@@ -42,20 +42,21 @@ def cosines(u, v):
 u, v = init_directions(MatrixDataset(x), labels, params)
 t = 0.0
 print(f"init:    cos(u)={cosines(u, v)[0]:.4f} cos(v)={cosines(u, v)[1]:.4f} "
-      f"objective={objective_eval(u, v, t, MatrixDataset(x), labels, params, lam):.3f}")
+      f"objective={objective_eval([u, v], t, MatrixDataset(x), labels, params, lam):.3f}")
 for sweep in range(1, 5):
     u, sol = update_u(MatrixDataset(x), labels, v, params, lam)
     t = sol.bias_t
     v, sol = update_v(MatrixDataset(x), labels, u, params, lam)
     t = sol.bias_t
-    obj = objective_eval(u, v, t, MatrixDataset(x), labels, params, lam)
+    obj = objective_eval([u, v], t, MatrixDataset(x), labels, params, lam)
     cu, cv = cosines(u, v)
     print(f"sweep {sweep}: cos(u)={cu:.4f} cos(v)={cv:.4f} objective={obj:.3f}")
 
 # The packaged fitter adds restarts and norm balancing.
-triple = fit_rank1_smm(MatrixDataset(x), labels, params, lam=lam, seed=0)
-cu, cv = cosines(triple.u, triple.v)
-print(f"\nfit_rank1_smm: converged={triple.converged} after {triple.iterations} sweeps")
+fitted = fit_rank1_smm(MatrixDataset(x), labels, params, lam=lam, seed=0)
+u, v = fitted.us
+cu, cv = cosines(u, v)
+print(f"\nfit_rank1_smm: converged={fitted.converged} after {fitted.iterations} sweeps")
 print(f"alignment: cos(u)={cu:.4f}, cos(v)={cv:.4f}")
-print(f"balanced norms: ||u||={np.linalg.norm(triple.u):.4f} "
-      f"||v||={np.linalg.norm(triple.v):.4f}")
+print(f"balanced norms: ||u||={np.linalg.norm(u):.4f} "
+      f"||v||={np.linalg.norm(v):.4f}")

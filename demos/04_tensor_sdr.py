@@ -1,8 +1,8 @@
 """Mode-wise dimension reduction for an order-3 tensor predictor.
 
-The machinery of the matrix case carries over: the per-slice machine has
-one direction per tensor mode and cycles through them; aggregation and
-rank selection run per mode.  Here Y depends on X only through the
+The matrix pipeline is the order-2 case of the same code: the per-slice
+machine has one direction per tensor mode and cycles through them;
+aggregation and rank selection run per mode.  Here Y depends on X only through the
 contraction with e1 on every mode.
 """
 

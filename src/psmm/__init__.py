@@ -17,18 +17,14 @@ from .errors import (
     TooFewSlices,
 )
 from .matnorm import (
-    MatNormParams,
     TensorNormParams,
-    WhitenedDataset,
     flipflop_fit,
-    flipflop_fit_tensor,
     gaussian_loglik,
     sample_mean,
     sym_inv_sqrt,
     whiten,
 )
 from .pipeline import (
-    CandidateAggregate,
     PsmmConfig,
     SliceLabelSet,
     SubspaceEstimate,
@@ -51,14 +47,11 @@ from .qp import (
     solve_svm_dual,
 )
 from .smm import (
-    DirectionTriple,
     TensorDirectionSet,
     fit_rank1_smm,
-    fit_rank1_stm,
     init_directions,
     mode_k_contract,
     objective_eval,
-    objective_eval_tensor,
     update_u,
     update_v,
 )

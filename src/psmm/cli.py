@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from . import fileio
-from .data import MatrixDataset, TensorDataset
+from .data import MatrixDataset
 from .errors import PsmmError
-from .matnorm import flipflop_fit, flipflop_fit_tensor
+from .matnorm import flipflop_fit
 from .pipeline import (
     PsmmConfig,
     SubspaceEstimate,
@@ -151,14 +151,14 @@ def _cmd_fit(args):
         seed=args.seed,
         symmetric=args.symmetric,
     )
-    if isinstance(dataset, TensorDataset):
+    if isinstance(dataset, MatrixDataset):
+        estimate = fit_psmm(dataset, config)
+    else:
         if dims is not None:
             raise ValueError("tensor input selects its ranks automatically; drop --r1/--r2")
         if args.symmetric:
             raise ValueError("--symmetric applies to matrix input only")
         estimate = fit_pstm(dataset, config)
-    else:
-        estimate = fit_psmm(dataset, config)
     fileio.write_estimate_json(args.output, estimate)
     return 0
 
@@ -222,10 +222,7 @@ def _cmd_benchmark(args):
 
 def _cmd_cov(args):
     dataset = fileio.load_dataset(args.input)
-    if isinstance(dataset, TensorDataset):
-        params = flipflop_fit_tensor(dataset, tol=args.tol)
-    else:
-        params = flipflop_fit(dataset, tol=args.tol)
+    params = flipflop_fit(dataset, tol=args.tol)
     fileio.write_cov_json(args.output, params)
     return 0
 

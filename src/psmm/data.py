@@ -22,57 +22,24 @@ def _check_responses(responses, n):
 
 
 @dataclass(eq=False)
-class MatrixDataset:
-    """n matrices of common shape (d1, d2) with an optional response vector."""
+class TensorDataset:
+    """n order-K arrays of common shape (d1, ..., dK), K >= 2."""
 
     samples: np.ndarray
     responses: np.ndarray | None = None
 
     def __post_init__(self):
         self.samples = _as_finite_array(self.samples, "samples")
-        if self.samples.ndim != 3:
-            raise ValueError(
-                f"samples must have shape (n, d1, d2), got {self.samples.shape}"
-            )
+        self._check_order()
         if self.samples.shape[0] < 1:
             raise ValueError("need at least one sample")
         self.responses = _check_responses(self.responses, self.samples.shape[0])
 
-    @property
-    def n(self):
-        return self.samples.shape[0]
-
-    @property
-    def d1(self):
-        return self.samples.shape[1]
-
-    @property
-    def d2(self):
-        return self.samples.shape[2]
-
-    def to_tensor(self):
-        return TensorDataset(self.samples, self.responses)
-
-
-@dataclass(eq=False)
-class TensorDataset:
-    """n order-K arrays of common shape (d1, ..., dK), K >= 2.
-
-    The K = 2 case round-trips losslessly with :class:`MatrixDataset`.
-    """
-
-    samples: np.ndarray
-    responses: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.samples = _as_finite_array(self.samples, "samples")
+    def _check_order(self):
         if self.samples.ndim < 3:
             raise ValueError(
                 f"samples must have shape (n, d1, ..., dK) with K >= 2, got {self.samples.shape}"
             )
-        if self.samples.shape[0] < 1:
-            raise ValueError("need at least one sample")
-        self.responses = _check_responses(self.responses, self.samples.shape[0])
 
     @property
     def n(self):
@@ -86,7 +53,20 @@ class TensorDataset:
     def order(self):
         return self.samples.ndim - 1
 
-    def to_matrix(self):
-        if self.order != 2:
-            raise ValueError("only order-2 tensor datasets convert to matrices")
-        return MatrixDataset(self.samples, self.responses)
+
+class MatrixDataset(TensorDataset):
+    """n matrices of common shape (d1, d2) with an optional response vector."""
+
+    def _check_order(self):
+        if self.samples.ndim != 3:
+            raise ValueError(
+                f"samples must have shape (n, d1, d2), got {self.samples.shape}"
+            )
+
+    @property
+    def d1(self):
+        return self.samples.shape[1]
+
+    @property
+    def d2(self):
+        return self.samples.shape[2]

@@ -24,6 +24,15 @@ Bases are stored column-by-column.  Matrix estimates carry ``row_basis``
 and ``col_basis``; tensor estimates carry ``mode_bases``.  Both embed the
 configuration echo, the per-slice convergence summary and
 ``format_version`` 1, and round-trip losslessly.
+
+Covariance JSON
+---------------
+The flip-flop fit of ``psmm cov``: ``mean`` (nested lists of the sample
+shape), the covariance factors, ``iterations`` and ``converged``.
+Matrix inputs (order 2) name the factors ``sigma_row`` and
+``sigma_col``; inputs of higher order list them, one per mode, under
+``sigmas``.  Every factor but the first has trace equal to its
+dimension.
 """
 
 import csv
@@ -201,21 +210,19 @@ def read_estimate_json(path):
 
 
 def write_cov_json(path, params):
-    if hasattr(params, "sigma_row"):
-        doc = {
-            "mean": params.mean.tolist(),
-            "sigma_row": params.sigma_row.tolist(),
-            "sigma_col": params.sigma_col.tolist(),
-            "iterations": int(params.iterations),
-            "converged": bool(params.converged),
+    if params.order == 2:
+        factors = {
+            "sigma_row": params.sigmas[0].tolist(),
+            "sigma_col": params.sigmas[1].tolist(),
         }
     else:
-        doc = {
-            "mean": params.mean.tolist(),
-            "sigmas": [s.tolist() for s in params.sigmas],
-            "iterations": int(params.iterations),
-            "converged": bool(params.converged),
-        }
+        factors = {"sigmas": [s.tolist() for s in params.sigmas]}
+    doc = {
+        "mean": params.mean.tolist(),
+        **factors,
+        "iterations": int(params.iterations),
+        "converged": bool(params.converged),
+    }
     with open(path, "w") as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")

@@ -9,8 +9,10 @@ log-likelihood is non-decreasing sweep over sweep.
 Scale identifiability: multiplying one factor by c and dividing another
 by c leaves the Kronecker product unchanged.  After fitting, every factor
 except the first is rescaled to have trace equal to its dimension; the
-first factor carries the overall scale.  For matrices this pins
-trace(sigma_col) = d2.
+first factor carries the overall scale.  Matrices are the order-2 case:
+``sigmas[0]`` is the row factor, ``sigmas[1]`` the column factor, and
+trace(sigmas[1]) = d2.  :class:`TensorNormParams` holds the fit for any
+order.
 """
 
 import functools
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MatrixDataset, TensorDataset
 from .errors import SampleTooSmall, SingularCovariance
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -89,7 +90,11 @@ def _kron_rel_change(old, new):
 
 @dataclass(eq=False)
 class TensorNormParams:
-    """Mean plus per-mode covariance factors of a tensor-normal model."""
+    """Mean plus per-mode covariance factors of a tensor-normal model.
+
+    ``trace_normalized`` records the scale convention (trace of every
+    factor but the first equals its dimension).
+    """
 
     mean: np.ndarray
     sigmas: list
@@ -133,114 +138,6 @@ class TensorNormParams:
         w, v = self._eighs[k]
         return (v * w**-0.5) @ v.T
 
-    def to_matrix(self):
-        if self.order != 2:
-            raise ValueError("only order-2 parameters convert to matrix form")
-        return MatNormParams(
-            self.mean,
-            self.sigmas[0],
-            self.sigmas[1],
-            trace_normalized=self.trace_normalized,
-            converged=self.converged,
-            iterations=self.iterations,
-            loglik_path=self.loglik_path,
-        )
-
-
-@dataclass(eq=False)
-class MatNormParams:
-    """Mean plus row/column covariance factors of a matrix-normal model.
-
-    ``trace_normalized`` records the scale convention (trace of sigma_col
-    equals d2, with the overall scale carried by sigma_row).
-    """
-
-    mean: np.ndarray
-    sigma_row: np.ndarray
-    sigma_col: np.ndarray
-    trace_normalized: bool = True
-    converged: bool = True
-    iterations: int = 0
-    loglik_path: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        if self.mean.ndim != 2:
-            raise ValueError("mean must be a d1 x d2 matrix")
-        self.sigma_row = np.asarray(self.sigma_row, dtype=np.float64)
-        self.sigma_col = np.asarray(self.sigma_col, dtype=np.float64)
-        if self.sigma_row.shape != (self.mean.shape[0],) * 2:
-            raise ValueError("sigma_row shape does not match mean")
-        if self.sigma_col.shape != (self.mean.shape[1],) * 2:
-            raise ValueError("sigma_col shape does not match mean")
-        _check_symmetric(self.sigma_row, "sigma_row")
-        _check_symmetric(self.sigma_col, "sigma_col")
-        for w, _ in self._eighs:
-            if w.min() <= 0.0:
-                raise SingularCovariance(
-                    f"covariance factor has smallest eigenvalue {w.min():.3e}"
-                )
-
-    @property
-    def d1(self):
-        return self.mean.shape[0]
-
-    @property
-    def d2(self):
-        return self.mean.shape[1]
-
-    @functools.cached_property
-    def _eighs(self):
-        return [
-            np.linalg.eigh(_symmetrize(self.sigma_row)),
-            np.linalg.eigh(_symmetrize(self.sigma_col)),
-        ]
-
-    def _pow(self, k, power):
-        w, v = self._eighs[k]
-        return (v * w**power) @ v.T
-
-    @property
-    def row_inv(self):
-        return self._pow(0, -1.0)
-
-    @property
-    def col_inv(self):
-        return self._pow(1, -1.0)
-
-    @property
-    def row_inv_sqrt(self):
-        return self._pow(0, -0.5)
-
-    @property
-    def col_inv_sqrt(self):
-        return self._pow(1, -0.5)
-
-    def to_tensor(self):
-        return TensorNormParams(
-            self.mean,
-            [self.sigma_row, self.sigma_col],
-            trace_normalized=self.trace_normalized,
-            converged=self.converged,
-            iterations=self.iterations,
-            loglik_path=self.loglik_path,
-        )
-
-
-@dataclass(eq=False)
-class WhitenedDataset:
-    """Centered samples transformed by the inverse square roots of the factors.
-
-    When the parameters come from a converged fit on the same data,
-    (1/(d2 n)) sum_i Z_i Z_i^T and (1/(d1 n)) sum_i Z_i^T Z_i are both
-    identity matrices up to roughly ten times the fit tolerance.
-    """
-
-    samples: np.ndarray
-    row_inv_sqrt: np.ndarray
-    col_inv_sqrt: np.ndarray
-    params: MatNormParams
-
 
 def sample_mean(data):
     """Entrywise arithmetic mean of the samples."""
@@ -275,21 +172,23 @@ def _guard_sample_size(n, dims):
         )
 
 
-def flipflop_fit_tensor(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
-    """Alternating factorwise MLE of a tensor-normal model.
+def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
+    """Alternating factorwise MLE of a tensor-normal model of any order K >= 2.
 
     Each factor update whitens the centered samples along every other mode
     and averages the mode-k Gram matrices:
 
         sigma_k = (1/(n * prod_{j != k} d_j)) * sum_i M_k(Z_i) M_k(Z_i)^T,
 
-    with Z_i the centered sample whitened on all modes but k.  Iteration
+    with Z_i the centered sample whitened on all modes but k.  Starts from
+    identity factors (or ``sigmas_init``, one matrix per mode) and updates
+    the modes in order each sweep.  Requires
+    n >= max_k(d_k / prod_{j != k} d_j) + 1, the sharp condition for the
+    iteration to converge to positive definite factors.  Iteration
     stops when the relative Frobenius change of the Kronecker product of
     the factors falls below ``tol``; exceeding ``max_iter`` returns the
     last iterate tagged unconverged.
     """
-    if not isinstance(data, TensorDataset):
-        data = data.to_tensor()
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x = data.samples
@@ -345,32 +244,20 @@ def flipflop_fit_tensor(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=No
     )
 
 
-def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigma_col_init=None):
-    """Matrix-normal flip-flop fit; the order-2 case of the tensor fit.
-
-    Starts from sigma_col = I and updates sigma_row then sigma_col each
-    sweep.  Requires n >= max(d1/d2, d2/d1) + 1, the sharp condition for
-    the iteration to converge to positive definite factors.
-    """
-    if isinstance(data, TensorDataset):
-        data = data.to_matrix()
-    init = None
-    if sigma_col_init is not None:
-        init = [np.eye(data.d1), np.asarray(sigma_col_init, dtype=np.float64)]
-    tensor_params = flipflop_fit_tensor(
-        data.to_tensor(), tol=tol, max_iter=max_iter, ridge=ridge, sigmas_init=init
-    )
-    return tensor_params.to_matrix()
-
-
 def whiten(data, params):
-    """Center and whiten samples: Z_i = R_r (X_i - mean) R_c with R = Sigma^{-1/2}."""
-    if (data.d1, data.d2) != (params.d1, params.d2):
+    """Center and whiten samples: Z_i = (X_i - mean) x_1 R_1 ... x_K R_K, R_k = Sigma_k^{-1/2}.
+
+    Returns the (n, d1, ..., dK) array of whitened samples.  When the
+    parameters come from a converged fit on the same data, every mode-k
+    second moment of Z is the identity up to roughly ten times the fit
+    tolerance; for matrices, (1/(d2 n)) sum_i Z_i Z_i^T and
+    (1/(d1 n)) sum_i Z_i^T Z_i.
+    """
+    if tuple(data.dims) != tuple(params.dims):
         raise ValueError(
-            f"dataset shape ({data.d1}, {data.d2}) does not match parameters "
-            f"({params.d1}, {params.d2})"
+            f"dataset shape {tuple(data.dims)} does not match parameters {tuple(params.dims)}"
         )
-    rr = params.row_inv_sqrt
-    rc = params.col_inv_sqrt
-    z = np.einsum("ab,nbc,cd->nad", rr, data.samples - params.mean, rc)
-    return WhitenedDataset(samples=z, row_inv_sqrt=rr, col_inv_sqrt=rc, params=params)
+    z = data.samples - params.mean
+    for k in range(params.order):
+        z = _mode_multiply(z, params.factor_inv_sqrt(k), k)
+    return z

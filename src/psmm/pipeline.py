@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import MatrixDataset
 from .errors import TooFewSlices
-from .matnorm import MatNormParams, flipflop_fit, flipflop_fit_tensor
-from .smm import fit_rank1_smm, fit_rank1_stm, update_u
+from .matnorm import TensorNormParams, flipflop_fit
+from .smm import fit_rank1_smm, update_u
 
 
 @dataclass
@@ -74,18 +74,6 @@ class SliceLabelSet:
 
 
 @dataclass(eq=False)
-class CandidateAggregate:
-    """Outer-product sums of the slice directions and their eigensystems."""
-
-    u_hat: np.ndarray
-    v_hat: np.ndarray
-    eigvals_row: np.ndarray
-    eigvals_col: np.ndarray
-    eigvecs_row: np.ndarray
-    eigvecs_col: np.ndarray
-
-
-@dataclass(eq=False)
 class SubspaceEstimate:
     """Orthonormal row/column bases with aggregation eigenvalues."""
 
@@ -138,34 +126,27 @@ def slice_labels(responses, n_slices):
     return SliceLabelSet(cutpoints=cutpoints, retained=retained, labels=labels)
 
 
-def aggregate_directions(triples):
-    """Sum the outer products of the balanced slice directions, in slice order."""
-    if not triples:
-        raise ValueError("need at least one direction triple")
-    d1 = triples[0].u.shape[0]
-    d2 = triples[0].v.shape[0]
-    u_hat = np.zeros((d1, d1))
-    v_hat = np.zeros((d2, d2))
-    for triple in triples:
-        if triple.u.shape != (d1,) or triple.v.shape != (d2,):
-            raise ValueError("direction triples have inconsistent dimensions")
-        u_hat += np.outer(triple.u, triple.u)
-        v_hat += np.outer(triple.v, triple.v)
-    wu, qu = _eigh_descending(u_hat)
-    wv, qv = _eigh_descending(v_hat)
-    return CandidateAggregate(
-        u_hat=u_hat,
-        v_hat=v_hat,
-        eigvals_row=wu,
-        eigvals_col=wv,
-        eigvecs_row=qu,
-        eigvecs_col=qv,
-    )
+def aggregate_directions(directions):
+    """Outer-product sum of one mode's slice directions, in slice order.
+
+    Returns the sum with its eigenvalues (descending, clipped at zero)
+    and the matching eigenvectors as columns.
+    """
+    if not directions:
+        raise ValueError("need at least one direction")
+    d = directions[0].shape[0]
+    agg = np.zeros((d, d))
+    for u in directions:
+        if u.shape != (d,):
+            raise ValueError("directions have inconsistent dimensions")
+        agg += np.outer(u, u)
+    w, q = _eigh_descending(agg)
+    return agg, w, q
 
 
 def _eigh_descending(mat):
     w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return np.maximum(w[::-1], 0.0), v[:, ::-1].copy()
 
 
 def select_dimension_bic(eigenvalues, n):
@@ -193,7 +174,7 @@ def _slice_seed(seed, h):
 def _select_rank(eigvals, fixed, n):
     if fixed is not None:
         return int(fixed)
-    return select_dimension_bic(np.maximum(eigvals, 0.0), n)
+    return select_dimension_bic(eigvals, n)
 
 
 def _validate_fixed_dims(dims, shape):
@@ -206,17 +187,15 @@ def _validate_fixed_dims(dims, shape):
             raise ValueError(f"fixed rank {r} must satisfy 1 <= r < {d}")
 
 
-def fit_psmm(data, config=None):
-    """Estimate the central row/column subspaces of a matrix predictor."""
-    config = config if config is not None else PsmmConfig()
+def _fit_slices(data, config):
+    """Flip-flop fit, then one rank-1 machine per retained slice.
+
+    Returns the per-mode aggregates (see aggregate_directions) and the
+    per-slice convergence summary.
+    """
     if data.responses is None:
         raise ValueError("dataset has no responses")
-    if config.symmetric and data.d1 != data.d2:
-        raise ValueError("symmetric mode requires square predictors")
-    _validate_fixed_dims(config.dims, (data.d1, data.d2))
-    if config.symmetric and config.dims is not None and config.dims[0] != config.dims[1]:
-        raise ValueError("symmetric mode requires equal row and column ranks")
-
+    _validate_fixed_dims(config.dims, tuple(data.dims))
     params = flipflop_fit(
         data,
         tol=config.flipflop_tol,
@@ -224,10 +203,10 @@ def fit_psmm(data, config=None):
         ridge=config.flipflop_ridge,
     )
     slices = slice_labels(data.responses, config.slices)
-    triples = []
+    fits = []
     convergence = []
     for h, labels in zip(slices.retained, slices.labels):
-        triple = fit_rank1_smm(
+        fitted = fit_rank1_smm(
             data,
             labels,
             params,
@@ -237,41 +216,46 @@ def fit_psmm(data, config=None):
             restarts=config.restarts,
             seed=_slice_seed(config.seed, h),
         )
-        triples.append(triple)
+        fits.append(fitted)
         convergence.append(
             {
                 "slice": h,
-                "converged": bool(triple.converged),
-                "iterations": int(triple.iterations),
-                "objective": float(triple.objective),
+                "converged": bool(fitted.converged),
+                "iterations": int(fitted.iterations),
+                "objective": float(fitted.objective),
             }
         )
-    aggregate = aggregate_directions(triples)
+    aggregates = [
+        aggregate_directions([fitted.us[k] for fitted in fits])
+        for k in range(params.order)
+    ]
+    return aggregates, convergence
 
-    n = data.n
+
+def _fixed_rank(config, k):
+    return None if config.dims is None else config.dims[k]
+
+
+def fit_psmm(data, config=None):
+    """Estimate the central row/column subspaces of a matrix predictor."""
+    config = config if config is not None else PsmmConfig()
+    if config.symmetric and data.d1 != data.d2:
+        raise ValueError("symmetric mode requires square predictors")
+    if config.symmetric and config.dims is not None and len(set(config.dims)) > 1:
+        raise ValueError("symmetric mode requires equal row and column ranks")
+    aggregates, convergence = _fit_slices(data, config)
+    (u_hat, eig_row, vec_row), (v_hat, eig_col, vec_col) = aggregates
     if config.symmetric:
-        combined = aggregate.u_hat + aggregate.v_hat
-        w, q = _eigh_descending(combined)
-        w = np.maximum(w, 0.0)
-        r = _select_rank(w, None if config.dims is None else config.dims[0], n)
-        basis = q[:, :r]
-        return SubspaceEstimate(
-            row_basis=basis,
-            col_basis=basis,
-            eigvals_row=w,
-            eigvals_col=w.copy(),
-            selected_dims=(r, r),
-            config=config.to_dict(),
-            convergence=convergence,
-        )
+        # Both sides share the basis of the summed aggregates; the two
+        # fixed ranks are equal, so the selected ranks are too.
+        eig_row, vec_row = _eigh_descending(u_hat + v_hat)
+        eig_col, vec_col = eig_row.copy(), vec_row
 
-    eig_row = np.maximum(aggregate.eigvals_row, 0.0)
-    eig_col = np.maximum(aggregate.eigvals_col, 0.0)
-    r1 = _select_rank(eig_row, None if config.dims is None else config.dims[0], n)
-    r2 = _select_rank(eig_col, None if config.dims is None else config.dims[1], n)
+    r1 = _select_rank(eig_row, _fixed_rank(config, 0), data.n)
+    r2 = _select_rank(eig_col, _fixed_rank(config, 1), data.n)
     return SubspaceEstimate(
-        row_basis=aggregate.eigvecs_row[:, :r1],
-        col_basis=aggregate.eigvecs_col[:, :r2],
+        row_basis=vec_row[:, :r1],
+        col_basis=vec_col[:, :r2],
         eigvals_row=eig_row,
         eigvals_col=eig_col,
         selected_dims=(r1, r2),
@@ -283,54 +267,14 @@ def fit_psmm(data, config=None):
 def fit_pstm(data, config=None):
     """Estimate one central subspace per tensor mode."""
     config = config if config is not None else PsmmConfig()
-    if data.responses is None:
-        raise ValueError("dataset has no responses")
     if config.symmetric:
         raise ValueError("symmetric mode applies to matrix predictors only")
-    dims = tuple(data.dims)
-    _validate_fixed_dims(config.dims, dims)
-
-    params = flipflop_fit_tensor(
-        data,
-        tol=config.flipflop_tol,
-        max_iter=config.flipflop_max_iter,
-        ridge=config.flipflop_ridge,
-    )
-    slices = slice_labels(data.responses, config.slices)
-    direction_sets = []
-    convergence = []
-    for h, labels in zip(slices.retained, slices.labels):
-        fitted = fit_rank1_stm(
-            data,
-            labels,
-            params,
-            lam=config.lam,
-            tol=config.smm_tol,
-            max_iter=config.smm_max_iter,
-            restarts=config.restarts,
-            seed=_slice_seed(config.seed, h),
-        )
-        direction_sets.append(fitted)
-        convergence.append(
-            {
-                "slice": h,
-                "converged": bool(fitted.converged),
-                "iterations": int(fitted.iterations),
-                "objective": float(fitted.objective),
-            }
-        )
-
-    n = data.n
+    aggregates, convergence = _fit_slices(data, config)
     mode_bases = []
     mode_eigvals = []
     selected = []
-    for k, d in enumerate(dims):
-        agg = np.zeros((d, d))
-        for fitted in direction_sets:
-            agg += np.outer(fitted.us[k], fitted.us[k])
-        w, q = _eigh_descending(agg)
-        w = np.maximum(w, 0.0)
-        r = _select_rank(w, None if config.dims is None else config.dims[k], n)
+    for k, (_, w, q) in enumerate(aggregates):
+        r = _select_rank(w, _fixed_rank(config, k), data.n)
         mode_bases.append(q[:, :r])
         mode_eigvals.append(w)
         selected.append(r)
@@ -365,11 +309,7 @@ def fit_psvm_baseline(data, config=None):
     centered = vecs - vbar
     cov = (centered.T @ centered) / n
     cov = cov + 1e-6 * (np.trace(cov) / dim) * np.eye(dim)
-    params = MatNormParams(
-        mean=vbar[:, None],
-        sigma_row=cov,
-        sigma_col=np.eye(1),
-    )
+    params = TensorNormParams(mean=vbar[:, None], sigmas=[cov, np.eye(1)])
     vec_data = MatrixDataset(vecs[:, :, None], data.responses)
     slices = slice_labels(data.responses, config.slices)
     pinned = np.ones(1)
@@ -386,11 +326,7 @@ def fit_psvm_baseline(data, config=None):
                 "objective": float(solution.dual_objective),
             }
         )
-    agg = np.zeros((dim, dim))
-    for direction in directions:
-        agg += np.outer(direction, direction)
-    w, q = _eigh_descending(agg)
-    w = np.maximum(w, 0.0)
+    _, w, q = aggregate_directions(directions)
     fixed = None if config.dims is None else config.dims[0] * config.dims[1]
     r = _select_rank(w, fixed, n)
     return SubspaceEstimate(

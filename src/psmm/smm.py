@@ -4,12 +4,16 @@ The fitted objective is
 
     prod_k (u_k' Sigma_k u_k) + (lambda/n) sum_i {1 - y_i (<X_i - mean, u_1 o ... o u_K> - t)}_+
 
-(for matrices: (u' Sigma_r u)(v' Sigma_c v) plus the hinge sum over
+(for matrices, K = 2: (u' Sigma_r u)(v' Sigma_c v) plus the hinge sum over
 u'(X_i - mean)v - t).  The objective is convex in each direction with the
 others fixed, so it is minimized by cyclic coordinate descent; every mode
 subproblem is a linear SVM whose dual is solved exactly, and the
 intercept t is re-derived from the dual's KKT conditions after every
 direction update.
+
+Every function takes a dataset and a :class:`~psmm.matnorm.TensorNormParams`
+of any order; ``update_u`` and ``update_v`` are the two mode updates of
+the matrix case.
 """
 
 from dataclasses import dataclass
@@ -24,24 +28,13 @@ _ZERO_NORM = 1e-30
 
 
 @dataclass(eq=False)
-class DirectionTriple:
-    """One fitted (u, v, t) with its objective and convergence metadata.
-
-    Finalized triples are norm-balanced (||u|| = ||v||); balancing rescales
-    u and v reciprocally, so decision values u' X v are unchanged.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-    objective: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(eq=False)
 class TensorDirectionSet:
-    """Per-mode directions (all norms equal after balancing) plus intercept."""
+    """One fitted direction per mode plus intercept, objective and convergence.
+
+    Finalized sets are norm-balanced (all ||u_k|| equal); balancing
+    rescales the directions reciprocally, so decision values
+    <X, u_1 o ... o u_K> are unchanged.  For matrices ``us`` is [u, v].
+    """
 
     us: list
     t: float
@@ -68,24 +61,15 @@ def mode_k_contract(tensor, vectors, skip=None):
     ignored and may be None).
     """
     tensor = np.asarray(tensor, dtype=np.float64)
-    order = tensor.ndim
-    if len(vectors) != order:
-        raise ValueError(f"expected {order} vectors, got {len(vectors)}")
-    operands = [tensor]
-    subs = [_MODE_LETTERS[:order]]
-    for mode in range(order):
-        if mode == skip:
-            continue
-        vec = np.asarray(vectors[mode], dtype=np.float64)
-        if vec.shape != (tensor.shape[mode],):
+    if len(vectors) != tensor.ndim:
+        raise ValueError(f"expected {tensor.ndim} vectors, got {len(vectors)}")
+    for mode, vec in enumerate(vectors):
+        if mode != skip and np.shape(vec) != (tensor.shape[mode],):
             raise ValueError(
-                f"vector for mode {mode} has shape {vec.shape}, "
+                f"vector for mode {mode} has shape {np.shape(vec)}, "
                 f"expected ({tensor.shape[mode]},)"
             )
-        operands.append(vec)
-        subs.append(_MODE_LETTERS[mode])
-    out = "" if skip is None else _MODE_LETTERS[skip]
-    result = np.einsum(",".join(subs) + "->" + out, *operands)
+    result = _batch_contract(tensor[None], vectors, skip)[0]
     return float(result) if skip is None else result
 
 
@@ -113,37 +97,37 @@ def _objective_core(centered, us, t, labels, sigmas, lam):
     return quad + (lam / n) * float(hinge)
 
 
-def objective_eval(u, v, t, data, labels, params, lam):
-    """Sample objective at (u, v, t); centering uses the fitted mean."""
-    labels = _check_labels(labels, data.n)
-    centered = data.samples - params.mean
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return _objective_core(
-        centered, (u, v), t, labels, (params.sigma_row, params.sigma_col), lam
-    )
-
-
-def objective_eval_tensor(us, t, data, labels, params, lam):
-    """Order-K sample objective; the K = 2 case equals objective_eval."""
+def objective_eval(us, t, data, labels, params, lam):
+    """Sample objective at (u_1, ..., u_K, t); centering uses the fitted mean."""
     labels = _check_labels(labels, data.n)
     centered = data.samples - params.mean
     us = [np.asarray(u, dtype=np.float64) for u in us]
     return _objective_core(centered, us, t, labels, params.sigmas, lam)
 
 
-def _linear_subproblem(feats, labels, inv_mat, scale, lam, qp_tol, warm_alphas):
-    """Minimize over one direction with the others fixed.
+def _mode_step(centered, labels, us, k, params, lam, qp_tol, warm_alphas):
+    """Exact minimizer over direction k with the directions of the other modes fixed.
 
-    ``feats`` holds the centered samples contracted over every other mode;
-    ``scale`` is the product of the quadratic forms of the fixed
-    directions.  The dual kernel uses the (i, j) cross products
-    feats_i' Sigma^{-1} feats_j / scale (a diagonal-only form would not
+    ``us[k]`` is ignored and may be None.  The subproblem is a linear SVM
+    on feats, the centered samples contracted over every other mode, with
+    ``scale`` the product of the quadratic forms of the fixed directions.
+    The dual kernel uses the (i, j) cross products
+    feats_i' Sigma_k^{-1} feats_j / scale (a diagonal-only form would not
     define a quadratic form), and the minimizer is
-    (1/2) sum_i alpha_i y_i Sigma^{-1} feats_i / scale.
+    (1/2) sum_i alpha_i y_i Sigma_k^{-1} feats_i / scale.  Raises
+    DegenerateDirection when ``scale`` is not positive and finite.
     """
+    scale = 1.0
+    for j, u in enumerate(us):
+        if j != k:
+            scale *= float(u @ params.sigmas[j] @ u)
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise DegenerateDirection(
+            f"fixed directions give a quadratic-form product of {scale:.3e}"
+        )
+    feats = _batch_contract(centered, us, skip=k)
     n = feats.shape[0]
-    white = feats @ inv_mat
+    white = feats @ params.factor_inv(k)
     kernel = (feats @ white.T) / scale
     problem = SvmDualProblem(kernel=kernel, labels=labels, box=lam / n, tol=qp_tol)
     solution = solve_svm_dual(problem, warm_alphas=warm_alphas)
@@ -154,28 +138,18 @@ def _linear_subproblem(feats, labels, inv_mat, scale, lam, qp_tol, warm_alphas):
 def update_u(data, labels, v, params, lam, qp_tol=1e-8, warm_alphas=None):
     """Exact minimizer over u for fixed v, with the dual alphas."""
     labels = _check_labels(labels, data.n)
-    v = np.asarray(v, dtype=np.float64)
-    scale = float(v @ params.sigma_col @ v)
-    if not scale > 0.0:
-        raise DegenerateDirection("fixed direction v has v' Sigma_c v <= 0")
-    centered = data.samples - params.mean
-    feats = centered @ v
-    return _linear_subproblem(
-        feats, labels, params.row_inv, scale, lam, qp_tol, warm_alphas
+    us = [None, np.asarray(v, dtype=np.float64)]
+    return _mode_step(
+        data.samples - params.mean, labels, us, 0, params, lam, qp_tol, warm_alphas
     )
 
 
 def update_v(data, labels, u, params, lam, qp_tol=1e-8, warm_alphas=None):
     """Exact minimizer over v for fixed u; the transpose of update_u."""
     labels = _check_labels(labels, data.n)
-    u = np.asarray(u, dtype=np.float64)
-    scale = float(u @ params.sigma_row @ u)
-    if not scale > 0.0:
-        raise DegenerateDirection("fixed direction u has u' Sigma_r u <= 0")
-    centered = data.samples - params.mean
-    feats = np.einsum("nij,i->nj", centered, u)
-    return _linear_subproblem(
-        feats, labels, params.col_inv, scale, lam, qp_tol, warm_alphas
+    us = [np.asarray(u, dtype=np.float64), None]
+    return _mode_step(
+        data.samples - params.mean, labels, us, 1, params, lam, qp_tol, warm_alphas
     )
 
 
@@ -188,7 +162,7 @@ def _unfold(tensor, mode):
     return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
 
 
-def _init_tensor(centered, labels, tparams):
+def _initial_directions(centered, labels, params):
     """Deterministic starting directions from the whitened class-mean gap.
 
     Uses the per-mode leading left singular vectors of the whitened signed
@@ -201,29 +175,27 @@ def _init_tensor(centered, labels, tparams):
     delta = (labels[shape] * centered).mean(axis=0)
     whitened = delta
     for k in range(order):
-        whitened = np.tensordot(tparams.factor_inv_sqrt(k), whitened, axes=(1, k))
+        whitened = np.tensordot(params.factor_inv_sqrt(k), whitened, axes=(1, k))
         whitened = np.moveaxis(whitened, 0, k)
     data_scale = float(np.sqrt((centered**2).sum() / centered.shape[0]))
     if float(np.sqrt((whitened**2).sum())) <= 1e-13 * max(data_scale, 1e-300):
         out = []
         for k in range(order):
-            w, v = tparams._eighs[k]
+            w, v = params._eighs[k]
             out.append(_sign_fix(v[:, -1].copy()))
         return out
     out = []
     for k in range(order):
         mat = _unfold(whitened, k)
         left = np.linalg.svd(mat, full_matrices=False)[0][:, 0]
-        out.append(_sign_fix(tparams.factor_inv_sqrt(k) @ left))
+        out.append(_sign_fix(params.factor_inv_sqrt(k) @ left))
     return out
 
 
 def init_directions(data, labels, params):
-    """Starting (u0, v0) for the matrix descent; see _init_tensor."""
+    """Starting directions, one per mode ([u0, v0] for matrices)."""
     labels = _check_labels(labels, data.n)
-    centered = data.samples - params.mean
-    u0, v0 = _init_tensor(centered, labels, params.to_tensor())
-    return u0, v0
+    return _initial_directions(data.samples - params.mean, labels, params)
 
 
 def _balance(us):
@@ -234,17 +206,26 @@ def _balance(us):
     return [u * (target / norm) for u, norm in zip(us, norms)]
 
 
-def _fit_core(centered, labels, tparams, lam, tol, max_iter, restarts, seed):
-    """Cyclic coordinate descent over the mode directions, best of several starts."""
-    n = centered.shape[0]
-    dims = centered.shape[1:]
-    order = len(dims)
+def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2, seed=0):
+    """Fit the rank-1 machine of any order by cyclic mode updates.
+
+    Runs the deterministic initializer plus ``restarts`` seeded random
+    unit-vector starts and returns the lowest-objective direction set,
+    norm-balanced.  Sweeps stop when the relative objective decrease
+    falls below ``tol``; exhausting ``max_iter`` tags the set
+    unconverged.
+    """
+    labels = _check_labels(labels, data.n)
+    if tuple(data.dims) != tuple(params.dims):
+        raise ValueError("parameter dimensions do not match the dataset")
+    centered = data.samples - params.mean
+    dims = params.dims
+    order = params.order
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
         raise ValueError("each label class needs at least two samples")
-    sigmas = tparams.sigmas
-    invs = [tparams.factor_inv(k) for k in range(order)]
+    sigmas = params.sigmas
 
-    starts = [_init_tensor(centered, labels, tparams)]
+    starts = [_initial_directions(centered, labels, params)]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         vecs = []
@@ -268,17 +249,13 @@ def _fit_core(centered, labels, tparams, lam, tol, max_iter, restarts, seed):
         for sweep in range(1, max_iter + 1):
             sweeps = sweep
             for k in range(order):
-                scale = 1.0
-                for j in range(order):
-                    if j != k:
-                        scale *= float(us[j] @ sigmas[j] @ us[j])
-                if not (np.isfinite(scale) and scale > 0.0):
+                try:
+                    direction, solution = _mode_step(
+                        centered, labels, us, k, params, lam, 1e-8, warm[k]
+                    )
+                except DegenerateDirection:
                     degenerate = True
                     break
-                feats = _batch_contract(centered, us, skip=k)
-                direction, solution = _linear_subproblem(
-                    feats, labels, invs[k], scale, lam, 1e-8, warm[k]
-                )
                 warm[k] = solution.alphas
                 us[k] = direction
                 t = solution.bias_t
@@ -301,39 +278,6 @@ def _fit_core(centered, labels, tparams, lam, tol, max_iter, restarts, seed):
             best = (objective, us, t, sweeps, converged)
 
     objective, us, t, sweeps, converged = best
-    return us, float(t), float(objective), sweeps, converged
-
-
-def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2, seed=0):
-    """Fit the rank-1 machine by alternating u and v updates.
-
-    Runs the deterministic initializer plus ``restarts`` seeded random
-    unit-vector starts and returns the lowest-objective triple,
-    norm-balanced.  Sweeps stop when the relative objective decrease
-    falls below ``tol``; exhausting ``max_iter`` tags the triple
-    unconverged.
-    """
-    labels = _check_labels(labels, data.n)
-    if (data.d1, data.d2) != (params.d1, params.d2):
-        raise ValueError("parameter dimensions do not match the dataset")
-    centered = data.samples - params.mean
-    us, t, objective, sweeps, converged = _fit_core(
-        centered, labels, params.to_tensor(), lam, tol, max_iter, restarts, seed
-    )
-    return DirectionTriple(
-        u=us[0], v=us[1], t=t, objective=objective, iterations=sweeps, converged=converged
-    )
-
-
-def fit_rank1_stm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2, seed=0):
-    """Order-K analogue of fit_rank1_smm with cyclic mode updates."""
-    labels = _check_labels(labels, data.n)
-    if tuple(data.dims) != tuple(params.dims):
-        raise ValueError("parameter dimensions do not match the dataset")
-    centered = data.samples - params.mean
-    us, t, objective, sweeps, converged = _fit_core(
-        centered, labels, params, lam, tol, max_iter, restarts, seed
-    )
     return TensorDirectionSet(
-        us=us, t=t, objective=objective, iterations=sweeps, converged=converged
+        us=us, t=float(t), objective=float(objective), iterations=sweeps, converged=converged
     )

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from psmm import (
-    MatNormParams,
     MatrixDataset,
     PsmmConfig,
     SvmDualProblem,
@@ -19,7 +18,6 @@ from psmm import (
     fit_psmm,
     fit_pstm,
     fit_rank1_smm,
-    fit_rank1_stm,
     flipflop_fit,
     gen_model,
     objective_eval,
@@ -131,7 +129,7 @@ def test_criterion_2_flipflop_correctness():
     x = rng.standard_normal((200, 3, 4)) * 1.3
     data = MatrixDataset(x)
     params = flipflop_fit(data, tol=tol, ridge=0.0)
-    z = whiten(data, params).samples
+    z = whiten(data, params)
     row_err = np.linalg.norm(np.einsum("nij,nkj->ik", z, z) / (4 * 200) - np.eye(3))
     col_err = np.linalg.norm(np.einsum("nji,njk->ik", z, z) / (3 * 200) - np.eye(4))
     whitening_ok = row_err <= 10 * tol and col_err <= 10 * tol
@@ -142,8 +140,8 @@ def test_criterion_2_flipflop_correctness():
     pv = flipflop_fit(MatrixDataset(xv), ridge=0.0)
     centered = xv[:, :, 0] - xv[:, :, 0].mean(axis=0)
     mle = centered.T @ centered / 60
-    vec_err = np.abs(pv.sigma_row - mle).max() / np.abs(mle).max()
-    vector_ok = vec_err <= 1e-12 and np.allclose(pv.sigma_col, [[1.0]], atol=1e-12)
+    vec_err = np.abs(pv.sigmas[0] - mle).max() / np.abs(mle).max()
+    vector_ok = vec_err <= 1e-12 and np.allclose(pv.sigmas[1], [[1.0]], atol=1e-12)
 
     # (d) consistency against the known generator, 10 seeds
     true_row = np.diag([1.0, 2.0, 3.0])
@@ -157,7 +155,7 @@ def test_criterion_2_flipflop_correctness():
     for seed in range(10):
         g = np.random.default_rng(3000 + seed).standard_normal((2000, 3, 4))
         fitted = flipflop_fit(MatrixDataset(np.einsum("ij,njk,kl->nil", sq_row, g, sq_col)))
-        est = np.kron(fitted.sigma_col, fitted.sigma_row)
+        est = np.kron(fitted.sigmas[1], fitted.sigmas[0])
         errs.append(np.linalg.norm(est - ref) / np.linalg.norm(ref))
     consistency_ok = np.mean(errs) <= 0.15
 
@@ -179,22 +177,22 @@ def test_criterion_3_coordinate_descent_descent():
         n = int(rng.integers(12, 40)) * 2
         x = rng.standard_normal((n, d1, d2))
         data = MatrixDataset(x)
-        params = MatNormParams(x.mean(axis=0), np.eye(d1), np.eye(d2))
+        params = TensorNormParams(x.mean(axis=0), [np.eye(d1), np.eye(d2)])
         labels = np.array([1, -1] * (n // 2))
         lam = float(rng.uniform(5.0, 80.0))
         u = rng.standard_normal(d1)
         v = rng.standard_normal(d2)
         t = 0.0
-        current = objective_eval(u, v, t, data, labels, params, lam)
+        current = objective_eval([u, v], t, data, labels, params, lam)
         for _ in range(4):
             u, sol = update_u(data, labels, v, params, lam)
             t = sol.bias_t
-            after = objective_eval(u, v, t, data, labels, params, lam)
+            after = objective_eval([u, v], t, data, labels, params, lam)
             worst_rise = max(worst_rise, after - current)
             current = after
             v, sol = update_v(data, labels, u, params, lam)
             t = sol.bias_t
-            after = objective_eval(u, v, t, data, labels, params, lam)
+            after = objective_eval([u, v], t, data, labels, params, lam)
             worst_rise = max(worst_rise, after - current)
             current = after
     descent_ok = worst_rise <= slack
@@ -202,13 +200,13 @@ def test_criterion_3_coordinate_descent_descent():
     # reciprocal-scale invariance of the objective
     x = rng.standard_normal((20, 3, 4))
     data = MatrixDataset(x)
-    params = MatNormParams(x.mean(axis=0), np.eye(3), np.eye(4))
+    params = TensorNormParams(x.mean(axis=0), [np.eye(3), np.eye(4)])
     labels = np.array([1, -1] * 10)
     u = rng.standard_normal(3)
     v = rng.standard_normal(4)
-    base = objective_eval(u, v, 0.2, data, labels, params, 11.0)
+    base = objective_eval([u, v], 0.2, data, labels, params, 11.0)
     scale_err = max(
-        abs(objective_eval(c * u, v / c, 0.2, data, labels, params, 11.0) - base)
+        abs(objective_eval([c * u, v / c], 0.2, data, labels, params, 11.0) - base)
         for c in (0.5, 2.0, 10.0)
     )
     scale_ok = scale_err <= 1e-10 * (1.0 + abs(base))
@@ -328,11 +326,10 @@ def test_criterion_8_pstm():
     rng = np.random.default_rng(808)
     x = rng.standard_normal((60, 3, 4))
     labels = np.array([1, -1] * 30)
-    mat_params = MatNormParams(x.mean(axis=0), np.eye(3), np.eye(4))
-    ten_params = TensorNormParams(x.mean(axis=0), [np.eye(3), np.eye(4)])
-    triple = fit_rank1_smm(MatrixDataset(x), labels, mat_params, lam=50.0, seed=9)
-    fitted = fit_rank1_stm(TensorDataset(x), labels, ten_params, lam=50.0, seed=9)
-    k2_gap = abs(triple.objective - fitted.objective)
+    params = TensorNormParams(x.mean(axis=0), [np.eye(3), np.eye(4)])
+    matrix = fit_rank1_smm(MatrixDataset(x), labels, params, lam=50.0, seed=9)
+    fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=50.0, seed=9)
+    k2_gap = abs(matrix.objective - fitted.objective)
 
     # order-3 recovery, 10 seeds
     aligns = []

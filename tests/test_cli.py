@@ -275,6 +275,31 @@ class TestCmdCov:
         assert np.allclose(doc["sigma_col"], [[1.0]], atol=1e-12)
         assert doc["converged"] is True
 
+    def test_matrix_document_keys(self, tmp_path, model1_file):
+        out = tmp_path / "cov.json"
+        assert run_cli("cov", "--input", model1_file, "--output", out) == 0
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["mean", "sigma_row", "sigma_col", "iterations", "converged"]
+
+    def test_order3_input(self, tmp_path):
+        rng = np.random.default_rng(14)
+        dims = (3, 2, 4)
+        data = TensorDataset(rng.standard_normal((60,) + dims), rng.standard_normal(60))
+        path = tmp_path / "t.mds1"
+        fileio.write_mds1(path, data)
+        out = tmp_path / "cov.json"
+        assert run_cli("cov", "--input", path, "--output", out) == 0
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["mean", "sigmas", "iterations", "converged"]
+        assert np.asarray(doc["mean"]).shape == dims
+        assert len(doc["sigmas"]) == 3
+        for k, d in enumerate(dims):
+            sigma = np.asarray(doc["sigmas"][k])
+            assert sigma.shape == (d, d)
+            if k >= 1:
+                assert abs(np.trace(sigma) - d) <= 1e-12 * d
+        assert doc["converged"] is True
+
     def test_sample_guard_exit2(self, tmp_path, capsys):
         data = MatrixDataset(np.random.default_rng(0).standard_normal((2, 12, 2)),
                              np.zeros(2))

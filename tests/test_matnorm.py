@@ -6,8 +6,8 @@ from psmm import (
     TensorDataset,
     SampleTooSmall,
     SingularCovariance,
+    TensorNormParams,
     flipflop_fit,
-    flipflop_fit_tensor,
     gaussian_loglik,
     sample_mean,
     sym_inv_sqrt,
@@ -81,10 +81,10 @@ class TestFlipFlop:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((50, 4, 1))
         params = flipflop_fit(MatrixDataset(x), ridge=0.0)
-        assert np.allclose(params.sigma_col, [[1.0]], atol=1e-12)
+        assert np.allclose(params.sigmas[1], [[1.0]], atol=1e-12)
         centered = x[:, :, 0] - x[:, :, 0].mean(axis=0)
         mle = centered.T @ centered / 50
-        assert np.abs(params.sigma_row - mle).max() <= 1e-12 * np.abs(mle).max()
+        assert np.abs(params.sigmas[0] - mle).max() <= 1e-12 * np.abs(mle).max()
 
     def test_identical_samples_singular(self):
         x = np.ones((10, 3, 3))
@@ -99,7 +99,7 @@ class TestFlipFlop:
     def test_trace_convention(self):
         rng = np.random.default_rng(3)
         params = flipflop_fit(MatrixDataset(rng.standard_normal((100, 3, 4))))
-        assert abs(np.trace(params.sigma_col) - 4.0) <= 1e-12 * 4.0
+        assert abs(np.trace(params.sigmas[1]) - 4.0) <= 1e-12 * 4.0
 
     def test_loglik_monotone(self):
         rng = np.random.default_rng(7)
@@ -131,7 +131,7 @@ class TestFlipFlop:
             g = rng.standard_normal((2000, 3, 4))
             x = np.einsum("ij,njk,kl->nil", sq_row, g, sq_col)
             params = flipflop_fit(MatrixDataset(x))
-            errs.append(_kron_rel_err(params.sigma_row, params.sigma_col, true_row, true_col))
+            errs.append(_kron_rel_err(*params.sigmas, true_row, true_col))
         assert np.mean(errs) <= 0.15
 
     def test_equivariance(self):
@@ -141,10 +141,10 @@ class TestFlipFlop:
         b = rng.standard_normal((4, 4)) + 3 * np.eye(4)
         params = flipflop_fit(MatrixDataset(x))
         x2 = np.einsum("ij,njk,lk->nil", a, x, b)
-        params2 = flipflop_fit(MatrixDataset(x2), sigma_col_init=b @ b.T)
+        params2 = flipflop_fit(MatrixDataset(x2), sigmas_init=[np.eye(3), b @ b.T])
         assert params.converged and params2.converged
-        kron1 = np.kron(params.sigma_col, params.sigma_row)
-        kron2 = np.kron(params2.sigma_col, params2.sigma_row)
+        kron1 = np.kron(params.sigmas[1], params.sigmas[0])
+        kron2 = np.kron(params2.sigmas[1], params2.sigmas[0])
         ba = np.kron(b, a)
         expected = ba @ kron1 @ ba.T
         rel = np.linalg.norm(kron2 - expected) / np.linalg.norm(expected)
@@ -157,12 +157,12 @@ class TestFlipFlop:
         data = MatrixDataset(x)
         sweeps = 6
         once = flipflop_fit(data, tol=1e-300, max_iter=sweeps)
-        sigma_col = None
+        init = None
         for _ in range(sweeps):
-            step = flipflop_fit(data, tol=1e-300, max_iter=1, sigma_col_init=sigma_col)
-            sigma_col = step.sigma_col
-        kron_once = np.kron(once.sigma_col, once.sigma_row)
-        kron_each = np.kron(step.sigma_col, step.sigma_row)
+            step = flipflop_fit(data, tol=1e-300, max_iter=1, sigmas_init=init)
+            init = [np.eye(3), step.sigmas[1]]
+        kron_once = np.kron(once.sigmas[1], once.sigmas[0])
+        kron_each = np.kron(step.sigmas[1], step.sigmas[0])
         rel = np.abs(kron_once - kron_each).max() / np.abs(kron_once).max()
         assert rel <= 1e-12
 
@@ -171,22 +171,16 @@ class TestWhiten:
     def test_identity_params(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((10, 3, 4))
-        from psmm import MatNormParams
-
-        params = MatNormParams(np.zeros((3, 4)), np.eye(3), np.eye(4))
-        assert np.array_equal(whiten(MatrixDataset(x), params).samples, x)
+        params = TensorNormParams(np.zeros((3, 4)), [np.eye(3), np.eye(4)])
+        assert np.array_equal(whiten(MatrixDataset(x), params), x)
 
     def test_single_sample_centering(self):
-        from psmm import MatNormParams
-
         x = np.full((1, 2, 2), 3.0)
-        params = MatNormParams(x[0], np.eye(2), np.eye(2))
-        assert np.allclose(whiten(MatrixDataset(x), params).samples, 0.0)
+        params = TensorNormParams(x[0], [np.eye(2), np.eye(2)])
+        assert np.allclose(whiten(MatrixDataset(x), params), 0.0)
 
     def test_dimension_mismatch(self):
-        from psmm import MatNormParams
-
-        params = MatNormParams(np.zeros((2, 2)), np.eye(2), np.eye(2))
+        params = TensorNormParams(np.zeros((2, 2)), [np.eye(2), np.eye(2)])
         with pytest.raises(ValueError):
             whiten(MatrixDataset(np.zeros((3, 2, 3))), params)
 
@@ -197,7 +191,7 @@ class TestWhiten:
         tol = 1e-9
         params = flipflop_fit(data, tol=tol, ridge=0.0)
         assert params.converged
-        z = whiten(data, params).samples
+        z = whiten(data, params)
         row_id = np.einsum("nij,nkj->ik", z, z) / (data.d2 * data.n)
         col_id = np.einsum("nji,njk->ik", z, z) / (data.d1 * data.n)
         assert np.linalg.norm(row_id - np.eye(3)) <= 10 * tol
@@ -208,15 +202,15 @@ class TestTensorFlipFlop:
     def test_matches_matrix_case(self):
         rng = np.random.default_rng(41)
         x = rng.standard_normal((60, 3, 4))
-        tensor = flipflop_fit_tensor(TensorDataset(x))
+        tensor = flipflop_fit(TensorDataset(x))
         matrix = flipflop_fit(MatrixDataset(x))
-        assert np.abs(tensor.sigmas[0] - matrix.sigma_row).max() <= 1e-10
-        assert np.abs(tensor.sigmas[1] - matrix.sigma_col).max() <= 1e-10
+        assert np.array_equal(tensor.sigmas[0], matrix.sigmas[0])
+        assert np.array_equal(tensor.sigmas[1], matrix.sigmas[1])
 
     def test_vector_reduction(self):
         rng = np.random.default_rng(43)
         x = rng.standard_normal((40, 5, 1))
-        params = flipflop_fit_tensor(TensorDataset(x), ridge=0.0)
+        params = flipflop_fit(TensorDataset(x), ridge=0.0)
         centered = x[:, :, 0] - x[:, :, 0].mean(axis=0)
         mle = centered.T @ centered / 40
         assert np.abs(params.sigmas[0] - mle).max() <= 1e-12 * np.abs(mle).max()
@@ -224,7 +218,7 @@ class TestTensorFlipFlop:
     def test_identity_consistency_order3(self):
         rng = np.random.default_rng(47)
         x = rng.standard_normal((800, 3, 3, 3))
-        params = flipflop_fit_tensor(TensorDataset(x))
+        params = flipflop_fit(TensorDataset(x))
         for k in range(3):
             rel = np.linalg.norm(params.sigmas[k] - np.eye(3)) / np.linalg.norm(np.eye(3))
             assert rel <= 0.15

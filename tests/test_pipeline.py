@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from psmm import (
-    DirectionTriple,
     MatrixDataset,
     PsmmConfig,
     SubspaceEstimate,
@@ -19,13 +18,6 @@ from psmm import (
     subspace_distance,
     symmetric_triple,
 )
-
-
-def make_triple(u, v):
-    return DirectionTriple(
-        u=np.asarray(u, float), v=np.asarray(v, float), t=0.0,
-        objective=0.0, iterations=1, converged=True,
-    )
 
 
 class TestSliceLabels:
@@ -52,25 +44,23 @@ class TestSliceLabels:
 
 class TestAggregateDirections:
     def test_single_unit_direction(self):
-        agg = aggregate_directions([make_triple([1, 0, 0], [0, 1])])
-        assert np.allclose(agg.u_hat, np.diag([1.0, 0, 0]))
-        assert np.allclose(agg.eigvals_row, [1.0, 0.0, 0.0], atol=1e-14)
+        agg, eigvals, _ = aggregate_directions([np.array([1.0, 0.0, 0.0])])
+        assert np.allclose(agg, np.diag([1.0, 0, 0]))
+        assert np.allclose(eigvals, [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_orthogonal_pair(self):
-        agg = aggregate_directions(
-            [make_triple([1, 0], [1, 0]), make_triple([0, 1], [0, 1])]
-        )
-        assert np.allclose(agg.eigvals_row, [1.0, 1.0], atol=1e-14)
+        _, eigvals, _ = aggregate_directions([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        assert np.allclose(eigvals, [1.0, 1.0], atol=1e-14)
 
     def test_norm_scales_eigenvalue(self):
-        agg = aggregate_directions([make_triple([2.0, 0.0], [1.0, 0.0])])
-        assert agg.eigvals_row[0] == pytest.approx(4.0, abs=1e-14)
+        _, eigvals, _ = aggregate_directions([np.array([2.0, 0.0])])
+        assert eigvals[0] == pytest.approx(4.0, abs=1e-14)
 
     def test_slice_order_summation(self):
-        triples = [make_triple([1.0, 0.3], [1.0, 0.0]), make_triple([0.2, 1.0], [0.0, 1.0])]
-        agg = aggregate_directions(triples)
-        expected = np.outer(triples[0].u, triples[0].u) + np.outer(triples[1].u, triples[1].u)
-        assert np.array_equal(agg.u_hat, expected)
+        directions = [np.array([1.0, 0.3]), np.array([0.2, 1.0])]
+        agg, _, _ = aggregate_directions(directions)
+        expected = np.outer(directions[0], directions[0]) + np.outer(directions[1], directions[1])
+        assert np.array_equal(agg, expected)
 
 
 class TestSelectDimensionBic:
@@ -168,10 +158,11 @@ class TestFitPstm:
         mat = fit_psmm(inst.dataset, config)
         ten = fit_pstm(TensorDataset(inst.dataset.samples, inst.dataset.responses), config)
         assert ten.selected_dims == mat.selected_dims
-        dist = subspace_distance(
-            ten.mode_bases[0], ten.mode_bases[1], mat.row_basis, mat.col_basis
-        )
-        assert dist <= 1e-6
+        assert ten.convergence == mat.convergence
+        assert np.array_equal(ten.mode_bases[0], mat.row_basis)
+        assert np.array_equal(ten.mode_bases[1], mat.col_basis)
+        assert np.array_equal(ten.mode_eigvals[0], mat.eigvals_row)
+        assert np.array_equal(ten.mode_eigvals[1], mat.eigvals_col)
 
     def test_order3_recovery(self):
         rng = np.random.default_rng(21)
@@ -285,7 +276,7 @@ class TestInvariants:
         assert np.abs(p1 - p2).max() <= 1e-12
 
     def test_objective_level_equivariance(self):
-        from psmm import MatNormParams, objective_eval
+        from psmm import TensorNormParams, objective_eval
 
         rng = np.random.default_rng(43)
         n, d1, d2 = 40, 3, 4
@@ -295,19 +286,18 @@ class TestInvariants:
         labels = np.array([1, -1] * 20)
         sig_r = np.eye(d1) + 0.1
         sig_c = np.eye(d2) * 2.0
-        params = MatNormParams(x.mean(axis=0), sig_r, sig_c)
+        params = TensorNormParams(x.mean(axis=0), [sig_r, sig_c])
         u = rng.standard_normal(d1)
         v = rng.standard_normal(d2)
         t = 0.4
         lam = 30.0
-        base = objective_eval(u, v, t, MatrixDataset(x), labels, params, lam)
+        base = objective_eval([u, v], t, MatrixDataset(x), labels, params, lam)
         x2 = np.einsum("ij,njk,lk->nil", a, x, b)
-        params2 = MatNormParams(
+        params2 = TensorNormParams(
             np.einsum("ij,jk,lk->il", a, x.mean(axis=0), b),
-            a @ sig_r @ a.T,
-            b @ sig_c @ b.T,
+            [a @ sig_r @ a.T, b @ sig_c @ b.T],
         )
         u2 = np.linalg.solve(a.T, u)
         v2 = np.linalg.solve(b.T, v)
-        transformed = objective_eval(u2, v2, t, MatrixDataset(x2), labels, params2, lam)
+        transformed = objective_eval([u2, v2], t, MatrixDataset(x2), labels, params2, lam)
         assert abs(transformed - base) <= 1e-8 * (1.0 + abs(base))

@@ -3,23 +3,20 @@ import pytest
 
 from psmm import (
     DegenerateDirection,
-    MatNormParams,
     MatrixDataset,
     TensorDataset,
     TensorNormParams,
     fit_rank1_smm,
-    fit_rank1_stm,
     init_directions,
     mode_k_contract,
     objective_eval,
-    objective_eval_tensor,
     update_u,
     update_v,
 )
 
 
 def identity_params(d1, d2):
-    return MatNormParams(np.zeros((d1, d2)), np.eye(d1), np.eye(d2))
+    return TensorNormParams(np.zeros((d1, d2)), [np.eye(d1), np.eye(d2)])
 
 
 def rank1_labels(samples, u, v):
@@ -37,7 +34,7 @@ class TestObjectiveEval:
         labels = np.array([1, -1] * 4)
         params = identity_params(3, 3)
         lam = 7.5
-        value = objective_eval(np.zeros(3), np.zeros(3), 0.0, data, labels, params, lam)
+        value = objective_eval([np.zeros(3), np.zeros(3)], 0.0, data, labels, params, lam)
         assert value == pytest.approx(lam, abs=1e-12)
 
     def test_reciprocal_rescaling_invariant(self):
@@ -47,19 +44,19 @@ class TestObjectiveEval:
         params = identity_params(4, 3)
         u = rng.standard_normal(4)
         v = rng.standard_normal(3)
-        base = objective_eval(u, v, 0.3, data, labels, params, 10.0)
+        base = objective_eval([u, v], 0.3, data, labels, params, 10.0)
         for c in (0.5, 2.0, 10.0):
-            scaled = objective_eval(c * u, v / c, 0.3, data, labels, params, 10.0)
+            scaled = objective_eval([c * u, v / c], 0.3, data, labels, params, 10.0)
             assert abs(scaled - base) <= 1e-10 * (1.0 + abs(base))
 
     def test_single_sample_formula(self):
         x = np.zeros((1, 2, 2))
         x[0, 0, 0] = 1.0
         data = MatrixDataset(x)
-        params = MatNormParams(x[0], np.eye(2), np.eye(2))
+        params = TensorNormParams(x[0], [np.eye(2), np.eye(2)])
         e1 = np.array([1.0, 0.0])
         lam = 4.0
-        value = objective_eval(e1, e1, -1.0, data, np.array([1]), params, lam)
+        value = objective_eval([e1, e1], -1.0, data, np.array([1]), params, lam)
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -82,7 +79,7 @@ class TestUpdateU:
         u0 = np.array([1.0, 0.5, -0.25])
         v = np.array([0.5, 1.0, 0.0])
         data = MatrixDataset(x)
-        params = MatNormParams(x.mean(axis=0), np.eye(3), np.eye(3))
+        params = TensorNormParams(x.mean(axis=0), [np.eye(3), np.eye(3)])
         centered = x - x.mean(axis=0)
         margins = np.einsum("i,nij,j->n", u0, centered, v)
         labels = np.where(margins > 0, 1, -1)
@@ -163,7 +160,7 @@ class TestInitDirections:
         x[2] = [[0, 0], [0, 1.0]]
         x[3] = -x[2]
         labels = np.array([1, 1, -1, -1])  # class means are both zero
-        params = MatNormParams(np.zeros((2, 2)), np.diag([2.0, 1.0]), np.diag([1.0, 3.0]))
+        params = TensorNormParams(np.zeros((2, 2)), [np.diag([2.0, 1.0]), np.diag([1.0, 3.0])])
         u0, v0 = init_directions(MatrixDataset(x), labels, params)
         assert cosine(u0, np.array([1.0, 0.0])) >= 1 - 1e-12
         assert cosine(v0, np.array([0.0, 1.0])) >= 1 - 1e-12
@@ -178,13 +175,13 @@ class TestInitDirections:
             labels = np.where(data.responses > np.median(data.responses), 1, -1)
             params = identity_params(5, 5)
             u0, v0 = init_directions(data, labels, params)
-            init_objs.append(objective_eval(u0, v0, 0.0, data, labels, params, 100.0))
+            init_objs.append(objective_eval([u0, v0], 0.0, data, labels, params, 100.0))
             rng = np.random.default_rng(1000 + seed)
             ur = rng.standard_normal(5)
             ur /= np.linalg.norm(ur)
             vr = rng.standard_normal(5)
             vr /= np.linalg.norm(vr)
-            rand_objs.append(objective_eval(ur, vr, 0.0, data, labels, params, 100.0))
+            rand_objs.append(objective_eval([ur, vr], 0.0, data, labels, params, 100.0))
         assert np.median(init_objs) < np.median(rand_objs)
 
 
@@ -199,17 +196,17 @@ class TestFitRank1Smm:
         v0[1] = 1.0
         labels = rank1_labels(x, u0, v0)
         data = MatrixDataset(x)
-        triple = fit_rank1_smm(data, labels, identity_params(d, d), lam=100.0, seed=3)
-        assert triple.converged
-        assert cosine(triple.u, u0) >= 0.99
-        assert cosine(triple.v, v0) >= 0.99
+        fitted = fit_rank1_smm(data, labels, identity_params(d, d), lam=100.0, seed=3)
+        assert fitted.converged
+        assert cosine(fitted.us[0], u0) >= 0.99
+        assert cosine(fitted.us[1], v0) >= 0.99
 
     def test_balanced_norms(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, 3, 4))
         labels = np.array([1, -1] * 15)
-        triple = fit_rank1_smm(MatrixDataset(x), labels, identity_params(3, 4), lam=50.0)
-        nu, nv = np.linalg.norm(triple.u), np.linalg.norm(triple.v)
+        fitted = fit_rank1_smm(MatrixDataset(x), labels, identity_params(3, 4), lam=50.0)
+        nu, nv = np.linalg.norm(fitted.us[0]), np.linalg.norm(fitted.us[1])
         assert abs(nu - nv) <= 1e-10 * (nu + nv)
 
     def test_objective_field_consistent(self):
@@ -218,9 +215,9 @@ class TestFitRank1Smm:
         labels = np.array([1, -1] * 12)
         data = MatrixDataset(x)
         params = identity_params(3, 3)
-        triple = fit_rank1_smm(data, labels, params, lam=30.0)
-        value = objective_eval(triple.u, triple.v, triple.t, data, labels, params, 30.0)
-        assert abs(triple.objective - value) <= 1e-10
+        fitted = fit_rank1_smm(data, labels, params, lam=30.0)
+        value = objective_eval(fitted.us, fitted.t, data, labels, params, 30.0)
+        assert abs(fitted.objective - value) <= 1e-10
 
     def test_shift_invariance(self):
         from psmm import flipflop_fit
@@ -240,8 +237,8 @@ class TestFitRank1Smm:
         x = rng.standard_normal((60, 3, 3))
         labels = np.array([1, -1] * 30)  # independent of x
         lam = 25.0
-        triple = fit_rank1_smm(MatrixDataset(x), labels, identity_params(3, 3), lam=lam)
-        assert abs(triple.objective - lam) <= lam
+        fitted = fit_rank1_smm(MatrixDataset(x), labels, identity_params(3, 3), lam=lam)
+        assert abs(fitted.objective - lam) <= lam
 
     def test_descent_across_updates(self):
         rng = np.random.default_rng(23)
@@ -254,15 +251,15 @@ class TestFitRank1Smm:
         v = rng.standard_normal(4)
         t = 0.0
         slack = 10 * 1e-8
-        current = objective_eval(u, v, t, data, labels, params, lam)
+        current = objective_eval([u, v], t, data, labels, params, lam)
         for _ in range(6):
             u, sol = update_u(data, labels, v, params, lam)
             t = sol.bias_t
-            after_u = objective_eval(u, v, t, data, labels, params, lam)
+            after_u = objective_eval([u, v], t, data, labels, params, lam)
             assert after_u <= current + slack
             v, sol = update_v(data, labels, u, params, lam)
             t = sol.bias_t
-            after_v = objective_eval(u, v, t, data, labels, params, lam)
+            after_v = objective_eval([u, v], t, data, labels, params, lam)
             assert after_v <= after_u + slack
             current = after_v
 
@@ -275,13 +272,13 @@ class TestFitRank1Smm:
         lam = 45.0
         v = rng.standard_normal(3)
         u, sol = update_u(data, labels, v, params, lam)
-        base = objective_eval(u, v, sol.bias_t, data, labels, params, lam)
+        base = objective_eval([u, v], sol.bias_t, data, labels, params, lam)
         for _ in range(20):
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             for sign in (1.0, -1.0):
                 perturbed = objective_eval(
-                    u + sign * 1e-4 * direction, v, sol.bias_t, data, labels, params, lam
+                    [u + sign * 1e-4 * direction, v], sol.bias_t, data, labels, params, lam
                 )
                 assert perturbed >= base - 1e-8
 
@@ -335,11 +332,10 @@ class TestFitRank1Stm:
         rng = np.random.default_rng(41)
         x = rng.standard_normal((40, 3, 4))
         labels = np.array([1, -1] * 20)
-        mat_params = identity_params(3, 4)
-        ten_params = TensorNormParams(np.zeros((3, 4)), [np.eye(3), np.eye(4)])
-        triple = fit_rank1_smm(MatrixDataset(x), labels, mat_params, lam=35.0, seed=5)
-        fitted = fit_rank1_stm(TensorDataset(x), labels, ten_params, lam=35.0, seed=5)
-        assert abs(triple.objective - fitted.objective) <= 1e-8
+        params = identity_params(3, 4)
+        matrix = fit_rank1_smm(MatrixDataset(x), labels, params, lam=35.0, seed=5)
+        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=35.0, seed=5)
+        assert abs(matrix.objective - fitted.objective) <= 1e-8
 
     def test_order3_separable_recovery(self):
         rng = np.random.default_rng(43)
@@ -350,7 +346,7 @@ class TestFitRank1Stm:
         scores = np.einsum("nijk,i,j,k->n", x, *us0)
         labels = np.where(scores > 0, 1, -1)
         params = TensorNormParams(np.zeros(dims), [np.eye(d) for d in dims])
-        fitted = fit_rank1_stm(TensorDataset(x), labels, params, lam=100.0, seed=7)
+        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=100.0, seed=7)
         for u, u0 in zip(fitted.us, us0):
             assert cosine(u, u0) >= 0.99
 
@@ -359,7 +355,7 @@ class TestFitRank1Stm:
         x = rng.standard_normal((30, 3, 1, 2))
         labels = np.array([1, -1] * 15)
         params = TensorNormParams(np.zeros((3, 1, 2)), [np.eye(3), np.eye(1), np.eye(2)])
-        fitted = fit_rank1_stm(TensorDataset(x), labels, params, lam=20.0, seed=1)
+        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=20.0, seed=1)
         assert fitted.us[1].shape == (1,)
         norms = [np.linalg.norm(u) for u in fitted.us]
         assert max(norms) - min(norms) <= 1e-10 * sum(norms)
@@ -372,6 +368,6 @@ class TestFitRank1Stm:
             np.zeros((2, 3, 2)), [np.eye(2), np.eye(3), np.eye(2)]
         )
         data = TensorDataset(x)
-        fitted = fit_rank1_stm(data, labels, params, lam=12.0, seed=2)
-        value = objective_eval_tensor(fitted.us, fitted.t, data, labels, params, 12.0)
+        fitted = fit_rank1_smm(data, labels, params, lam=12.0, seed=2)
+        value = objective_eval(fitted.us, fitted.t, data, labels, params, 12.0)
         assert abs(fitted.objective - value) <= 1e-10
