@@ -13,6 +13,7 @@ from psmm import (
     sym_inv_sqrt,
     whiten,
 )
+from psmm.matnorm import _kron_rel_change
 
 
 def _kron_rel_err(sig_row, sig_col, true_row, true_col):
@@ -165,6 +166,32 @@ class TestFlipFlop:
         kron_each = np.kron(step.sigmas[1], step.sigmas[0])
         rel = np.abs(kron_once - kron_each).max() / np.abs(kron_once).max()
         assert rel <= 1e-12
+
+
+class TestKronRelChange:
+    def test_tiny_perturbation_resolved(self):
+        rng = np.random.default_rng(59)
+        old = []
+        for d in (10, 10):
+            a = rng.standard_normal((d, d))
+            old.append(a @ a.T + d * np.eye(d))
+        e = rng.standard_normal((10, 10))
+        e = (e + e.T) / np.linalg.norm(e + e.T)
+        new = [old[0] + 1e-12 * np.linalg.norm(old[0]) * e, old[1]]
+        expected = np.linalg.norm(old[0] - new[0]) / np.linalg.norm(new[0])
+        assert abs(_kron_rel_change(old, new) - expected) <= 0.01 * expected
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 2)])
+    def test_matches_dense_kronecker(self, dims):
+        rng = np.random.default_rng(61)
+        old = [rng.standard_normal((d, d)) for d in dims]
+        new = [s + 1e-3 * rng.standard_normal(s.shape) for s in old]
+        dense_old, dense_new = old[0], new[0]
+        for s_old, s_new in zip(old[1:], new[1:]):
+            dense_old = np.kron(dense_old, s_old)
+            dense_new = np.kron(dense_new, s_new)
+        expected = np.linalg.norm(dense_old - dense_new) / np.linalg.norm(dense_new)
+        assert abs(_kron_rel_change(old, new) - expected) <= 1e-10 * expected
 
 
 class TestWhiten:
