@@ -239,7 +239,9 @@ def _fixed_rank(config, k):
 def fit_psmm(data, config=None):
     """Estimate the central row/column subspaces of a matrix predictor."""
     config = config if config is not None else PsmmConfig()
-    if config.symmetric and data.d1 != data.d2:
+    if len(data.dims) != 2:
+        raise ValueError("fit_psmm needs matrix predictors; use fit_pstm for tensors")
+    if config.symmetric and data.dims[0] != data.dims[1]:
         raise ValueError("symmetric mode requires square predictors")
     if config.symmetric and config.dims is not None and len(set(config.dims)) > 1:
         raise ValueError("symmetric mode requires equal row and column ranks")

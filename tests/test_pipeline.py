@@ -144,6 +144,12 @@ class TestFitPsmm:
         top = est.row_basis[:, 0]
         assert np.linalg.norm(top[:2]) >= 0.95
 
+    def test_tensor_input_rejected(self):
+        rng = np.random.default_rng(2)
+        data = TensorDataset(rng.standard_normal((30, 2, 2, 2)), rng.standard_normal(30))
+        with pytest.raises(ValueError, match="fit_pstm"):
+            fit_psmm(data)
+
     def test_symmetric_requires_square(self):
         data = MatrixDataset(np.random.default_rng(0).standard_normal((30, 2, 3)),
                              np.random.default_rng(1).standard_normal(30))
