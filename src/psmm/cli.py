@@ -19,7 +19,6 @@ from .errors import PsmmError
 from .matnorm import flipflop_fit
 from .pipeline import (
     PsmmConfig,
-    SubspaceEstimate,
     fit_psmm,
     fit_pstm,
     reduce as reduce_features,
@@ -69,19 +68,20 @@ def _build_parser():
         description="Sufficient dimension reduction for matrix and tensor predictors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PsmmConfig()
 
     fit = sub.add_parser("fit", help="estimate the central subspaces of a dataset")
     fit.add_argument("--input", required=True)
     fit.add_argument("--output", required=True)
-    fit.add_argument("--slices", type=int, default=10)
-    fit.add_argument("--lambda", dest="lam", type=float, default=100.0)
+    fit.add_argument("--slices", type=int, default=defaults.slices)
+    fit.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
     fit.add_argument("--r1", type=_rank_flag, default=None)
     fit.add_argument("--r2", type=_rank_flag, default=None)
     fit.add_argument("--symmetric", action="store_true")
-    fit.add_argument("--tol", type=float, default=1e-6)
-    fit.add_argument("--max-iter", type=int, default=100)
-    fit.add_argument("--restarts", type=int, default=2)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--tol", type=float, default=defaults.smm_tol)
+    fit.add_argument("--max-iter", type=int, default=defaults.smm_max_iter)
+    fit.add_argument("--restarts", type=int, default=defaults.restarts)
+    fit.add_argument("--seed", type=int, default=defaults.seed)
     fit.set_defaults(func=_cmd_fit)
 
     red = sub.add_parser("reduce", help="project a dataset onto a fitted estimate")
@@ -106,8 +106,8 @@ def _build_parser():
     bench.add_argument("--n", type=_int_list, default=[100, 200, 300, 400, 500])
     bench.add_argument("--d", type=_int_list, default=[5, 10])
     bench.add_argument("--replicates", type=int, default=20)
-    bench.add_argument("--slices", type=int, default=10)
-    bench.add_argument("--lambda", dest="lam", type=float, default=100.0)
+    bench.add_argument("--slices", type=int, default=defaults.slices)
+    bench.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
     bench.add_argument("--noise-sd", type=float, default=0.2)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--jobs", type=int, default=1)
@@ -121,7 +121,7 @@ def _build_parser():
 
     cov = sub.add_parser("cov", help="fit the Kronecker covariance model only")
     cov.add_argument("--input", required=True)
-    cov.add_argument("--tol", type=float, default=1e-8)
+    cov.add_argument("--tol", type=float, default=defaults.flipflop_tol)
     cov.add_argument("--output", required=True)
     cov.set_defaults(func=_cmd_cov)
 
@@ -172,11 +172,8 @@ def _cmd_reduce(args):
         "v_" + "_".join(str(i + 1) for i in idx)
         for idx in np.ndindex(*shape)
     ]
-    symmetric = isinstance(estimate, SubspaceEstimate) and bool(
-        estimate.config.get("symmetric")
-    )
     triple = None
-    if symmetric and shape == (2, 2):
+    if estimate.config.get("symmetric") and shape == (2, 2):
         triple = symmetric_triple(coords)
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -20,8 +20,10 @@ describes bit-identical data.
 
 Estimate JSON
 -------------
-Bases are stored column-by-column.  Matrix estimates carry ``row_basis``
-and ``col_basis``; tensor estimates carry ``mode_bases``.  Both embed the
+Bases are stored column-by-column, one per mode, each with its
+eigenvalue list.  Matrix estimates name them ``row_basis``,
+``col_basis``, ``eigvals_row`` and ``eigvals_col``; tensor estimates
+list them under ``mode_bases`` and ``mode_eigvals``.  Both embed the
 configuration echo, the per-slice convergence summary and
 ``format_version`` 1, and round-trip losslessly.
 
@@ -154,22 +156,20 @@ def _from_columns(columns):
     return np.asarray(columns, dtype=np.float64).T
 
 
+# The matrix layout's names for [*mode_bases, *mode_eigvals].
+_MATRIX_KEYS = ("row_basis", "col_basis", "eigvals_row", "eigvals_col")
+
+
 def estimate_to_dict(estimate):
-    if isinstance(estimate, TensorSubspaceEstimate):
-        return {
-            "format_version": FORMAT_VERSION,
-            "mode_bases": [_columns(b) for b in estimate.mode_bases],
-            "mode_eigvals": [np.asarray(w).tolist() for w in estimate.mode_eigvals],
-            "selected_dims": [int(r) for r in estimate.selected_dims],
-            "config": estimate.config,
-            "convergence": estimate.convergence,
-        }
+    bases = [_columns(b) for b in estimate.mode_bases]
+    eigvals = [np.asarray(w).tolist() for w in estimate.mode_eigvals]
+    if isinstance(estimate, SubspaceEstimate):
+        layout = dict(zip(_MATRIX_KEYS, bases + eigvals))
+    else:
+        layout = {"mode_bases": bases, "mode_eigvals": eigvals}
     return {
         "format_version": FORMAT_VERSION,
-        "row_basis": _columns(estimate.row_basis),
-        "col_basis": _columns(estimate.col_basis),
-        "eigvals_row": np.asarray(estimate.eigvals_row).tolist(),
-        "eigvals_col": np.asarray(estimate.eigvals_col).tolist(),
+        **layout,
         "selected_dims": [int(r) for r in estimate.selected_dims],
         "config": estimate.config,
         "convergence": estimate.convergence,
@@ -179,23 +179,22 @@ def estimate_to_dict(estimate):
 def estimate_from_dict(doc):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported estimate format_version {doc.get('format_version')!r}")
-    if "mode_bases" in doc:
-        return TensorSubspaceEstimate(
-            mode_bases=[_from_columns(b) for b in doc["mode_bases"]],
-            mode_eigvals=[np.asarray(w, dtype=np.float64) for w in doc["mode_eigvals"]],
-            selected_dims=tuple(int(r) for r in doc["selected_dims"]),
-            config=doc.get("config", {}),
-            convergence=doc.get("convergence", []),
-        )
-    return SubspaceEstimate(
-        row_basis=_from_columns(doc["row_basis"]),
-        col_basis=_from_columns(doc["col_basis"]),
-        eigvals_row=np.asarray(doc["eigvals_row"], dtype=np.float64),
-        eigvals_col=np.asarray(doc["eigvals_col"], dtype=np.float64),
-        selected_dims=tuple(int(r) for r in doc["selected_dims"]),
-        config=doc.get("config", {}),
-        convergence=doc.get("convergence", []),
+    tensor = "mode_bases" in doc
+    if tensor:
+        bases, eigvals = doc["mode_bases"], doc["mode_eigvals"]
+    else:
+        matrix = [doc[key] for key in _MATRIX_KEYS]
+        bases, eigvals = matrix[:2], matrix[2:]
+    bases = [_from_columns(b) for b in bases]
+    eigvals = [np.asarray(w, dtype=np.float64) for w in eigvals]
+    rest = (
+        tuple(int(r) for r in doc["selected_dims"]),
+        doc.get("config", {}),
+        doc.get("convergence", []),
     )
+    if tensor:
+        return TensorSubspaceEstimate(bases, eigvals, *rest)
+    return SubspaceEstimate(*bases, *eigvals, *rest)
 
 
 def write_estimate_json(path, estimate):

@@ -89,15 +89,10 @@ def _kron_rel_change(old, new):
 
 @dataclass(eq=False)
 class TensorNormParams:
-    """Mean plus per-mode covariance factors of a tensor-normal model.
-
-    ``trace_normalized`` records the scale convention (trace of every
-    factor but the first equals its dimension).
-    """
+    """Mean plus per-mode covariance factors of a tensor-normal model."""
 
     mean: np.ndarray
     sigmas: list
-    trace_normalized: bool = True
     converged: bool = True
     iterations: int = 0
     loglik_path: tuple = field(default_factory=tuple)
@@ -236,7 +231,6 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     return TensorNormParams(
         mean,
         sigmas,
-        trace_normalized=True,
         converged=converged,
         iterations=iterations,
         loglik_path=tuple(logliks),

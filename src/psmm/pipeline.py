@@ -74,19 +74,6 @@ class SliceLabelSet:
 
 
 @dataclass(eq=False)
-class SubspaceEstimate:
-    """Orthonormal row/column bases with aggregation eigenvalues."""
-
-    row_basis: np.ndarray
-    col_basis: np.ndarray
-    eigvals_row: np.ndarray
-    eigvals_col: np.ndarray
-    selected_dims: tuple
-    config: dict
-    convergence: list = field(default_factory=list)
-
-
-@dataclass(eq=False)
 class TensorSubspaceEstimate:
     """One orthonormal basis and eigenvalue list per tensor mode."""
 
@@ -95,6 +82,38 @@ class TensorSubspaceEstimate:
     selected_dims: tuple
     config: dict
     convergence: list = field(default_factory=list)
+
+
+class SubspaceEstimate(TensorSubspaceEstimate):
+    """The order-2 estimate: row and column bases with their eigenvalues."""
+
+    def __init__(
+        self, row_basis, col_basis, eigvals_row, eigvals_col, selected_dims, config,
+        convergence=None,
+    ):
+        super().__init__(
+            [row_basis, col_basis],
+            [eigvals_row, eigvals_col],
+            selected_dims,
+            config,
+            [] if convergence is None else convergence,
+        )
+
+    @property
+    def row_basis(self):
+        return self.mode_bases[0]
+
+    @property
+    def col_basis(self):
+        return self.mode_bases[1]
+
+    @property
+    def eigvals_row(self):
+        return self.mode_eigvals[0]
+
+    @property
+    def eigvals_col(self):
+        return self.mode_eigvals[1]
 
 
 def slice_labels(responses, n_slices):
@@ -171,12 +190,6 @@ def _slice_seed(seed, h):
     return int(np.random.SeedSequence((seed, h)).generate_state(1, np.uint64)[0])
 
 
-def _select_rank(eigvals, fixed, n):
-    if fixed is not None:
-        return int(fixed)
-    return select_dimension_bic(eigvals, n)
-
-
 def _validate_fixed_dims(dims, shape):
     if dims is None:
         return
@@ -232,8 +245,14 @@ def _fit_slices(data, config):
     return aggregates, convergence
 
 
-def _fixed_rank(config, k):
-    return None if config.dims is None else config.dims[k]
+def _select_bases(eigensystems, n, config):
+    """Bases, eigenvalue lists and ranks (fixed, or by BIC) from per-mode (w, q)."""
+    ranks = tuple(
+        select_dimension_bic(w, n) if config.dims is None else config.dims[k]
+        for k, (w, _) in enumerate(eigensystems)
+    )
+    bases = [q[:, :r] for (_, q), r in zip(eigensystems, ranks)]
+    return bases, [w for w, _ in eigensystems], ranks
 
 
 def fit_psmm(data, config=None):
@@ -246,24 +265,14 @@ def fit_psmm(data, config=None):
     if config.symmetric and config.dims is not None and len(set(config.dims)) > 1:
         raise ValueError("symmetric mode requires equal row and column ranks")
     aggregates, convergence = _fit_slices(data, config)
-    (u_hat, eig_row, vec_row), (v_hat, eig_col, vec_col) = aggregates
+    eigensystems = [(w, q) for _, w, q in aggregates]
     if config.symmetric:
         # Both sides share the basis of the summed aggregates; the two
         # fixed ranks are equal, so the selected ranks are too.
-        eig_row, vec_row = _eigh_descending(u_hat + v_hat)
-        eig_col, vec_col = eig_row.copy(), vec_row
-
-    r1 = _select_rank(eig_row, _fixed_rank(config, 0), data.n)
-    r2 = _select_rank(eig_col, _fixed_rank(config, 1), data.n)
-    return SubspaceEstimate(
-        row_basis=vec_row[:, :r1],
-        col_basis=vec_col[:, :r2],
-        eigvals_row=eig_row,
-        eigvals_col=eig_col,
-        selected_dims=(r1, r2),
-        config=config.to_dict(),
-        convergence=convergence,
-    )
+        w, q = _eigh_descending(aggregates[0][0] + aggregates[1][0])
+        eigensystems = [(w, q), (w.copy(), q)]
+    bases, eigvals, ranks = _select_bases(eigensystems, data.n, config)
+    return SubspaceEstimate(*bases, *eigvals, ranks, config.to_dict(), convergence)
 
 
 def fit_pstm(data, config=None):
@@ -272,21 +281,10 @@ def fit_pstm(data, config=None):
     if config.symmetric:
         raise ValueError("symmetric mode applies to matrix predictors only")
     aggregates, convergence = _fit_slices(data, config)
-    mode_bases = []
-    mode_eigvals = []
-    selected = []
-    for k, (_, w, q) in enumerate(aggregates):
-        r = _select_rank(w, _fixed_rank(config, k), data.n)
-        mode_bases.append(q[:, :r])
-        mode_eigvals.append(w)
-        selected.append(r)
-    return TensorSubspaceEstimate(
-        mode_bases=mode_bases,
-        mode_eigvals=mode_eigvals,
-        selected_dims=tuple(selected),
-        config=config.to_dict(),
-        convergence=convergence,
+    bases, eigvals, ranks = _select_bases(
+        [(w, q) for _, w, q in aggregates], data.n, config
     )
+    return TensorSubspaceEstimate(bases, eigvals, ranks, config.to_dict(), convergence)
 
 
 def fit_psvm_baseline(data, config=None):
@@ -300,12 +298,14 @@ def fit_psvm_baseline(data, config=None):
     r1 * r2 in the vectorized space.
     """
     config = config if config is not None else PsmmConfig()
+    if len(data.dims) != 2:
+        raise ValueError("fit_psvm_baseline needs matrix predictors")
     if data.responses is None:
         raise ValueError("dataset has no responses")
-    _validate_fixed_dims(config.dims, (data.d1, data.d2))
+    _validate_fixed_dims(config.dims, tuple(data.dims))
 
     n = data.n
-    dim = data.d1 * data.d2
+    dim = data.dims[0] * data.dims[1]
     vecs = data.samples.transpose(0, 2, 1).reshape(n, dim)
     vbar = vecs.mean(axis=0)
     centered = vecs - vbar
@@ -330,7 +330,7 @@ def fit_psvm_baseline(data, config=None):
         )
     _, w, q = aggregate_directions(directions)
     fixed = None if config.dims is None else config.dims[0] * config.dims[1]
-    r = _select_rank(w, fixed, n)
+    r = select_dimension_bic(w, n) if fixed is None else fixed
     return SubspaceEstimate(
         row_basis=q[:, :r],
         col_basis=np.eye(1),
@@ -344,20 +344,14 @@ def fit_psvm_baseline(data, config=None):
 
 def reduce(data, estimate):
     """Per-sample reduced coordinates basis' X basis (one contraction per mode)."""
-    if isinstance(estimate, TensorSubspaceEstimate):
-        if tuple(data.dims) != tuple(b.shape[0] for b in estimate.mode_bases):
-            raise ValueError("estimate dimensions do not match the dataset")
-        coords = data.samples
-        for k, basis in enumerate(estimate.mode_bases):
-            coords = np.moveaxis(
-                np.tensordot(basis.T, coords, axes=(1, k + 1)), 0, k + 1
-            )
-        return coords
-    if (data.d1, data.d2) != (estimate.row_basis.shape[0], estimate.col_basis.shape[0]):
+    if tuple(data.dims) != tuple(b.shape[0] for b in estimate.mode_bases):
         raise ValueError("estimate dimensions do not match the dataset")
-    return np.einsum(
-        "ar,nab,bc->nrc", estimate.row_basis, data.samples, estimate.col_basis
-    )
+    coords = data.samples
+    for k, basis in enumerate(estimate.mode_bases):
+        coords = np.moveaxis(
+            np.tensordot(basis.T, coords, axes=(1, k + 1)), 0, k + 1
+        )
+    return coords
 
 
 def symmetric_triple(reduced):

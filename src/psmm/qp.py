@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import InfeasibleLabels
 
+_PAIR_UPDATES_PER_N2 = 10  # a solve's pair-update budget is this times n^2
+
 
 @dataclass(eq=False)
 class SvmDualProblem:
@@ -80,17 +82,21 @@ def _gradient(kernel, y, alphas):
 
 
 def _violating_pair(alphas, y, grad, box):
-    """Most violating (i, j) and the KKT gap; gap <= 0 means optimal."""
+    """Most violating (i, j) and the KKT gap; gap <= 0 means optimal.
+
+    Also returns the violation scores -y * grad and the mask of indices
+    that may move down, which the partner search reuses.
+    """
     crit = -y * grad
     up = ((y > 0) & (alphas < box)) | ((y < 0) & (alphas > 0.0))
     low = ((y < 0) & (alphas < box)) | ((y > 0) & (alphas > 0.0))
     if not up.any() or not low.any():
-        return -1, -1, -np.inf
+        return -1, -1, -np.inf, crit, low
     up_idx = np.flatnonzero(up)
     low_idx = np.flatnonzero(low)
     i = up_idx[np.argmax(crit[up_idx])]
     j = low_idx[np.argmin(crit[low_idx])]
-    return int(i), int(j), float(crit[i] - crit[j])
+    return int(i), int(j), float(crit[i] - crit[j]), crit, low
 
 
 def _zero_sum_basis(m):
@@ -186,17 +192,17 @@ def _ride_face_direction(kernel, y, alphas, grad, box, face, delta_beta, max_the
     return new_alphas, new_grad, True
 
 
-def _best_gain_partner(kernel, diag, alphas, y, grad, box, i, crit_i, cap_i):
+def _best_gain_partner(kernel, diag, alphas, y, box, crit, low, i, cap_i):
     """Partner maximizing the exact (box-clipped) two-variable decrease.
 
-    Rank-deficient kernels have many zero-curvature pairs; the usual
-    slack^2/curvature score overrates them, so the achievable decrease is
-    evaluated with the step clipped to the box.
+    ``crit`` and ``low`` are the scores and down-movable mask returned by
+    _violating_pair for the current iterate.  Rank-deficient kernels have
+    many zero-curvature pairs; the usual slack^2/curvature score overrates
+    them, so the achievable decrease is evaluated with the step clipped to
+    the box.
     """
-    crit = -y * grad
-    low = ((y < 0) & (alphas < box)) | ((y > 0) & (alphas > 0.0))
-    low &= crit < crit_i
-    idx = np.flatnonzero(low)
+    crit_i = crit[i]
+    idx = np.flatnonzero(low & (crit < crit_i))
     if idx.size == 0:
         return -1
     slack = crit_i - crit[idx]
@@ -222,7 +228,7 @@ def kkt_residual_value(kernel, labels, box, alphas):
     y = np.asarray(labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
     grad = _gradient(np.asarray(kernel, dtype=np.float64), y, a)
-    _, _, gap = _violating_pair(a, y, grad, box)
+    gap = _violating_pair(a, y, grad, box)[2]
     return max(gap, 0.0)
 
 
@@ -256,22 +262,20 @@ def recover_bias(problem, alphas):
     return 0.5 * (lo + hi)
 
 
-def solve_svm_dual(problem, max_passes=None, warm_alphas=None, track_objective=False):
+def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     """Solve the dual by repeated exact two-variable minimizations.
 
-    ``max_passes`` bounds the work at ``max_passes * n`` pair updates
-    (default 10 n, i.e. 10 n^2 updates); exhausting it returns the last
-    iterate tagged unconverged.  ``warm_alphas`` seeds the iteration with
-    a feasible starting point, e.g. the solution of a nearby problem.
+    The work is bounded at 10 n^2 pair updates; exhausting the budget
+    returns the last iterate tagged unconverged.  ``warm_alphas`` seeds
+    the iteration with a feasible starting point, e.g. the solution of a
+    nearby problem.
     """
     kernel = 0.5 * (problem.kernel + problem.kernel.T)
     y = problem.labels.astype(np.float64)
     n = problem.n
     box = problem.box
     tol = problem.tol
-    if max_passes is None:
-        max_passes = 10 * n
-    max_updates = max(1, int(max_passes)) * n
+    max_updates = _PAIR_UPDATES_PER_N2 * n * n
 
     if warm_alphas is None:
         alphas = np.zeros(n)
@@ -290,10 +294,10 @@ def solve_svm_dual(problem, max_passes=None, warm_alphas=None, track_objective=F
     face_interval = max(n // 4, 64)
     next_face = face_interval
     while True:
-        i, j, gap = _violating_pair(alphas, y, grad, box)
+        i, j, gap, crit, low = _violating_pair(alphas, y, grad, box)
         if gap <= tol:
             grad = _gradient(kernel, y, alphas)
-            i, j, gap = _violating_pair(alphas, y, grad, box)
+            i, j, gap, crit, low = _violating_pair(alphas, y, grad, box)
             if gap <= tol:
                 converged = True
                 break
@@ -307,9 +311,7 @@ def solve_svm_dual(problem, max_passes=None, warm_alphas=None, track_objective=F
                     objective_path.append(dual_objective_value(kernel, y, alphas))
                 continue
         cap_i = (box - alphas[i]) if y[i] > 0 else alphas[i]
-        j2 = _best_gain_partner(
-            kernel, diag, alphas, y, grad, box, i, -y[i] * grad[i], cap_i
-        )
+        j2 = _best_gain_partner(kernel, diag, alphas, y, box, crit, low, i, cap_i)
         if j2 >= 0:
             j = j2
 
@@ -324,7 +326,7 @@ def solve_svm_dual(problem, max_passes=None, warm_alphas=None, track_objective=F
         if not step > 0.0:
             # Numerical stall: trust only a freshly computed gradient.
             grad = _gradient(kernel, y, alphas)
-            _, _, gap = _violating_pair(alphas, y, grad, box)
+            gap = _violating_pair(alphas, y, grad, box)[2]
             converged = gap <= tol
             break
 
@@ -345,7 +347,7 @@ def solve_svm_dual(problem, max_passes=None, warm_alphas=None, track_objective=F
             objective_path.append(dual_objective_value(kernel, y, alphas))
 
     grad = _gradient(kernel, y, alphas)
-    _, _, gap = _violating_pair(alphas, y, grad, box)
+    gap = _violating_pair(alphas, y, grad, box)[2]
     kkt = max(gap, 0.0)
     dual_obj = 0.5 * float(alphas @ (grad - 1.0))
     bias = recover_bias(problem, alphas)

@@ -25,6 +25,7 @@ from .qp import SvmDualProblem, solve_svm_dual
 
 _MODE_LETTERS = "abcdefghijklmnopqrstuvwxy"  # 'z' is reserved for the sample axis
 _ZERO_NORM = 1e-30
+_QP_TOL = 1e-8  # KKT tolerance of every mode subproblem's dual
 
 
 @dataclass(eq=False)
@@ -105,7 +106,7 @@ def objective_eval(us, t, data, labels, params, lam):
     return _objective_core(centered, us, t, labels, params.sigmas, lam)
 
 
-def _mode_step(centered, labels, us, k, params, lam, qp_tol, warm_alphas):
+def _mode_step(centered, labels, us, k, params, lam, warm_alphas):
     """Exact minimizer over direction k with the directions of the other modes fixed.
 
     ``us[k]`` is ignored and may be None.  The subproblem is a linear SVM
@@ -129,27 +130,27 @@ def _mode_step(centered, labels, us, k, params, lam, qp_tol, warm_alphas):
     n = feats.shape[0]
     white = feats @ params.factor_inv(k)
     kernel = (feats @ white.T) / scale
-    problem = SvmDualProblem(kernel=kernel, labels=labels, box=lam / n, tol=qp_tol)
+    problem = SvmDualProblem(kernel=kernel, labels=labels, box=lam / n, tol=_QP_TOL)
     solution = solve_svm_dual(problem, warm_alphas=warm_alphas)
     direction = white.T @ (0.5 * solution.alphas * labels) / scale
     return direction, solution
 
 
-def update_u(data, labels, v, params, lam, qp_tol=1e-8, warm_alphas=None):
+def update_u(data, labels, v, params, lam, warm_alphas=None):
     """Exact minimizer over u for fixed v, with the dual alphas."""
     labels = _check_labels(labels, data.n)
     us = [None, np.asarray(v, dtype=np.float64)]
     return _mode_step(
-        data.samples - params.mean, labels, us, 0, params, lam, qp_tol, warm_alphas
+        data.samples - params.mean, labels, us, 0, params, lam, warm_alphas
     )
 
 
-def update_v(data, labels, u, params, lam, qp_tol=1e-8, warm_alphas=None):
+def update_v(data, labels, u, params, lam, warm_alphas=None):
     """Exact minimizer over v for fixed u; the transpose of update_u."""
     labels = _check_labels(labels, data.n)
     us = [np.asarray(u, dtype=np.float64), None]
     return _mode_step(
-        data.samples - params.mean, labels, us, 1, params, lam, qp_tol, warm_alphas
+        data.samples - params.mean, labels, us, 1, params, lam, warm_alphas
     )
 
 
@@ -251,7 +252,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
             for k in range(order):
                 try:
                     direction, solution = _mode_step(
-                        centered, labels, us, k, params, lam, 1e-8, warm[k]
+                        centered, labels, us, k, params, lam, warm[k]
                     )
                 except DegenerateDirection:
                     degenerate = True

@@ -310,9 +310,10 @@ def test_criterion_7_subspace_distance_cases():
         ca = np.linalg.qr(rng.standard_normal((d, 2)))[0]
         rb = np.linalg.qr(rng.standard_normal((d, 1)))[0]
         cb = np.linalg.qr(rng.standard_normal((d, 2)))[0]
+        qa, qb = np.kron(ca, ra), np.kron(cb, rb)
         gap = abs(
-            subspace_distance(ra, ca, rb, cb, method="projector")
-            - subspace_distance(ra, ca, rb, cb, method="gram")
+            float(np.linalg.norm(qa @ qa.T - qb @ qb.T, "fro"))
+            - subspace_distance(ra, ca, rb, cb)
         )
         worst_path_gap = max(worst_path_gap, gap)
     ok &= worst_path_gap <= 1e-10

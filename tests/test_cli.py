@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psmm import MatrixDataset, TensorDataset, gen_model
+from psmm import MatrixDataset, PsmmConfig, TensorDataset, gen_model
 from psmm import fileio
 from psmm.cli import main
 
@@ -110,6 +110,11 @@ class TestCmdFit:
         assert run_cli("fit", "--input", model1_file, "--output", out1, "--seed", 7) == 0
         assert run_cli("fit", "--input", model1_file, "--output", out2, "--seed", 7) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_defaults_echo_psmm_config(self, tmp_path, model1_file):
+        out = tmp_path / "e.json"
+        assert run_cli("fit", "--input", model1_file, "--output", out) == 0
+        assert json.loads(out.read_text())["config"] == PsmmConfig().to_dict()
 
     def test_slices_validation(self, tmp_path, model1_file, capsys):
         code = run_cli("fit", "--input", model1_file, "--output", tmp_path / "x.json",

@@ -6,6 +6,7 @@ from psmm import (
     PsmmConfig,
     SubspaceEstimate,
     TensorDataset,
+    TensorSubspaceEstimate,
     TooFewSlices,
     aggregate_directions,
     fit_psmm,
@@ -181,6 +182,15 @@ class TestFitPstm:
         for basis in est.mode_bases:
             assert abs(float(basis[:, 0] @ np.eye(4)[0])) >= 0.8
 
+    def test_reduce_matches_matrix_pipeline(self):
+        inst = gen_model(1, 120, 4, seed=7)
+        config = PsmmConfig(dims=(1, 2), restarts=0)
+        mat = fit_psmm(inst.dataset, config)
+        ten = fit_pstm(TensorDataset(inst.dataset.samples, inst.dataset.responses), config)
+        assert np.array_equal(
+            reduce(inst.dataset, mat), reduce(inst.dataset, ten)
+        )
+
     def test_unit_mode_basis(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal((80, 3, 1, 2))
@@ -206,6 +216,12 @@ class TestFitPsvmBaseline:
         assert abs(np.linalg.norm(est.row_basis[:, 0]) - 1.0) <= 1e-10
         assert est.selected_dims == (1, 1)
 
+    def test_tensor_input_rejected(self):
+        rng = np.random.default_rng(41)
+        data = TensorDataset(rng.standard_normal((40, 3, 2, 2)), rng.standard_normal(40))
+        with pytest.raises(ValueError, match="matrix"):
+            fit_psvm_baseline(data)
+
     def test_vector_case_matches_psmm_row_space(self):
         # d2 = 1 predictors: both methods estimate the same vector subspace.
         rng = np.random.default_rng(29)
@@ -221,6 +237,21 @@ class TestFitPsvmBaseline:
             psmm_est.row_basis[:, :r], np.eye(1), psvm_est.row_basis[:, :r], np.eye(1)
         )
         assert dist <= 0.1
+
+
+class TestSubspaceEstimate:
+    def test_matrix_fields_read_the_mode_lists(self):
+        est = SubspaceEstimate(
+            row_basis=np.eye(3)[:, :1], col_basis=np.eye(2),
+            eigvals_row=np.ones(3), eigvals_col=np.ones(2),
+            selected_dims=(1, 2), config={},
+        )
+        assert isinstance(est, TensorSubspaceEstimate)
+        assert est.row_basis is est.mode_bases[0]
+        assert est.col_basis is est.mode_bases[1]
+        assert est.eigvals_row is est.mode_eigvals[0]
+        assert est.eigvals_col is est.mode_eigvals[1]
+        assert est.convergence == []
 
 
 class TestReduce:

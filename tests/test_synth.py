@@ -17,6 +17,13 @@ class TestSampleMatrixNormal:
         var = data.samples.var()
         assert 0.9 <= var <= 1.1
 
+    def test_identity_factors_return_the_draws(self):
+        # gen_model relies on this: identity factors leave the normal draws
+        # bit for bit as the generator made them.
+        data = sample_matrix_normal(50, np.zeros((4, 3)), np.eye(4), np.eye(3), seed=5)
+        draws = np.random.default_rng(5).standard_normal((50, 4, 3))
+        assert np.array_equal(data.samples, draws)
+
     def test_single_draw_reproducible(self):
         a = sample_matrix_normal(1, np.zeros((3, 2)), np.eye(3), np.eye(2), seed=42)
         b = sample_matrix_normal(1, np.zeros((3, 2)), np.eye(3), np.eye(2), seed=42)
@@ -77,6 +84,13 @@ class TestGenModel:
             gen_model(4, 10, 5, seed=0)
 
 
+def dense_projector_distance(row_a, col_a, row_b, col_b):
+    """Reference: Frobenius norm of the difference of the ambient projectors."""
+    qa = np.kron(col_a, row_a)
+    qb = np.kron(col_b, row_b)
+    return float(np.linalg.norm(qa @ qa.T - qb @ qb.T, "fro"))
+
+
 class TestSubspaceDistance:
     def e(self, d, *cols):
         return np.eye(d)[:, list(cols)]
@@ -126,9 +140,22 @@ class TestSubspaceDistance:
             ca = np.linalg.qr(rng.standard_normal((d, 1)))[0]
             rb = np.linalg.qr(rng.standard_normal((d, 1)))[0]
             cb = np.linalg.qr(rng.standard_normal((d, 2)))[0]
-            via_proj = subspace_distance(ra, ca, rb, cb, method="projector")
-            via_gram = subspace_distance(ra, ca, rb, cb, method="gram")
+            via_proj = dense_projector_distance(ra, ca, rb, cb)
+            via_gram = subspace_distance(ra, ca, rb, cb)
             assert abs(via_proj - via_gram) <= 1e-10
+
+    def test_identical_spans_zero_large_ambient(self):
+        # Ambient dimension d^2 > 1024, where an expanded
+        # p_a q_a + p_b q_b - 2 ||R_a'R_b||^2 ||C_a'C_b||^2 rounds to ~1e-7.
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(200):
+            d = int(rng.integers(33, 60))
+            r = int(rng.integers(1, 4))
+            row = np.linalg.qr(rng.standard_normal((d, r)))[0]
+            col = np.linalg.qr(rng.standard_normal((d, r)))[0]
+            worst = max(worst, subspace_distance(row, col, row, col))
+        assert worst <= 1e-12
 
     def test_non_orthonormal_inputs_accepted(self):
         rng = np.random.default_rng(19)
