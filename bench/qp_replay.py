@@ -1,0 +1,162 @@
+"""Replay the dual QP solves of one seeded benchmark replicate and time them.
+
+Captures every ``solve_svm_dual`` call that ``run_benchmark`` makes on one
+replicate of the simulation grid (models 1-3, psmm and psvm, n = 200,
+d = 5, default ``PsmmConfig``), then replays the captured problems with one
+BLAS thread and reports the solver's own time:
+
+    python3 bench/qp_replay.py --label change
+
+The row written to BENCH_qp.json (replacing any row with the same label)
+holds the solve and pair-update counts, the median replay seconds over the
+repeats, microseconds per pair update and a SHA-256 over every solution
+(alphas, iterations, bias in call order).  Equal digests mean the solver
+took the same iterates.  ``--src`` imports psmm from another checkout's
+``src``, so one copy of this script can measure two versions.
+"""
+
+import os
+
+# Pin BLAS/OpenMP threads before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GRID = {"models": [1, 2, 3], "methods": ["psmm", "psvm"], "n_grid": [200], "d_grid": [5]}
+
+
+def capture(psmm, seed, kernel_file):
+    """Run one replicate, appending each kernel to ``kernel_file``.
+
+    Kernels go to disk (about 0.3 MB each) so that the capture holds only
+    labels, warm starts and offsets in memory.  Returns one record per call.
+    """
+    records = []
+    real_solve = psmm.smm.solve_svm_dual
+
+    def recording_solve(problem, warm_alphas=None, track_objective=False):
+        kernel = np.ascontiguousarray(problem.kernel, dtype=np.float64)
+        records.append({
+            "offset": kernel_file.tell(),
+            "n": problem.n,
+            "labels": np.array(problem.labels),
+            "box": problem.box,
+            "tol": problem.tol,
+            "warm": None if warm_alphas is None else np.array(warm_alphas, dtype=np.float64),
+        })
+        kernel_file.write(kernel.tobytes())
+        return real_solve(problem, warm_alphas=warm_alphas, track_objective=track_objective)
+
+    psmm.smm.solve_svm_dual = recording_solve
+    try:
+        psmm.synth.run_benchmark(
+            replicates=1, config=psmm.PsmmConfig(), seed=seed, jobs=1, **GRID
+        )
+    finally:
+        psmm.smm.solve_svm_dual = real_solve
+    kernel_file.flush()
+    return records
+
+
+def replay(psmm, records, kernels):
+    """Solve every captured problem once; returns (seconds, solutions)."""
+    seconds = 0.0
+    solutions = []
+    for rec in records:
+        n = rec["n"]
+        kernel = np.array(kernels[rec["offset"] // 8: rec["offset"] // 8 + n * n]).reshape(n, n)
+        problem = psmm.SvmDualProblem(kernel=kernel, labels=rec["labels"], box=rec["box"],
+                                      tol=rec["tol"])
+        start = time.perf_counter()
+        solution = psmm.solve_svm_dual(problem, warm_alphas=rec["warm"])
+        seconds += time.perf_counter() - start
+        solutions.append(solution)
+    return seconds, solutions
+
+
+def digest(solutions):
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(np.ascontiguousarray(sol.alphas, dtype="<f8").tobytes())
+        h.update(np.int64(sol.iterations).tobytes())
+        h.update(np.float64(sol.bias_t).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("--seed", type=int, default=1, help="run_benchmark master seed")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
+    parser.add_argument("--output", default=str(ROOT / "BENCH_qp.json"))
+    parser.add_argument("--workdir", default=None,
+                        help="directory for the captured kernels (default: a temporary one)")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, args.src)
+    import psmm
+
+    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        path = Path(tmp) / "kernels.f8"
+        with open(path, "wb") as fh:
+            records = capture(psmm, args.seed, fh)
+        kernels = np.memmap(path, dtype=np.float64, mode="r")
+        times = []
+        first = None
+        for _ in range(args.repeats):
+            seconds, solutions = replay(psmm, records, kernels)
+            times.append(seconds)
+            sha = digest(solutions)
+            if first is None:
+                first = sha
+            elif sha != first:
+                raise SystemExit("replay is not deterministic: digests differ between repeats")
+        del kernels
+
+    updates = sum(sol.iterations for sol in solutions)
+    median = statistics.median(times)
+    row = {
+        "label": args.label,
+        "seed": args.seed,
+        "grid": GRID,
+        "solves": len(records),
+        "cold_solves": sum(rec["warm"] is None for rec in records),
+        "pair_updates": updates,
+        "repeats": args.repeats,
+        "seconds": [round(t, 4) for t in times],
+        "median_s": round(median, 4),
+        "us_per_update": round(1e6 * median / max(updates, 1), 3),
+        "solutions_sha256": first,
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "blas_threads": 1,
+            "machine": platform.machine(),
+        },
+    }
+    out = Path(args.output)
+    rows = json.loads(out.read_text())["rows"] if out.exists() else []
+    rows = [r for r in rows if r["label"] != args.label] + [row]
+    out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+    print(json.dumps(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,6 @@ produce identical output bytes.
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -172,21 +171,19 @@ def _cmd_reduce(args):
         "v_" + "_".join(str(i + 1) for i in idx)
         for idx in np.ndindex(*shape)
     ]
-    triple = None
+    header = ["sample_index"] + names
+    flat = coords.reshape(coords.shape[0], -1)
     if estimate.config.get("symmetric") and shape == (2, 2):
-        triple = symmetric_triple(coords)
+        header += ["v1", "v2", "v3"]
+        flat = np.hstack([flat, symmetric_triple(coords)])
+    # Float reprs and the column names need no CSV quoting.  Rows are
+    # converted one at a time: flat.tolist() would hold every value as a
+    # Python float at once.
     with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["sample_index"] + names
-        if triple is not None:
-            header += ["v1", "v2", "v3"]
-        writer.writerow(header)
-        flat = coords.reshape(coords.shape[0], -1)
-        for idx in range(coords.shape[0]):
-            row = [idx] + [repr(float(v)) for v in flat[idx]]
-            if triple is not None:
-                row += [repr(float(v)) for v in triple[idx]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            f"{idx},{','.join(map(repr, row.tolist()))}\n" for idx, row in enumerate(flat)
+        )
     return 0
 
 

@@ -20,9 +20,19 @@ interior (margin) alphas breaks the limit cycles that two-coordinate
 moves fall into on degenerate faces.  Progress is measured by the
 maximal-violating-pair gap; when it closes, a full gradient
 recomputation confirms optimality before the solver reports convergence.
+
+Between pair updates the loop carries the violation scores -y * grad
+rather than the gradient (a pair update changes them by
+(step/2) (k_j. - k_i.), read from contiguous kernel rows), the up/down
+working-set masks and the down-move caps; an update rewrites the masks
+and caps at its two indices only, and a face-polish move recomputes all
+three.  Because y = +-1 and the kernel is symmetrized exactly, the
+carried scores are bitwise those of recomputing -y * grad from the
+updated gradient, so the iterates are those of the plain recomputation.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,32 +91,47 @@ def _gradient(kernel, y, alphas):
     return -1.0 + 0.5 * y * (kernel @ (y * alphas))
 
 
-def _violating_pair(alphas, y, grad, box):
-    """Most violating (i, j) and the KKT gap; gap <= 0 means optimal.
-
-    Also returns the violation scores -y * grad and the mask of indices
-    that may move down, which the partner search reuses.
-    """
-    crit = -y * grad
+def _working_masks(alphas, y, box):
+    """Masks of the indices that may move up (along y) and down."""
     up = ((y > 0) & (alphas < box)) | ((y < 0) & (alphas > 0.0))
     low = ((y < 0) & (alphas < box)) | ((y > 0) & (alphas > 0.0))
-    if not up.any() or not low.any():
-        return -1, -1, -np.inf, crit, low
-    up_idx = np.flatnonzero(up)
-    low_idx = np.flatnonzero(low)
-    i = up_idx[np.argmax(crit[up_idx])]
-    j = low_idx[np.argmin(crit[low_idx])]
-    return int(i), int(j), float(crit[i] - crit[j]), crit, low
+    return up, low
 
 
-def _zero_sum_basis(m):
+def _violating_pair(crit, up, low):
+    """Most violating (i, j) and the KKT gap; gap <= 0 means optimal.
+
+    ``crit`` holds the violation scores -y * grad.  An empty mask gives
+    gap = -inf.
+    """
+    upper = np.where(up, crit, -np.inf)
+    lower = np.where(low, crit, np.inf)
+    i = int(upper.argmax())
+    j = int(lower.argmin())
+    return i, j, upper.item(i) - lower.item(j)
+
+
+def _householder_zero_sum_basis(m):
     """Orthonormal basis of the zero-sum subspace, from a Householder frame."""
     v = np.full(m, 1.0 / np.sqrt(m))
     u = v.copy()
     u[0] -= 1.0
     u /= np.linalg.norm(u)
     frame = np.eye(m) - 2.0 * np.outer(u, u)
-    return frame[:, 1:]
+    basis = frame[:, 1:]
+    basis.flags.writeable = False
+    return basis
+
+
+_cached_zero_sum_basis = lru_cache(maxsize=16)(_householder_zero_sum_basis)
+_CACHED_BASIS_MAX = 16  # so that the cached frames take at most 32 KB
+
+
+def _zero_sum_basis(m):
+    """Read-only zero-sum basis of size m; recently used small sizes are cached."""
+    if m <= _CACHED_BASIS_MAX:
+        return _cached_zero_sum_basis(m)
+    return _householder_zero_sum_basis(m)
 
 
 def _face_polish(kernel, y, alphas, grad, box):
@@ -140,18 +165,19 @@ def _face_polish(kernel, y, alphas, grad, box):
         moved_curved = False
         if np.all(np.isfinite(step)):
             alphas, grad, moved_curved = _ride_face_direction(
-                kernel, y, alphas, grad, box, face, slice_basis @ step, 1.0
+                kernel, kff, y, alphas, grad, box, face, slice_basis @ step, 1.0
             )
         moved_flat = False
         flat_norm = float(np.linalg.norm(residual))
         if flat_norm > 1e-12 * max(1.0, float(np.linalg.norm(reduced_grad))):
             # Same face: the curved ride moves within the box interior
             # unless it hit a bound, in which case the face is recomputed
-            # on the next round anyway.
+            # on the next round anyway.  Alphas only leave the face, so an
+            # unchanged size means an unchanged face and kff still applies.
             face = np.flatnonzero((alphas > 0.0) & (alphas < box))
             if face.size == slice_basis.shape[0]:
                 alphas, grad, moved_flat = _ride_face_direction(
-                    kernel, y, alphas, grad, box, face,
+                    kernel, kff, y, alphas, grad, box, face,
                     slice_basis @ (residual / flat_norm), np.inf,
                 )
         if not (moved_curved or moved_flat):
@@ -160,8 +186,13 @@ def _face_polish(kernel, y, alphas, grad, box):
     return alphas, grad, any_move
 
 
-def _ride_face_direction(kernel, y, alphas, grad, box, face, delta_beta, max_theta):
-    """Exact line search along a face direction given in beta coordinates."""
+def _ride_face_direction(kernel, kff, y, alphas, grad, box, face, delta_beta, max_theta):
+    """Exact line search along a face direction given in beta coordinates.
+
+    ``kff`` is the kernel block on the face, kernel[np.ix_(face, face)].
+    Runs inside solve_svm_dual's errstate, which silences the divisions by
+    zero entries of the direction.
+    """
     yf = y[face]
     delta_alpha = yf * delta_beta
     if not np.all(np.isfinite(delta_alpha)):
@@ -171,48 +202,46 @@ def _ride_face_direction(kernel, y, alphas, grad, box, face, delta_beta, max_the
     slope = float(grad[face] @ delta_alpha)
     if slope >= 0.0:
         return alphas, grad, False
-    kff_d = kernel[np.ix_(face, face)] @ delta_beta
+    kff_d = kff @ delta_beta
     curv = 0.5 * float(delta_beta @ kff_d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta_pos = np.where(delta_alpha > 0, (box - alphas[face]) / delta_alpha, np.inf)
-        theta_neg = np.where(delta_alpha < 0, -alphas[face] / delta_alpha, np.inf)
+    alphas_f = alphas[face]
+    theta_pos = np.where(delta_alpha > 0, (box - alphas_f) / delta_alpha, np.inf)
+    theta_neg = np.where(delta_alpha < 0, -alphas_f / delta_alpha, np.inf)
     theta_max = float(min(np.min(theta_pos), np.min(theta_neg), max_theta))
     if not theta_max > 0.0:
         return alphas, grad, False
     theta = min(-slope / curv, theta_max) if curv > 0.0 else theta_max
     if not theta > 0.0:
         return alphas, grad, False
-    moved = np.clip(alphas[face] + theta * delta_alpha, 0.0, box)
+    moved = np.clip(alphas_f + theta * delta_alpha, 0.0, box)
     eps = 1e-14 * box
     moved = np.where(moved <= eps, 0.0, np.where(moved >= box - eps, box, moved))
-    change = yf * moved - yf * alphas[face]
+    change = yf * moved - yf * alphas_f
     new_alphas = alphas.copy()
     new_alphas[face] = moved
     new_grad = grad + 0.5 * y * (kernel[:, face] @ change)
     return new_alphas, new_grad, True
 
 
-def _best_gain_partner(kernel, diag, alphas, y, box, crit, low, i, cap_i):
+def _best_gain_partner(kernel_row, diag, crit, low, cap, i, crit_i, cap_i):
     """Partner maximizing the exact (box-clipped) two-variable decrease.
 
-    ``crit`` and ``low`` are the scores and down-movable mask returned by
-    _violating_pair for the current iterate.  Rank-deficient kernels have
-    many zero-curvature pairs; the usual slack^2/curvature score overrates
-    them, so the achievable decrease is evaluated with the step clipped to
-    the box.
+    ``kernel_row`` is row i of the kernel, ``cap`` the down-move caps of
+    every index and ``cap_i`` the up-move cap of i.  Rank-deficient
+    kernels have many zero-curvature pairs; the usual slack^2/curvature
+    score overrates them, so the achievable decrease is evaluated with the
+    step clipped to the box.  Every index is scored and the candidates
+    (down-movable with a lower score than i) are masked; returns -1 when
+    there is none.
     """
-    crit_i = crit[i]
-    idx = np.flatnonzero(low & (crit < crit_i))
-    if idx.size == 0:
-        return -1
-    slack = crit_i - crit[idx]
-    curv = 0.5 * (diag[i] + diag[idx] - 2.0 * kernel[i, idx])
-    cap = np.where(y[idx] > 0, alphas[idx], box - alphas[idx])
+    candidate = low & (crit < crit_i)
+    slack = crit_i - crit
+    curv = 0.5 * (diag.item(i) + diag - 2.0 * kernel_row)
     step_max = np.minimum(cap, cap_i)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(curv > 0.0, np.minimum(slack / curv, step_max), step_max)
+    step = np.where(curv > 0.0, np.minimum(slack / curv, step_max), step_max)
     gain = slack * step - 0.5 * curv * step * step
-    return int(idx[np.argmax(gain)])
+    j = int(np.where(candidate, gain, -np.inf).argmax())
+    return j if candidate[j] else -1
 
 
 def dual_objective_value(kernel, labels, alphas):
@@ -228,7 +257,7 @@ def kkt_residual_value(kernel, labels, box, alphas):
     y = np.asarray(labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
     grad = _gradient(np.asarray(kernel, dtype=np.float64), y, a)
-    gap = _violating_pair(a, y, grad, box)[2]
+    gap = _violating_pair(-y * grad, *_working_masks(a, y, box))[2]
     return max(gap, 0.0)
 
 
@@ -284,7 +313,10 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         if abs(float(alphas @ y)) > 1e-10 * max(1.0, n * box):
             alphas = np.zeros(n)
 
-    grad = _gradient(kernel, y, alphas)
+    crit = -y * _gradient(kernel, y, alphas)
+    up, low = _working_masks(alphas, y, box)
+    cap = np.where(y > 0, alphas, box - alphas)
+    signs = y.tolist()
     diag = np.ascontiguousarray(np.diag(kernel))
     objective_path = []
     if track_objective:
@@ -293,61 +325,78 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     converged = False
     face_interval = max(n // 4, 64)
     next_face = face_interval
-    while True:
-        i, j, gap, crit, low = _violating_pair(alphas, y, grad, box)
-        if gap <= tol:
-            grad = _gradient(kernel, y, alphas)
-            i, j, gap, crit, low = _violating_pair(alphas, y, grad, box)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            i, j, gap = _violating_pair(crit, up, low)
             if gap <= tol:
-                converged = True
+                crit = -y * _gradient(kernel, y, alphas)
+                i, j, gap = _violating_pair(crit, up, low)
+                if gap <= tol:
+                    converged = True
+                    break
+            if updates >= max_updates:
                 break
-        if updates >= max_updates:
-            break
-        if updates >= next_face:
-            next_face = updates + face_interval
-            alphas, grad, moved = _face_polish(kernel, y, alphas, grad, box)
-            if moved:
-                if track_objective:
-                    objective_path.append(dual_objective_value(kernel, y, alphas))
-                continue
-        cap_i = (box - alphas[i]) if y[i] > 0 else alphas[i]
-        j2 = _best_gain_partner(kernel, diag, alphas, y, box, crit, low, i, cap_i)
-        if j2 >= 0:
-            j = j2
+            if updates >= next_face:
+                next_face = updates + face_interval
+                alphas, grad, moved = _face_polish(kernel, y, alphas, -y * crit, box)
+                if moved:
+                    crit = -y * grad
+                    up, low = _working_masks(alphas, y, box)
+                    cap = np.where(y > 0, alphas, box - alphas)
+                    if track_objective:
+                        objective_path.append(dual_objective_value(kernel, y, alphas))
+                    continue
+            yi = signs[i]
+            ai = alphas.item(i)
+            crit_i = crit.item(i)
+            cap_i = (box - ai) if yi > 0 else ai
+            j2 = _best_gain_partner(kernel[i], diag, crit, low, cap, i, crit_i, cap_i)
+            if j2 >= 0:
+                j = j2
 
-        slope = y[i] * grad[i] - y[j] * grad[j]
-        curv = 0.5 * (kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j])
-        cap_j = alphas[j] if y[j] > 0 else (box - alphas[j])
-        step_max = min(cap_i, cap_j)
-        if curv > 0.0:
-            step = min(-slope / curv, step_max)
-        else:
-            step = step_max
-        if not step > 0.0:
-            # Numerical stall: trust only a freshly computed gradient.
-            grad = _gradient(kernel, y, alphas)
-            gap = _violating_pair(alphas, y, grad, box)[2]
-            converged = gap <= tol
-            break
+            yj = signs[j]
+            aj = alphas.item(j)
+            slack = crit_i - crit.item(j)
+            curv = 0.5 * (diag.item(i) + diag.item(j) - 2.0 * kernel.item(i, j))
+            cap_j = aj if yj > 0 else (box - aj)
+            step_max = min(cap_i, cap_j)
+            if curv > 0.0:
+                step = min(slack / curv, step_max)
+            else:
+                step = step_max
+            if not step > 0.0:
+                # Numerical stall: trust only a freshly computed gradient.
+                crit = -y * _gradient(kernel, y, alphas)
+                gap = _violating_pair(crit, up, low)[2]
+                converged = gap <= tol
+                break
 
-        ai = alphas[i] + y[i] * step
-        aj = alphas[j] - y[j] * step
-        if step == step_max:
-            # Snap the binding side exactly onto its bound so working-set
-            # membership stays crisp.
-            if cap_i <= cap_j:
-                ai = box if y[i] > 0 else 0.0
-            if cap_j <= cap_i:
-                aj = 0.0 if y[j] > 0 else box
-        alphas[i] = min(max(ai, 0.0), box)
-        alphas[j] = min(max(aj, 0.0), box)
-        grad = grad + (0.5 * step) * y * (kernel[:, i] - kernel[:, j])
-        updates += 1
-        if track_objective:
-            objective_path.append(dual_objective_value(kernel, y, alphas))
+            ai += yi * step
+            aj -= yj * step
+            if step == step_max:
+                # Snap the binding side exactly onto its bound so working-set
+                # membership stays crisp.
+                if cap_i <= cap_j:
+                    ai = box if yi > 0 else 0.0
+                if cap_j <= cap_i:
+                    aj = 0.0 if yj > 0 else box
+            ai = min(max(ai, 0.0), box)
+            aj = min(max(aj, 0.0), box)
+            alphas[i] = ai
+            alphas[j] = aj
+            for k, yk, ak in ((i, yi, ai), (j, yj, aj)):
+                up[k] = ak < box if yk > 0 else ak > 0.0
+                low[k] = ak > 0.0 if yk > 0 else ak < box
+                cap[k] = ak if yk > 0 else box - ak
+            # crit = -y * grad; since y = +-1 and the kernel is exactly
+            # symmetric, this equals -y * (grad + (step/2) y (K[:, i] - K[:, j])).
+            crit -= (0.5 * step) * (kernel[i] - kernel[j])
+            updates += 1
+            if track_objective:
+                objective_path.append(dual_objective_value(kernel, y, alphas))
 
     grad = _gradient(kernel, y, alphas)
-    gap = _violating_pair(alphas, y, grad, box)[2]
+    gap = _violating_pair(-y * grad, *_working_masks(alphas, y, box))[2]
     kkt = max(gap, 0.0)
     dual_obj = 0.5 * float(alphas @ (grad - 1.0))
     bias = recover_bias(problem, alphas)

@@ -213,8 +213,8 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     Runs the deterministic initializer plus ``restarts`` seeded random
     unit-vector starts and returns the lowest-objective direction set,
     norm-balanced.  Sweeps stop when the relative objective decrease
-    falls below ``tol``; exhausting ``max_iter`` tags the set
-    unconverged.
+    falls below ``tol``; exhausting ``max_iter`` or any mode subproblem
+    whose dual QP did not converge tags the set unconverged.
     """
     labels = _check_labels(labels, data.n)
     if tuple(data.dims) != tuple(params.dims):
@@ -245,6 +245,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
         objective = _objective_core(centered, us, t, labels, sigmas, lam)
         warm = [None] * order
         converged = False
+        qp_converged = True  # an unconverged dual is not an exact mode step
         degenerate = False
         sweeps = 0
         for sweep in range(1, max_iter + 1):
@@ -257,6 +258,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
                 except DegenerateDirection:
                     degenerate = True
                     break
+                qp_converged = qp_converged and solution.converged
                 warm[k] = solution.alphas
                 us[k] = direction
                 t = solution.bias_t
@@ -276,7 +278,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
         us = _balance(us)
         objective = _objective_core(centered, us, t, labels, sigmas, lam)
         if best is None or objective < best[0]:
-            best = (objective, us, t, sweeps, converged)
+            best = (objective, us, t, sweeps, converged and qp_converged)
 
     objective, us, t, sweeps, converged = best
     return TensorDirectionSet(

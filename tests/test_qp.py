@@ -223,3 +223,35 @@ class TestWarmStart:
         bad = np.array([1.0, 1.0, 0.0, 0.0])  # violates the balance constraint
         sol = solve_svm_dual(prob, warm_alphas=bad)
         assert sol.converged
+
+
+class TestSimGridScale:
+    # The size of one benchmark subproblem: n = 200, a rank-5 kernel F F'.
+
+    def problem(self):
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((200, 5))
+        labels = np.ones(200, dtype=int)
+        labels[:100] = -1
+        rng.shuffle(labels)
+        return SvmDualProblem(kernel=feats @ feats.T, labels=labels, box=0.5)
+
+    def test_solution_and_path(self):
+        prob = self.problem()
+        sol = solve_svm_dual(prob, track_objective=True)
+        assert sol.converged
+        assert sol.iterations > 64  # the face polish has run
+        assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= prob.box)
+        assert abs(float(sol.alphas @ prob.labels)) <= 1e-10
+        assert kkt_residual_value(prob.kernel, prob.labels, prob.box, sol.alphas) <= prob.tol
+        assert np.all(np.diff(sol.objective_path) <= 0.0)
+        untracked = solve_svm_dual(prob)
+        assert np.array_equal(untracked.alphas, sol.alphas)
+        assert untracked.iterations == sol.iterations
+
+    def test_warm_start_from_solution_is_done(self):
+        prob = self.problem()
+        sol = solve_svm_dual(prob)
+        warm = solve_svm_dual(prob, warm_alphas=sol.alphas)
+        assert warm.converged
+        assert warm.iterations == 0

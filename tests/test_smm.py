@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,26 @@ class TestFitRank1Smm:
                     [u + sign * 1e-4 * direction, v], sol.bias_t, data, labels, params, lam
                 )
                 assert perturbed >= base - 1e-8
+
+    def test_unconverged_qp_reported(self, monkeypatch):
+        from psmm import smm
+
+        rng = np.random.default_rng(9)
+        data = MatrixDataset(rng.standard_normal((30, 3, 4)))
+        labels = np.array([1, -1] * 15)
+        params = identity_params(3, 4)
+        reference = fit_rank1_smm(data, labels, params, lam=50.0)
+        assert reference.converged
+        real_solve = smm.solve_svm_dual
+
+        def unconverged_solve(*args, **kwargs):
+            return dataclasses.replace(real_solve(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(smm, "solve_svm_dual", unconverged_solve)
+        fitted = fit_rank1_smm(data, labels, params, lam=50.0)
+        assert not fitted.converged
+        for u, u_ref in zip(fitted.us, reference.us):
+            assert np.array_equal(u, u_ref)
 
     def test_min_class_count_enforced(self):
         x = np.random.default_rng(0).standard_normal((5, 2, 2))
