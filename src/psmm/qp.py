@@ -32,7 +32,6 @@ updated gradient, so the iterates are those of the plain recomputation.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,27 +110,14 @@ def _violating_pair(crit, up, low):
     return i, j, upper.item(i) - lower.item(j)
 
 
-def _householder_zero_sum_basis(m):
+def _zero_sum_basis(m):
     """Orthonormal basis of the zero-sum subspace, from a Householder frame."""
     v = np.full(m, 1.0 / np.sqrt(m))
     u = v.copy()
     u[0] -= 1.0
     u /= np.linalg.norm(u)
     frame = np.eye(m) - 2.0 * np.outer(u, u)
-    basis = frame[:, 1:]
-    basis.flags.writeable = False
-    return basis
-
-
-_cached_zero_sum_basis = lru_cache(maxsize=16)(_householder_zero_sum_basis)
-_CACHED_BASIS_MAX = 16  # so that the cached frames take at most 32 KB
-
-
-def _zero_sum_basis(m):
-    """Read-only zero-sum basis of size m; recently used small sizes are cached."""
-    if m <= _CACHED_BASIS_MAX:
-        return _cached_zero_sum_basis(m)
-    return _householder_zero_sum_basis(m)
+    return frame[:, 1:]
 
 
 def _face_polish(kernel, y, alphas, grad, box):
