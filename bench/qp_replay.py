@@ -11,8 +11,17 @@ The row written to BENCH_qp.json (replacing any row with the same label)
 holds the solve and pair-update counts, the median replay seconds over the
 repeats, microseconds per pair update and a SHA-256 over every solution
 (alphas, iterations, bias in call order).  Equal digests mean the solver
-took the same iterates.  ``--src`` imports psmm from another checkout's
-``src``, so one copy of this script can measure two versions.
+took the same iterates.  When they differ, the row's converged count, its
+largest KKT gap and |y'a|, and the sum of the dual objectives still compare
+two solvers, provided both replayed the same problems: equal
+``problems_sha256`` (kernels, labels, boxes, tolerances and warm starts in
+call order).  ``--src`` imports psmm from another checkout's ``src``, so
+one copy of this script can measure two versions; ``--capture-src``
+captures the problems with another checkout (default: ``--src``), so that
+two solvers replay the same problem set:
+
+    python3 bench/qp_replay.py --label parent --src ../parent/src
+    python3 bench/qp_replay.py --label change --capture-src ../parent/src
 """
 
 import os
@@ -24,7 +33,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -72,6 +83,30 @@ def capture(psmm, seed, kernel_file):
     return records
 
 
+def import_psmm(src):
+    """Import psmm from ``src``, dropping any psmm imported before."""
+    for name in [m for m in sys.modules if m == "psmm" or m.startswith("psmm.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        return importlib.import_module("psmm")
+    finally:
+        sys.path.remove(src)
+
+
+def problems_digest(records, kernel_path):
+    h = hashlib.sha256()
+    with open(kernel_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    for rec in records:
+        h.update(np.ascontiguousarray(rec["labels"], dtype="<i8").tobytes())
+        h.update(np.float64([rec["box"], rec["tol"]]).tobytes())
+        if rec["warm"] is not None:
+            h.update(np.ascontiguousarray(rec["warm"], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def replay(psmm, records, kernels):
     """Solve every captured problem once; returns (seconds, solutions)."""
     seconds = 0.0
@@ -103,18 +138,20 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="run_benchmark master seed")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
+    parser.add_argument("--capture-src", default=None,
+                        help="directory holding the psmm that captures the problems "
+                             "(default: --src)")
     parser.add_argument("--output", default=str(ROOT / "BENCH_qp.json"))
     parser.add_argument("--workdir", default=None,
                         help="directory for the captured kernels (default: a temporary one)")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, args.src)
-    import psmm
-
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         path = Path(tmp) / "kernels.f8"
         with open(path, "wb") as fh:
-            records = capture(psmm, args.seed, fh)
+            records = capture(import_psmm(args.capture_src or args.src), args.seed, fh)
+        problems_sha = problems_digest(records, path)
+        psmm = import_psmm(args.src)
         kernels = np.memmap(path, dtype=np.float64, mode="r")
         times = []
         first = None
@@ -129,6 +166,9 @@ def main(argv=None):
         del kernels
 
     updates = sum(sol.iterations for sol in solutions)
+    kkt_max = max(sol.kkt_residual for sol in solutions)
+    balance_max = max(abs(float(sol.alphas @ rec["labels"]))
+                      for sol, rec in zip(solutions, records))
     median = statistics.median(times)
     row = {
         "label": args.label,
@@ -141,7 +181,12 @@ def main(argv=None):
         "seconds": [round(t, 4) for t in times],
         "median_s": round(median, 4),
         "us_per_update": round(1e6 * median / max(updates, 1), 3),
+        "converged": sum(bool(sol.converged) for sol in solutions),
+        "kkt_max": kkt_max,
+        "balance_max": balance_max,
+        "dual_objective_sum": math.fsum(sol.dual_objective for sol in solutions),
         "solutions_sha256": first,
+        "problems_sha256": problems_sha,
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,

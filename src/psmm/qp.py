@@ -15,11 +15,18 @@ gradient; the partner is chosen by the exact box-clipped gain among
 violating candidates, which avoids the slow zigzag of purely first-order
 pair selection on rank-deficient kernels.  Each selected pair is
 minimized exactly subject to its box and balance constraints, so the
-dual objective never increases.  A rationed direct minimization over the
-interior (margin) alphas breaks the limit cycles that two-coordinate
-moves fall into on degenerate faces.  Progress is measured by the
+dual objective never increases.  Progress is measured by the
 maximal-violating-pair gap; when it closes, a full gradient
 recomputation confirms optimality before the solver reports convergence.
+
+A face polish minimizes directly over the interior (margin) alphas, which
+breaks the limit cycles that two-coordinate moves fall into on degenerate
+faces and closes most solves outright.  It runs every 8 pair updates, and
+a warm-started solve runs it before its first pair update, so that the
+polish solves the face and the pair updates mostly repair the active set
+(which alphas sit at a bound), as in an active-set method (Scheinberg
+2006).  A polish ends as soon as a round leaves every face alpha strictly
+inside the box, because the face optimum is then reached.
 
 Between pair updates the loop carries the violation scores -y * grad
 rather than the gradient (a pair update changes them by
@@ -28,9 +35,10 @@ working-set masks and the down-move caps; an update rewrites the masks
 and caps at its two indices only, and a face-polish move recomputes all
 three.  Because y = +-1 and the kernel is symmetrized exactly, the
 carried scores are bitwise those of recomputing -y * grad from the
-updated gradient, so the iterates are those of the plain recomputation.
+updated gradient.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +46,16 @@ import numpy as np
 from .errors import InfeasibleLabels
 
 _PAIR_UPDATES_PER_N2 = 10  # a solve's pair-update budget is this times n^2
+_POLISH_INTERVAL = 8  # pair updates between face polishes
 
 
 @dataclass(eq=False)
 class SvmDualProblem:
-    """Kernel, labels, box bound C and KKT tolerance of one dual problem."""
+    """Kernel, labels, box bound C and KKT tolerance of one dual problem.
+
+    The kernel is stored symmetrized, 0.5 (K + K'); a kernel whose
+    asymmetry exceeds 1e-10 of its largest entry (or of 1) is rejected.
+    """
 
     kernel: np.ndarray
     labels: np.ndarray
@@ -57,14 +70,21 @@ class SvmDualProblem:
         n = self.kernel.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must have one entry per kernel row")
-        if not np.all(np.isin(self.labels, (-1, 1))):
+        labels = self.labels
+        if not np.all((labels == 1) | (labels == -1)):
             raise ValueError("labels must take values in {-1, +1}")
-        if not ((self.labels > 0).any() and (self.labels < 0).any()):
+        if not ((labels > 0).any() and (labels < 0).any()):
             raise InfeasibleLabels("both label classes are required")
-        scale = max(float(np.abs(self.kernel).max()), 1.0)
-        asym = float(np.abs(self.kernel - self.kernel.T).max())
+        kernel = self.kernel
+        scale = max(float(kernel.max()), -float(kernel.min()), 1.0)
+        # One n x n buffer holds K - K' for the check, then 0.5 (K + K').
+        sym = kernel - kernel.T
+        asym = max(float(sym.max()), -float(sym.min()))
         if asym > 1e-10 * scale:
             raise ValueError(f"kernel is not symmetric (max asymmetry {asym:.3e})")
+        np.add(kernel, kernel.T, out=sym)
+        sym *= 0.5
+        self.kernel = sym
         if not self.box > 0.0:
             raise ValueError("box bound C must be positive")
         if not self.tol > 0.0:
@@ -111,13 +131,16 @@ def _violating_pair(crit, up, low):
 
 
 def _zero_sum_basis(m):
-    """Orthonormal basis of the zero-sum subspace, from a Householder frame."""
-    v = np.full(m, 1.0 / np.sqrt(m))
-    u = v.copy()
-    u[0] -= 1.0
-    u /= np.linalg.norm(u)
-    frame = np.eye(m) - 2.0 * np.outer(u, u)
-    return frame[:, 1:]
+    """Orthonormal basis of the zero-sum subspace, from a Householder frame.
+
+    The columns are columns 2..m of the reflector that maps e_1 onto
+    ones / sqrt(m), in closed form: 1 / sqrt(m) in the first row and
+    e_{c+1} - 1 / (m - sqrt(m)) below it.
+    """
+    root = np.sqrt(m)
+    basis = np.eye(m, m - 1, -1) - 1.0 / (m - root)
+    basis[0] = 1.0 / root
+    return basis
 
 
 def _face_polish(kernel, y, alphas, grad, box):
@@ -131,82 +154,81 @@ def _face_polish(kernel, y, alphas, grad, box):
     kernel null space, along which the objective is linear, so it is
     ridden to the box.  Every move ends in an exact line search between
     feasible points, preserving feasibility and objective monotonicity;
-    the stopping criterion is unaffected.
+    the stopping criterion is unaffected.  A round whose rides leave every
+    face alpha strictly inside the box has reached the face optimum and
+    ends the polish; a ride that hits a bound shrinks the face for the
+    next round.
 
-    Returns (alphas, grad, moved).
+    Updates ``alphas`` and ``grad`` in place; returns whether it moved.
     """
-    any_move = False
+    moved = False
     for _ in range(8):
         face = np.flatnonzero((alphas > 0.0) & (alphas < box))
         if face.size < 2 or face.size > 1024:
-            return alphas, grad, any_move
+            break
+        rows = kernel[face]
+        kff = rows[:, face]
         yf = y[face]
-        kff = kernel[np.ix_(face, face)]
         slice_basis = _zero_sum_basis(face.size)
         reduced_hess = 0.5 * (slice_basis.T @ kff @ slice_basis)
-        reduced_grad = slice_basis.T @ (yf * grad[face])
-        step, *_ = np.linalg.lstsq(reduced_hess, -reduced_grad, rcond=None)
-        residual = -reduced_grad - reduced_hess @ step
+        descent = slice_basis.T @ (yf * -grad[face])
+        step, *_ = np.linalg.lstsq(reduced_hess, descent, rcond=None)
+        residual = descent - reduced_hess @ step
 
-        moved_curved = False
-        if np.all(np.isfinite(step)):
-            alphas, grad, moved_curved = _ride_face_direction(
-                kernel, kff, y, alphas, grad, box, face, slice_basis @ step, 1.0
-            )
-        moved_flat = False
-        flat_norm = float(np.linalg.norm(residual))
-        if flat_norm > 1e-12 * max(1.0, float(np.linalg.norm(reduced_grad))):
-            # Same face: the curved ride moves within the box interior
-            # unless it hit a bound, in which case the face is recomputed
-            # on the next round anyway.  Alphas only leave the face, so an
-            # unchanged size means an unchanged face and kff still applies.
-            face = np.flatnonzero((alphas > 0.0) & (alphas < box))
-            if face.size == slice_basis.shape[0]:
-                alphas, grad, moved_flat = _ride_face_direction(
-                    kernel, kff, y, alphas, grad, box, face,
+        rode, hit = _ride_face_direction(
+            rows, kff, y, alphas, grad, box, face, slice_basis @ step, 1.0
+        )
+        moved = moved or rode
+        if not hit:
+            flat_norm = math.sqrt(float(residual @ residual))
+            if flat_norm > 1e-12 * max(1.0, math.sqrt(float(descent @ descent))):
+                # No bound was hit, so the face and kff still apply.
+                rode, hit = _ride_face_direction(
+                    rows, kff, y, alphas, grad, box, face,
                     slice_basis @ (residual / flat_norm), np.inf,
                 )
-        if not (moved_curved or moved_flat):
-            return alphas, grad, any_move
-        any_move = True
-    return alphas, grad, any_move
+                moved = moved or rode
+        if not hit:
+            break
+    return moved
 
 
-def _ride_face_direction(kernel, kff, y, alphas, grad, box, face, delta_beta, max_theta):
+def _ride_face_direction(rows, kff, y, alphas, grad, box, face, delta_beta, max_theta):
     """Exact line search along a face direction given in beta coordinates.
 
-    ``kff`` is the kernel block on the face, kernel[np.ix_(face, face)].
-    Runs inside solve_svm_dual's errstate, which silences the divisions by
-    zero entries of the direction.
+    ``rows`` holds the kernel rows of the face, kernel[face], and ``kff``
+    its face columns.  Updates ``alphas`` and ``grad`` in place and
+    returns (moved, hit), where ``hit`` says that an alpha of the face
+    reached 0 or the box.  Runs inside solve_svm_dual's errstate, which
+    silences the divisions by zero entries of the direction; a non-finite
+    direction gives a non-finite slope and no move.
     """
     yf = y[face]
     delta_alpha = yf * delta_beta
-    if not np.all(np.isfinite(delta_alpha)):
-        return alphas, grad, False
-    if float(np.abs(delta_alpha).max()) <= 1e-16 * box:
-        return alphas, grad, False
     slope = float(grad[face] @ delta_alpha)
-    if slope >= 0.0:
-        return alphas, grad, False
-    kff_d = kff @ delta_beta
-    curv = 0.5 * float(delta_beta @ kff_d)
+    if not (-np.inf < slope < 0.0 and float(np.abs(delta_alpha).max()) > 1e-16 * box):
+        return False, False
+    curv = 0.5 * float(delta_beta @ (kff @ delta_beta))
     alphas_f = alphas[face]
-    theta_pos = np.where(delta_alpha > 0, (box - alphas_f) / delta_alpha, np.inf)
-    theta_neg = np.where(delta_alpha < 0, -alphas_f / delta_alpha, np.inf)
-    theta_max = float(min(np.min(theta_pos), np.min(theta_neg), max_theta))
+    limit = np.where(delta_alpha > 0.0, box - alphas_f, -alphas_f)
+    theta_box = float((limit / delta_alpha).min(where=delta_alpha != 0.0, initial=np.inf))
+    theta_max = min(theta_box, max_theta)
     if not theta_max > 0.0:
-        return alphas, grad, False
+        return False, False
     theta = min(-slope / curv, theta_max) if curv > 0.0 else theta_max
     if not theta > 0.0:
-        return alphas, grad, False
-    moved = np.clip(alphas_f + theta * delta_alpha, 0.0, box)
+        return False, False
+    # Snap values within 1e-14 box of a bound onto it (this also clips).
+    moved = alphas_f + theta * delta_alpha
     eps = 1e-14 * box
-    moved = np.where(moved <= eps, 0.0, np.where(moved >= box - eps, box, moved))
-    change = yf * moved - yf * alphas_f
-    new_alphas = alphas.copy()
-    new_alphas[face] = moved
-    new_grad = grad + 0.5 * y * (kernel[:, face] @ change)
-    return new_alphas, new_grad, True
+    hit = not ((moved > eps) & (moved < box - eps)).all()
+    if hit:
+        moved[moved <= eps] = 0.0
+        moved[moved >= box - eps] = box
+    alphas[face] = moved
+    change = yf * (moved - alphas_f)
+    grad += 0.5 * y * (change @ rows)
+    return True, hit
 
 
 def _best_gain_partner(kernel_row, diag, crit, low, cap, i, crit_i, cap_i):
@@ -285,7 +307,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     the iteration with a feasible starting point, e.g. the solution of a
     nearby problem.
     """
-    kernel = 0.5 * (problem.kernel + problem.kernel.T)
+    kernel = problem.kernel
     y = problem.labels.astype(np.float64)
     n = problem.n
     box = problem.box
@@ -309,8 +331,9 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         objective_path.append(dual_objective_value(kernel, y, alphas))
     updates = 0
     converged = False
-    face_interval = max(n // 4, 64)
-    next_face = face_interval
+    # A warm start is usually near a solution whose margin face the polish
+    # solves directly, so it polishes before its first pair update.
+    next_face = _POLISH_INTERVAL if warm_alphas is None else 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             i, j, gap = _violating_pair(crit, up, low)
@@ -323,9 +346,9 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             if updates >= max_updates:
                 break
             if updates >= next_face:
-                next_face = updates + face_interval
-                alphas, grad, moved = _face_polish(kernel, y, alphas, -y * crit, box)
-                if moved:
+                next_face = updates + _POLISH_INTERVAL
+                grad = -y * crit
+                if _face_polish(kernel, y, alphas, grad, box):
                     crit = -y * grad
                     up, low = _working_masks(alphas, y, box)
                     cap = np.where(y > 0, alphas, box - alphas)

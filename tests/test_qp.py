@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psmm import qp
 from psmm import (
     InfeasibleLabels,
     SvmDualProblem,
@@ -255,3 +258,81 @@ class TestSimGridScale:
         warm = solve_svm_dual(prob, warm_alphas=sol.alphas)
         assert warm.converged
         assert warm.iterations == 0
+
+    def perturbed_solution(self, prob, sol):
+        """The solution with its interior alphas moved along a zero-sum
+        (y-weighted) direction that stays strictly inside the box."""
+        face = np.flatnonzero((sol.alphas > 0.0) & (sol.alphas < prob.box))
+        assert face.size >= 3
+        yf = prob.labels[face].astype(float)
+        direction = np.random.default_rng(1).standard_normal(face.size)
+        direction -= (yf @ direction) / face.size * yf
+        room = np.minimum(sol.alphas[face], prob.box - sol.alphas[face]).min()
+        warm = sol.alphas.copy()
+        warm[face] += 0.5 * room / np.abs(direction).max() * direction
+        assert abs(float(warm @ prob.labels)) <= 1e-12
+        assert kkt_residual_value(prob.kernel, prob.labels, prob.box, warm) > prob.tol
+        return warm
+
+    def test_warm_start_polishes_before_pair_updates(self):
+        prob = self.problem()
+        sol = solve_svm_dual(prob)
+        warm = solve_svm_dual(prob, warm_alphas=self.perturbed_solution(prob, sol))
+        assert warm.converged
+        assert warm.iterations == 0
+        assert abs(warm.dual_objective - sol.dual_objective) <= 1e-12 * abs(sol.dual_objective)
+
+    def test_interior_newton_step_ends_the_polish(self, monkeypatch):
+        # The Newton step returns the perturbed face to its optimum without
+        # hitting a bound, so the polish stops after that round: the curved
+        # ride and at most one flat ride.
+        prob = self.problem()
+        warm_alphas = self.perturbed_solution(prob, solve_svm_dual(prob))
+        rides = []
+        real_ride = qp._ride_face_direction
+
+        def spy(*args):
+            result = real_ride(*args)
+            rides.append(result)
+            return result
+
+        monkeypatch.setattr(qp, "_ride_face_direction", spy)
+        warm = solve_svm_dual(prob, warm_alphas=warm_alphas)
+        assert warm.converged and warm.iterations == 0
+        assert 1 <= len(rides) <= 2
+        assert rides[0] == (True, False)
+
+
+@st.composite
+def low_rank_problems(draw):
+    """A rank-r kernel F F' on n <= 60 points, box in [1e-3, 1e2], random labels
+    of both classes, and a flag for a warm start from a random feasible point."""
+    n = draw(st.integers(2, 60))
+    rank = draw(st.integers(1, n))
+    box = 10.0 ** draw(st.floats(-3.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = rng.standard_normal((n, rank))
+    labels = rng.choice([-1, 1], size=n)
+    labels[:2] = [1, -1]
+    warm = project_feasible(rng.uniform(0.0, box, n), labels, box) if draw(st.booleans()) else None
+    return SvmDualProblem(kernel=feats @ feats.T, labels=labels, box=box), warm
+
+
+class TestProperties:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(low_rank_problems())
+    def test_solution_invariants(self, case):
+        prob, warm_alphas = case
+        sol = solve_svm_dual(prob, warm_alphas=warm_alphas, track_objective=True)
+        assert sol.converged
+        assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= prob.box)
+        assert abs(float(sol.alphas @ prob.labels)) <= 1e-10
+        assert kkt_residual_value(prob.kernel, prob.labels, prob.box, sol.alphas) <= prob.tol
+        path = np.asarray(sol.objective_path)
+        assert np.all(np.diff(path) <= 1e-12 * max(1.0, np.abs(path).max()))
+        again = solve_svm_dual(prob, warm_alphas=sol.alphas)
+        assert again.converged and again.iterations == 0
+        cold = sol if warm_alphas is None else solve_svm_dual(prob)
+        assert abs(sol.dual_objective - cold.dual_objective) <= 1e-9 * max(
+            1.0, abs(cold.dual_objective)
+        )
