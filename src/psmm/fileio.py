@@ -39,6 +39,7 @@ dimension.
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -66,34 +67,38 @@ def write_mds1(path, dataset):
 
 
 def read_mds1(path):
+    """Read an MDS1 file straight into the sample and response arrays.
+
+    The payload length is checked against the file size before anything
+    is read, so a truncated or padded file is rejected without reading it.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ValueError("MDS1 file has no header line")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"MDS1 header is not valid JSON: {exc}") from exc
-    if header.get("format") != "MDS1":
-        raise ValueError("not an MDS1 file")
-    if header.get("dtype") != "f64le":
-        raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
-    n = int(header["n"])
-    dims = [int(d) for d in header["dims"]]
-    if len(dims) < 2:
-        raise ValueError("MDS1 dims must have at least two entries")
-    has_response = bool(header["has_response"])
-    payload = raw[newline + 1 :]
-    count = n * int(np.prod(dims))
-    expected = 8 * (count + (n if has_response else 0))
-    if len(payload) != expected:
-        raise ValueError(
-            f"MDS1 payload has {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype=_DTYPE)
-    samples = values[:count].reshape(n, *dims).copy()
-    responses = values[count:].copy() if has_response else None
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError("MDS1 file has no header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"MDS1 header is not valid JSON: {exc}") from exc
+        if header.get("format") != "MDS1":
+            raise ValueError("not an MDS1 file")
+        if header.get("dtype") != "f64le":
+            raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
+        n = int(header["n"])
+        dims = [int(d) for d in header["dims"]]
+        if len(dims) < 2:
+            raise ValueError("MDS1 dims must have at least two entries")
+        has_response = bool(header["has_response"])
+        payload = os.fstat(fh.fileno()).st_size - len(line)
+        count = n * int(np.prod(dims))
+        expected = 8 * (count + (n if has_response else 0))
+        if payload != expected:
+            raise ValueError(
+                f"MDS1 payload has {payload} bytes, expected {expected}"
+            )
+        samples = np.fromfile(fh, dtype=_DTYPE, count=count)
+        responses = np.fromfile(fh, dtype=_DTYPE, count=n) if has_response else None
+    samples = samples.reshape(n, *dims)
     if len(dims) == 2:
         return MatrixDataset(samples, responses)
     return TensorDataset(samples, responses)

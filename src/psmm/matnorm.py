@@ -65,9 +65,37 @@ def _inv_sqrt_ridged(sigma, ridge):
 
 
 def _mode_multiply(batch, mat, mode):
-    """Multiply mode `mode` (0-based, excluding the sample axis) by `mat`."""
-    moved = np.tensordot(mat, batch, axes=(1, mode + 1))
-    return np.moveaxis(moved, 0, mode + 1)
+    """Multiply mode `mode` (0-based, excluding the sample axis) by `mat`.
+
+    A C-contiguous batch of shape (n, d_1, ..., d_K) is viewed, without a
+    copy, as (P, d_k, Q) with P = n * d_1 ... d_{k-1} and
+    Q = d_{k+1} ... d_K, so the product is one stacked matmul; the last mode
+    is one GEMM on the (n * d_1 ... d_{K-1}, d_K) view.  A batch in another
+    layout is copied by the reshape.  The result is a new C-contiguous batch.
+    """
+    shape = batch.shape
+    axis = mode + 1
+    out_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1 :]
+    if axis == batch.ndim - 1:
+        return (batch.reshape(-1, shape[-1]) @ mat.T).reshape(out_shape)
+    view = batch.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return np.matmul(mat, view).reshape(out_shape)
+
+
+def _mode_gram(batch, mode):
+    """Sum over samples of M_k(Z_i) M_k(Z_i)^T, exactly symmetric.
+
+    The mode-k unfolding (d_k, n * prod_{j != k} d_j) is formed once (the
+    last mode needs no copy) and multiplied by its own transpose, which
+    BLAS runs as a rank-k update (syrk): half the flops of a GEMM and a
+    result whose two triangles are copies of each other.
+    """
+    axis = mode + 1
+    if axis == batch.ndim - 1:
+        u = batch.reshape(-1, batch.shape[-1])
+        return u.T @ u
+    u = np.moveaxis(batch, axis, 0).reshape(batch.shape[axis], -1)
+    return u @ u.T
 
 
 def _kron_inner(a, b):
@@ -138,21 +166,43 @@ def sample_mean(data):
     return data.samples.mean(axis=0)
 
 
+def _check_factors(sigmas, dims, name):
+    """Require one square d_k x d_k factor per mode; returns float64 copies."""
+    factors = [np.array(s, dtype=np.float64) for s in sigmas]
+    for k in range(max(len(factors), len(dims))):
+        if k >= len(dims):
+            raise ValueError(
+                f"{name} has a factor for mode {k}, but the data has {len(dims)} modes"
+            )
+        if k >= len(factors):
+            raise ValueError(f"{name} has no factor for mode {k}")
+        if factors[k].shape != (dims[k], dims[k]):
+            raise ValueError(
+                f"{name} factor for mode {k} has shape {factors[k].shape}, "
+                f"expected ({dims[k]}, {dims[k]})"
+            )
+    return factors
+
+
 def gaussian_loglik(samples, mean, sigmas):
-    """Log-likelihood of i.i.d. samples under a tensor-normal model."""
+    """Log-likelihood of i.i.d. samples under a tensor-normal model.
+
+    Costs one centering copy and K mode products of the whole batch; the
+    quadratic term is one dot product of the whitened batch with itself.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     dims = samples.shape[1:]
     total = int(np.prod(dims))
     z = samples - np.asarray(mean, dtype=np.float64)
     logdet = 0.0
-    for k, sigma in enumerate(sigmas):
-        w, v = np.linalg.eigh(_symmetrize(np.asarray(sigma, dtype=np.float64)))
+    for k, sigma in enumerate(_check_factors(sigmas, dims, "gaussian_loglik")):
+        w, v = np.linalg.eigh(_symmetrize(sigma))
         if w.min() <= 0.0:
             raise SingularCovariance("log-likelihood needs positive definite factors")
         z = _mode_multiply(z, (v * w**-0.5) @ v.T, k)
         logdet += (total / dims[k]) * float(np.log(w).sum())
-    quad = float((z * z).sum())
+    quad = float(np.vdot(z, z))
     return -0.5 * (n * total * _LOG_2PI + n * logdet + quad)
 
 
@@ -182,6 +232,11 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     stops when the relative Frobenius change of the Kronecker product of
     the factors falls below ``tol``; exceeding ``max_iter`` returns the
     last iterate tagged unconverged.
+
+    One sweep costs, per mode, K - 1 mode products of the centered batch
+    (:func:`_mode_multiply`), one unfolding copy and one syrk
+    (:func:`_mode_gram`; the last mode needs no copy), plus one
+    :func:`gaussian_loglik` call for ``loglik_path``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -197,9 +252,7 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     if sigmas_init is None:
         sigmas = [np.eye(d) for d in dims]
     else:
-        if len(sigmas_init) != order:
-            raise ValueError("sigmas_init must supply one matrix per mode")
-        sigmas = [np.asarray(s, dtype=np.float64).copy() for s in sigmas_init]
+        sigmas = _check_factors(sigmas_init, dims, "sigmas_init")
 
     logliks = []
     converged = False
@@ -211,9 +264,7 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
             for j in range(order):
                 if j != k:
                     z = _mode_multiply(z, _inv_sqrt_ridged(sigmas[j], ridge), j)
-            axes = [a for a in range(order + 1) if a != k + 1]
-            gram = np.tensordot(z, z, axes=(axes, axes))
-            sigmas[k] = _symmetrize(gram / (n * (total // dims[k])))
+            sigmas[k] = _mode_gram(z, k) / (n * (total // dims[k]))
         logliks.append(gaussian_loglik(x, mean, sigmas))
         if prev is not None and _kron_rel_change(prev, sigmas) < tol:
             converged = True

@@ -60,6 +60,33 @@ class TestMds1Format:
         with pytest.raises(ValueError, match="bytes"):
             fileio.read_mds1(path)
 
+    def test_order4_roundtrip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = TensorDataset(rng.standard_normal((5, 2, 3, 2, 3)), rng.standard_normal(5))
+        path = tmp_path / "order4.mds1"
+        fileio.write_mds1(path, data)
+        back = fileio.read_mds1(path)
+        assert back.samples.shape == (5, 2, 3, 2, 3)
+        assert np.array_equal(back.samples, data.samples)
+        assert np.array_equal(back.responses, data.responses)
+        fileio.write_mds1(tmp_path / "again.mds1", back)
+        assert (tmp_path / "again.mds1").read_bytes() == path.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        data = MatrixDataset(np.random.default_rng(6).standard_normal((4, 2, 2)))
+        path = tmp_path / "data.mds1"
+        fileio.write_mds1(path, data)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="bytes"):
+            fileio.read_mds1(path)
+
+    def test_missing_header_newline_rejected(self, tmp_path):
+        path = tmp_path / "data.mds1"
+        header = b'{"format":"MDS1","n":1,"dims":[1,1],"dtype":"f64le","has_response":false}'
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="no header line"):
+            fileio.read_mds1(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.mds1"
         path.write_bytes(b'{"format":"XYZ"}\n')

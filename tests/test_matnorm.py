@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from psmm import (
     sym_inv_sqrt,
     whiten,
 )
-from psmm.matnorm import _kron_rel_change
+from psmm.matnorm import _inv_sqrt_ridged, _kron_rel_change, _mode_gram, _mode_multiply
 
 
 def _kron_rel_err(sig_row, sig_col, true_row, true_col):
@@ -267,3 +269,129 @@ class TestTensorFlipFlop:
         quad = np.einsum("ni,ij,nj->", vecs, inv, vecs)
         expected = -0.5 * (30 * 6 * np.log(2 * np.pi) + 30 * logdet + quad)
         assert np.isclose(ll, expected, rtol=1e-10)
+
+
+# Reference formulas: the tensordot mode product and mode Gram, and the
+# flip-flop and log-likelihood built on them, as psmm computed them before
+# the contiguous-unfolding helpers.
+def _reference_mode_multiply(batch, mat, mode):
+    moved = np.tensordot(mat, batch, axes=(1, mode + 1))
+    return np.moveaxis(moved, 0, mode + 1)
+
+
+def _reference_mode_gram(batch, mode):
+    axes = [a for a in range(batch.ndim) if a != mode + 1]
+    return np.tensordot(batch, batch, axes=(axes, axes))
+
+
+def _reference_loglik(x, mean, sigmas):
+    n, dims = x.shape[0], x.shape[1:]
+    total = math.prod(dims)
+    z = x - mean
+    logdet = 0.0
+    for k, sigma in enumerate(sigmas):
+        w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
+        z = _reference_mode_multiply(z, (v * w**-0.5) @ v.T, k)
+        logdet += (total / dims[k]) * float(np.log(w).sum())
+    return -0.5 * (n * total * np.log(2 * np.pi) + n * logdet + float((z * z).sum()))
+
+
+def _reference_flipflop(x, tol=1e-8, max_iter=200, ridge=1e-8):
+    n, dims = x.shape[0], x.shape[1:]
+    total = math.prod(dims)
+    mean = x.mean(axis=0)
+    xc = x - mean
+    sigmas = [np.eye(d) for d in dims]
+    path, prev = [], None
+    for iterations in range(1, max_iter + 1):
+        for k in range(len(dims)):
+            z = xc
+            for j in range(len(dims)):
+                if j != k:
+                    z = _reference_mode_multiply(z, _inv_sqrt_ridged(sigmas[j], ridge), j)
+            gram = _reference_mode_gram(z, k)
+            sigmas[k] = 0.5 * (gram + gram.T) / (n * (total // dims[k]))
+        path.append(_reference_loglik(x, mean, sigmas))
+        if prev is not None and _kron_rel_change(prev, sigmas) < tol:
+            break
+        prev = [s.copy() for s in sigmas]
+    for k in range(1, len(dims)):
+        scale = dims[k] / float(np.trace(sigmas[k]))
+        sigmas[k] = sigmas[k] * scale
+        sigmas[0] = sigmas[0] / scale
+    return iterations, sigmas, path
+
+
+def _layouts(batch):
+    """The batch as C-order, as a transposed view and in Fortran order."""
+    swapped = np.ascontiguousarray(np.swapaxes(batch, 0, -1))
+    return [batch, np.swapaxes(swapped, 0, -1), np.asfortranarray(batch)]
+
+
+_SHAPES = [(7, 3, 4), (6, 2, 3, 4), (5, 3, 2, 2, 3)]
+
+
+class TestModeHelpers:
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_mode_multiply_matches_tensordot(self, shape):
+        rng = np.random.default_rng(71)
+        batch = rng.standard_normal(shape)
+        for mode, d in enumerate(shape[1:]):
+            mat = rng.standard_normal((d + 1, d))
+            ref = _reference_mode_multiply(batch, mat, mode)
+            for layout in _layouts(batch):
+                got = _mode_multiply(layout, mat, mode)
+                assert got.shape == ref.shape and got.flags.c_contiguous
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_mode_gram_symmetric_and_matches_tensordot(self, shape):
+        rng = np.random.default_rng(73)
+        batch = rng.standard_normal(shape)
+        for mode in range(len(shape) - 1):
+            ref = _reference_mode_gram(batch, mode)
+            for layout in _layouts(batch):
+                got = _mode_gram(layout, mode)
+                assert np.array_equal(got, got.T)
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 4, 2)])
+    def test_flipflop_matches_tensordot_reference(self, dims):
+        rng = np.random.default_rng(79)
+        x = rng.standard_normal((400, *dims))
+        for k, d in enumerate(dims):
+            a = rng.standard_normal((d, d)) + 2 * np.eye(d)
+            x = _reference_mode_multiply(x, a, k)
+        iterations, sigmas, path = _reference_flipflop(x)
+        params = flipflop_fit(TensorDataset(x))
+        assert params.iterations == iterations
+        for got, ref in zip(params.sigmas, sigmas):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert len(params.loglik_path) == len(path)
+        for got, ref in zip(params.loglik_path, path):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+class TestFactorChecks:
+    def test_loglik_rejects_missing_factor(self):
+        x = np.random.default_rng(83).standard_normal((10, 2, 3))
+        with pytest.raises(ValueError, match="mode 1"):
+            gaussian_loglik(x, x.mean(axis=0), [np.eye(2)])
+
+    def test_loglik_rejects_extra_or_misshapen_factor(self):
+        x = np.random.default_rng(89).standard_normal((10, 2, 3))
+        with pytest.raises(ValueError, match="mode 2"):
+            gaussian_loglik(x, x.mean(axis=0), [np.eye(2), np.eye(3), np.eye(1)])
+        with pytest.raises(ValueError, match="mode 0"):
+            gaussian_loglik(x, x.mean(axis=0), [np.eye(3), np.eye(3)])
+        with pytest.raises(ValueError, match="mode 1"):
+            gaussian_loglik(x, x.mean(axis=0), [np.eye(2), np.ones((3, 2))])
+
+    def test_flipflop_rejects_misshapen_init(self):
+        data = TensorDataset(np.random.default_rng(97).standard_normal((30, 2, 3, 2)))
+        with pytest.raises(ValueError, match="mode 1"):
+            flipflop_fit(data, sigmas_init=[np.eye(2), np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="mode 2"):
+            flipflop_fit(data, sigmas_init=[np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="mode 3"):
+            flipflop_fit(data, sigmas_init=[np.eye(2), np.eye(3), np.eye(2), np.eye(2)])
