@@ -271,9 +271,9 @@ class TestTensorFlipFlop:
         assert np.isclose(ll, expected, rtol=1e-10)
 
 
-# Reference formulas: the tensordot mode product and mode Gram, and the
-# flip-flop and log-likelihood built on them, as psmm computed them before
-# the contiguous-unfolding helpers.
+# Reference formulas built on np.tensordot: the mode product, the mode Gram,
+# and the log-likelihood and flip-flop on top of them.  The contiguous
+# unfoldings in psmm.matnorm must reproduce them to rounding.
 def _reference_mode_multiply(batch, mat, mode):
     moved = np.tensordot(mat, batch, axes=(1, mode + 1))
     return np.moveaxis(moved, 0, mode + 1)
