@@ -21,8 +21,8 @@ and ``fileio.read_estimate_json`` split it into layers; the CSV write is
 the reduce command's time minus its reads and its contraction.  One
 untimed round per file runs first.  Each row records the sweep count, the
 child's peak RSS (``ru_maxrss``), the fitted factors (float64, base64) and
-the largest relative change of those factors against the ``--baseline``
-row, max |new - base| / max |base| over every factor of every file.
+the largest relative change of those factors against the row labelled
+``parent``, max |new - base| / max |base| over every factor of every file.
 
 ``--src`` imports psmm from another checkout's ``src``, so one copy of
 this script measures both:
@@ -200,8 +200,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="seed of the input draws")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
-    parser.add_argument("--baseline", default="parent",
-                        help="label of the row the fitted factors are compared against")
     parser.add_argument("--output", default=str(ROOT / "BENCH_cov.json"))
     parser.add_argument("--workdir", default=None,
                         help="directory for the input files (default: a temporary one)")
@@ -218,14 +216,13 @@ def main(argv=None):
 
     out = Path(args.output)
     rows = json.loads(out.read_text())["rows"] if out.exists() else []
-    base = next((r for r in rows if r["label"] == args.baseline), None)
+    base = next((r for r in rows if r["label"] == "parent"), None)
     row = {
         "label": args.label,
         "seed": args.seed,
         "repeats": args.repeats,
         "round_s": round(sum(d["cov_cmd_s"] + d["reduce_cmd_s"] for d in draws), 4),
         "max_sigma_rel_change": None if base is None else max_rel_change(draws, base["draws"]),
-        "baseline": args.baseline,
         "draws": draws,
         "env": {
             "python": platform.python_version(),
