@@ -278,8 +278,12 @@ def recover_bias(problem, alphas):
     """
     y = np.asarray(problem.labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
-    box = problem.box
     f = 0.5 * (problem.kernel @ (y * a))
+    return _bias_from_decisions(f, y, a, problem.box)
+
+
+def _bias_from_decisions(f, y, a, box):
+    """recover_bias given the decision values f = (1/2) K (y * a)."""
     eps = 1e-10 * box
     margin = (a > eps) & (a < box - eps)
     if margin.any():
@@ -404,11 +408,14 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             if track_objective:
                 objective_path.append(dual_objective_value(kernel, y, alphas))
 
-    grad = _gradient(kernel, y, alphas)
+    # One product gives the decision values f and the gradient, which is
+    # bitwise _gradient's because y = +-1.
+    f = 0.5 * (kernel @ (y * alphas))
+    grad = -1.0 + y * f
     gap = _violating_pair(-y * grad, *_working_masks(alphas, y, box))[2]
     kkt = max(gap, 0.0)
     dual_obj = 0.5 * float(alphas @ (grad - 1.0))
-    bias = recover_bias(problem, alphas)
+    bias = _bias_from_decisions(f, y, alphas, box)
     return SvmDualSolution(
         alphas=alphas,
         bias_t=bias,
