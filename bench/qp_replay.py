@@ -14,11 +14,13 @@ repeats, microseconds per pair update and a SHA-256 over every solution
 took the same iterates.  When they differ, the row's converged count, its
 largest KKT gap and |y'a|, and the sum of the dual objectives still compare
 two solvers, provided both replayed the same problems: equal
-``problems_sha256`` (kernels, labels, boxes, tolerances and warm starts in
+``problems_sha256`` (factors, labels, boxes, tolerances and warm starts in
 call order).  ``--src`` imports psmm from another checkout's ``src``, so
 one copy of this script can measure two versions; ``--capture-src``
 captures the problems with another checkout (default: ``--src``), so that
-two solvers replay the same problem set:
+two solvers replay the same problem set.  Both checkouts must build
+problems the same way: the capture reads each ``problem.factor`` and the
+replay passes it back as ``SvmDualProblem(factor=...)``.
 
     python3 bench/qp_replay.py --label parent --src ../parent/src
     python3 bench/qp_replay.py --label change --capture-src ../parent/src
@@ -50,26 +52,26 @@ ROOT = Path(__file__).resolve().parents[1]
 GRID = {"models": [1, 2, 3], "methods": ["psmm", "psvm"], "n_grid": [200], "d_grid": [5]}
 
 
-def capture(psmm, seed, kernel_file):
-    """Run one replicate, appending each kernel to ``kernel_file``.
+def capture(psmm, seed, factor_file):
+    """Run one replicate, appending each n x r factor to ``factor_file``.
 
-    Kernels go to disk (about 0.3 MB each) so that the capture holds only
-    labels, warm starts and offsets in memory.  Returns one record per call.
+    Factors go to disk so that the capture holds only labels, warm starts
+    and offsets in memory.  Returns one record per call.
     """
     records = []
     real_solve = psmm.smm.solve_svm_dual
 
     def recording_solve(problem, warm_alphas=None, track_objective=False):
-        kernel = np.ascontiguousarray(problem.kernel, dtype=np.float64)
+        factor = np.ascontiguousarray(problem.factor, dtype=np.float64)
         records.append({
-            "offset": kernel_file.tell(),
-            "n": problem.n,
+            "offset": factor_file.tell(),
+            "shape": factor.shape,
             "labels": np.array(problem.labels),
             "box": problem.box,
             "tol": problem.tol,
             "warm": None if warm_alphas is None else np.array(warm_alphas, dtype=np.float64),
         })
-        kernel_file.write(kernel.tobytes())
+        factor_file.write(factor.tobytes())
         return real_solve(problem, warm_alphas=warm_alphas, track_objective=track_objective)
 
     psmm.smm.solve_svm_dual = recording_solve
@@ -79,7 +81,7 @@ def capture(psmm, seed, kernel_file):
         )
     finally:
         psmm.smm.solve_svm_dual = real_solve
-    kernel_file.flush()
+    factor_file.flush()
     return records
 
 
@@ -94,12 +96,13 @@ def import_psmm(src):
         sys.path.remove(src)
 
 
-def problems_digest(records, kernel_path):
+def problems_digest(records, factor_path):
     h = hashlib.sha256()
-    with open(kernel_path, "rb") as fh:
+    with open(factor_path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     for rec in records:
+        h.update(np.int64(rec["shape"]).tobytes())
         h.update(np.ascontiguousarray(rec["labels"], dtype="<i8").tobytes())
         h.update(np.float64([rec["box"], rec["tol"]]).tobytes())
         if rec["warm"] is not None:
@@ -107,14 +110,14 @@ def problems_digest(records, kernel_path):
     return h.hexdigest()
 
 
-def replay(psmm, records, kernels):
+def replay(psmm, records, factors):
     """Solve every captured problem once; returns (seconds, solutions)."""
     seconds = 0.0
     solutions = []
     for rec in records:
-        n = rec["n"]
-        kernel = np.array(kernels[rec["offset"] // 8: rec["offset"] // 8 + n * n]).reshape(n, n)
-        problem = psmm.SvmDualProblem(kernel=kernel, labels=rec["labels"], box=rec["box"],
+        first = rec["offset"] // 8
+        factor = np.array(factors[first: first + math.prod(rec["shape"])]).reshape(rec["shape"])
+        problem = psmm.SvmDualProblem(factor=factor, labels=rec["labels"], box=rec["box"],
                                       tol=rec["tol"])
         start = time.perf_counter()
         solution = psmm.solve_svm_dual(problem, warm_alphas=rec["warm"])
@@ -143,27 +146,27 @@ def main(argv=None):
                              "(default: --src)")
     parser.add_argument("--output", default=str(ROOT / "BENCH_qp.json"))
     parser.add_argument("--workdir", default=None,
-                        help="directory for the captured kernels (default: a temporary one)")
+                        help="directory for the captured factors (default: a temporary one)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        path = Path(tmp) / "kernels.f8"
+        path = Path(tmp) / "factors.f8"
         with open(path, "wb") as fh:
             records = capture(import_psmm(args.capture_src or args.src), args.seed, fh)
         problems_sha = problems_digest(records, path)
         psmm = import_psmm(args.src)
-        kernels = np.memmap(path, dtype=np.float64, mode="r")
+        factors = np.memmap(path, dtype=np.float64, mode="r")
         times = []
         first = None
         for _ in range(args.repeats):
-            seconds, solutions = replay(psmm, records, kernels)
+            seconds, solutions = replay(psmm, records, factors)
             times.append(seconds)
             sha = digest(solutions)
             if first is None:
                 first = sha
             elif sha != first:
                 raise SystemExit("replay is not deterministic: digests differ between repeats")
-        del kernels
+        del factors
 
     updates = sum(sol.iterations for sol in solutions)
     kkt_max = max(sol.kkt_residual for sol in solutions)

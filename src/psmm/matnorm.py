@@ -152,10 +152,6 @@ class TensorNormParams:
     def _eighs(self):
         return [np.linalg.eigh(_symmetrize(s)) for s in self.sigmas]
 
-    def factor_inv(self, k):
-        w, v = self._eighs[k]
-        return (v / w) @ v.T
-
     def factor_inv_sqrt(self, k):
         w, v = self._eighs[k]
         return (v * w**-0.5) @ v.T

@@ -5,10 +5,12 @@ The problem solved is
     minimize    -sum_i a_i + (1/4) sum_ij a_i a_j y_i y_j k_ij
     subject to  sum_i a_i y_i = 0,    0 <= a_i <= C,
 
-with symmetric positive semidefinite kernel k and labels y in {-1, +1}.
+with kernel K = F F' for an n x r factor F whose row i is the feature
+vector z_i, and labels y in {-1, +1}.  K is formed once, by a symmetric
+rank-r product, so it is exactly symmetric and positive semidefinite.
 The quarter (not half) curvature matches a primal margin penalty of
-||w||^2, so the implied weight vector is w = (1/2) sum_i a_i y_i z_i and
-the per-point decision values are f_i = (1/2) sum_j a_j y_j k_ij.
+||w||^2, so the implied weight vector is w = (1/2) F' (a * y) and the
+per-point decision values are f = F w = (1/2) K (a * y).
 
 The first working-set index maximizes the KKT violation on the dual
 gradient; the partner is chosen by the exact box-clipped gain among
@@ -33,7 +35,7 @@ rather than the gradient (a pair update changes them by
 (step/2) (k_j. - k_i.), read from contiguous kernel rows), the up/down
 working-set masks and the down-move caps; an update rewrites the masks
 and caps at its two indices only, and a face-polish move recomputes all
-three.  Because y = +-1 and the kernel is symmetrized exactly, the
+three.  Because y = +-1 and the kernel is exactly symmetric, the
 carried scores are bitwise those of recomputing -y * grad from the
 updated gradient.
 """
@@ -51,44 +53,37 @@ _POLISH_INTERVAL = 8  # pair updates between face polishes
 
 @dataclass(eq=False)
 class SvmDualProblem:
-    """Kernel, labels, box bound C and KKT tolerance of one dual problem.
+    """Factor, labels, box bound C and KKT tolerance of one dual problem.
 
-    The kernel is stored symmetrized, 0.5 (K + K'); a kernel whose
-    asymmetry exceeds 1e-10 of its largest entry (or of 1) is rejected.
+    The n x r ``factor`` F holds one feature vector per row.  The kernel
+    K = F F' is stored as ``kernel``; numpy forms it by a symmetric
+    rank-r update, so it is exactly symmetric and positive semidefinite.
     """
 
-    kernel: np.ndarray
+    factor: np.ndarray
     labels: np.ndarray
     box: float
     tol: float = 1e-8
+    kernel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
+        self.factor = np.ascontiguousarray(self.factor, dtype=np.float64)
         self.labels = np.asarray(self.labels)
-        if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
-            raise ValueError(f"kernel must be square, got shape {self.kernel.shape}")
-        n = self.kernel.shape[0]
+        if self.factor.ndim != 2:
+            raise ValueError(f"factor must be 2-D, got shape {self.factor.shape}")
+        n = self.factor.shape[0]
         if self.labels.shape != (n,):
-            raise ValueError("labels must have one entry per kernel row")
+            raise ValueError("labels must have one entry per factor row")
         labels = self.labels
         if not np.all((labels == 1) | (labels == -1)):
             raise ValueError("labels must take values in {-1, +1}")
         if not ((labels > 0).any() and (labels < 0).any()):
             raise InfeasibleLabels("both label classes are required")
-        kernel = self.kernel
-        scale = max(float(kernel.max()), -float(kernel.min()), 1.0)
-        # One n x n buffer holds K - K' for the check, then 0.5 (K + K').
-        sym = kernel - kernel.T
-        asym = max(float(sym.max()), -float(sym.min()))
-        if asym > 1e-10 * scale:
-            raise ValueError(f"kernel is not symmetric (max asymmetry {asym:.3e})")
-        np.add(kernel, kernel.T, out=sym)
-        sym *= 0.5
-        self.kernel = sym
         if not self.box > 0.0:
             raise ValueError("box bound C must be positive")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        self.kernel = self.factor @ self.factor.T
 
     @property
     def n(self):

@@ -112,10 +112,10 @@ def _mode_step(centered, labels, us, k, params, lam, warm_alphas):
     ``us[k]`` is ignored and may be None.  The subproblem is a linear SVM
     on feats, the centered samples contracted over every other mode, with
     ``scale`` the product of the quadratic forms of the fixed directions.
-    The dual kernel uses the (i, j) cross products
-    feats_i' Sigma_k^{-1} feats_j / scale (a diagonal-only form would not
-    define a quadratic form), and the minimizer is
-    (1/2) sum_i alpha_i y_i Sigma_k^{-1} feats_i / scale.  Raises
+    Its dual kernel feats Sigma_k^{-1} feats' / scale is H H' for the
+    factor H = feats Sigma_k^{-1/2} / sqrt(scale), which the dual problem
+    takes, and the minimizer is read back through the same root,
+    Sigma_k^{-1/2} H' (alpha * y / 2) / sqrt(scale).  Raises
     DegenerateDirection when ``scale`` is not positive and finite.
     """
     scale = 1.0
@@ -128,11 +128,11 @@ def _mode_step(centered, labels, us, k, params, lam, warm_alphas):
         )
     feats = _batch_contract(centered, us, skip=k)
     n = feats.shape[0]
-    white = feats @ params.factor_inv(k)
-    kernel = (feats @ white.T) / scale
-    problem = SvmDualProblem(kernel=kernel, labels=labels, box=lam / n, tol=_QP_TOL)
+    root = params.factor_inv_sqrt(k) / np.sqrt(scale)
+    half = feats @ root
+    problem = SvmDualProblem(factor=half, labels=labels, box=lam / n, tol=_QP_TOL)
     solution = solve_svm_dual(problem, warm_alphas=warm_alphas)
-    direction = white.T @ (0.5 * solution.alphas * labels) / scale
+    direction = root @ (half.T @ (0.5 * solution.alphas * labels))
     return direction, solution
 
 

@@ -48,38 +48,40 @@ def pg_oracle(kernel, labels, box, iters=40000):
 def random_problem(rng, n_max=20, box=1.0):
     n = int(rng.integers(4, n_max + 1))
     feats = rng.standard_normal((n, int(rng.integers(1, n + 1))))
-    kernel = feats @ feats.T
     labels = np.ones(n, dtype=int)
     labels[: n // 2] = -1
     rng.shuffle(labels)
-    return SvmDualProblem(kernel=kernel, labels=labels, box=box)
+    return SvmDualProblem(factor=feats, labels=labels, box=box)
 
 
 class TestProblemValidation:
     def test_single_class_rejected(self):
         with pytest.raises(InfeasibleLabels):
-            SvmDualProblem(kernel=np.eye(3), labels=np.array([1, 1, 1]), box=1.0)
+            SvmDualProblem(factor=np.eye(3), labels=np.array([1, 1, 1]), box=1.0)
 
-    def test_asymmetric_kernel_rejected(self):
-        k = np.array([[1.0, 0.5], [0.0, 1.0]])
+    def test_one_dimensional_factor_rejected(self):
         with pytest.raises(ValueError):
-            SvmDualProblem(kernel=k, labels=np.array([1, -1]), box=1.0)
+            SvmDualProblem(factor=np.array([1.0, -1.0]), labels=np.array([1, -1]), box=1.0)
+
+    def test_factor_rows_must_match_labels(self):
+        with pytest.raises(ValueError):
+            SvmDualProblem(factor=np.eye(3), labels=np.array([1, -1]), box=1.0)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            SvmDualProblem(kernel=np.eye(2), labels=np.array([1, 2]), box=1.0)
+            SvmDualProblem(factor=np.eye(2), labels=np.array([1, 2]), box=1.0)
 
     def test_nonpositive_box_rejected(self):
         with pytest.raises(ValueError):
-            SvmDualProblem(kernel=np.eye(2), labels=np.array([1, -1]), box=0.0)
+            SvmDualProblem(factor=np.eye(2), labels=np.array([1, -1]), box=0.0)
 
 
 class TestTwoPointExample:
     # z = (+1, -1) in one dimension, labels (+1, -1), C = 50.
 
     def problem(self):
-        kernel = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return SvmDualProblem(kernel=kernel, labels=np.array([1, -1]), box=50.0)
+        z = np.array([[1.0], [-1.0]])
+        return SvmDualProblem(factor=z, labels=np.array([1, -1]), box=50.0)
 
     def test_against_grid_search(self):
         # Feasibility forces a1 = a2 = a; scan the segment.
@@ -108,14 +110,14 @@ class TestTwoPointExample:
 
 class TestDegenerateBoxes:
     def test_tiny_box_forces_zero(self):
-        kernel = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        prob = SvmDualProblem(kernel=kernel, labels=np.array([1, -1]), box=1e-12)
+        z = np.array([[1.0], [-1.0]])
+        prob = SvmDualProblem(factor=z, labels=np.array([1, -1]), box=1e-12)
         sol = solve_svm_dual(prob)
         assert np.allclose(sol.alphas, 0.0, atol=1e-10)
 
     def test_zero_kernel_saturates_box(self):
         prob = SvmDualProblem(
-            kernel=np.zeros((4, 4)), labels=np.array([1, 1, -1, -1]), box=0.3
+            factor=np.zeros((4, 1)), labels=np.array([1, 1, -1, -1]), box=0.3
         )
         sol = solve_svm_dual(prob)
         assert sol.converged
@@ -124,8 +126,8 @@ class TestDegenerateBoxes:
 
 class TestRecoverBias:
     def test_two_point_bias_zero(self):
-        kernel = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        prob = SvmDualProblem(kernel=kernel, labels=np.array([1, -1]), box=50.0)
+        z = np.array([[1.0], [-1.0]])
+        prob = SvmDualProblem(factor=z, labels=np.array([1, -1]), box=50.0)
         assert abs(recover_bias(prob, np.array([1.0, 1.0]))) <= 1e-12
 
     def test_label_flip_negates_bias(self):
@@ -133,7 +135,7 @@ class TestRecoverBias:
         prob = random_problem(rng, box=0.7)
         sol = solve_svm_dual(prob)
         flipped = SvmDualProblem(
-            kernel=prob.kernel, labels=-prob.labels, box=prob.box, tol=prob.tol
+            factor=prob.factor, labels=-prob.labels, box=prob.box, tol=prob.tol
         )
         sol_f = solve_svm_dual(flipped)
         assert np.allclose(sol.alphas, sol_f.alphas, atol=1e-7)
@@ -141,8 +143,8 @@ class TestRecoverBias:
 
     def test_bound_interval_midpoint(self):
         # All alphas at the box; t is confined to [0.5, 1.0] so t = 0.75.
-        kernel = np.diag([3.0, 0.0])
-        prob = SvmDualProblem(kernel=kernel, labels=np.array([1, -1]), box=1.0)
+        z = np.array([[np.sqrt(3.0)], [0.0]])
+        prob = SvmDualProblem(factor=z, labels=np.array([1, -1]), box=1.0)
         assert abs(recover_bias(prob, np.array([1.0, 1.0])) - 0.75) <= 1e-12
 
 
@@ -201,7 +203,7 @@ class TestScaling:
         sol = solve_svm_dual(base)
         for factor in (0.5, 2.0):
             scaled = SvmDualProblem(
-                kernel=factor * base.kernel,
+                factor=np.sqrt(factor) * base.factor,
                 labels=base.labels,
                 box=base.box,
                 tol=factor * base.tol,
@@ -221,7 +223,7 @@ class TestWarmStart:
 
     def test_infeasible_warm_start_discarded(self):
         prob = SvmDualProblem(
-            kernel=np.eye(4), labels=np.array([1, 1, -1, -1]), box=1.0
+            factor=np.eye(4), labels=np.array([1, 1, -1, -1]), box=1.0
         )
         bad = np.array([1.0, 1.0, 0.0, 0.0])  # violates the balance constraint
         sol = solve_svm_dual(prob, warm_alphas=bad)
@@ -237,7 +239,7 @@ class TestSimGridScale:
         labels = np.ones(200, dtype=int)
         labels[:100] = -1
         rng.shuffle(labels)
-        return SvmDualProblem(kernel=feats @ feats.T, labels=labels, box=0.5)
+        return SvmDualProblem(factor=feats, labels=labels, box=0.5)
 
     def test_solution_and_path(self):
         prob = self.problem()
@@ -315,7 +317,7 @@ def low_rank_problems(draw):
     labels = rng.choice([-1, 1], size=n)
     labels[:2] = [1, -1]
     warm = project_feasible(rng.uniform(0.0, box, n), labels, box) if draw(st.booleans()) else None
-    return SvmDualProblem(kernel=feats @ feats.T, labels=labels, box=box), warm
+    return SvmDualProblem(factor=feats, labels=labels, box=box), warm
 
 
 class TestProperties:

@@ -311,6 +311,48 @@ class TestFitRank1Smm:
             fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0)
 
 
+class TestModeStep:
+    @pytest.mark.parametrize(
+        "dims, k, contract",
+        [((4, 3), 0, "nab,b->na"), ((3, 4, 2), 1, "nabc,a,c->nb")],
+    )
+    def test_matches_inverse_covariance_formulas(self, monkeypatch, dims, k, contract):
+        # Reference: the kernel feats Sigma_k^{-1} feats' / scale and the
+        # direction Sigma_k^{-1} feats' (alpha * y / 2) / scale.
+        from psmm import smm
+
+        rng = np.random.default_rng(61)
+        n = 60
+        centered = rng.standard_normal((n,) + dims)
+        labels = np.array([1.0, -1.0] * (n // 2))
+        sigmas = []
+        for d in dims:
+            a = rng.standard_normal((d, d))
+            sigmas.append(a @ a.T / d + np.eye(d))
+        params = TensorNormParams(np.zeros(dims), sigmas)
+        us = [rng.standard_normal(d) for d in dims]
+        us[k] = None
+        problems = []
+        real_solve = smm.solve_svm_dual
+
+        def spy(problem, **kwargs):
+            problems.append(problem)
+            return real_solve(problem, **kwargs)
+
+        monkeypatch.setattr(smm, "solve_svm_dual", spy)
+        direction, solution = smm._mode_step(centered, labels, us, k, params, 30.0, None)
+
+        (problem,) = problems
+        assert np.array_equal(problem.kernel, problem.kernel.T)
+        scale = np.prod([u @ s @ u for j, (u, s) in enumerate(zip(us, sigmas)) if j != k])
+        feats = np.einsum(contract, centered, *[u for u in us if u is not None])
+        sigma_inv = np.linalg.inv(sigmas[k])
+        kernel = feats @ sigma_inv @ feats.T / scale
+        assert np.abs(problem.kernel - kernel).max() <= 1e-12 * np.abs(kernel).max()
+        expected = sigma_inv @ feats.T @ (0.5 * solution.alphas * labels) / scale
+        assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestModeKContract:
     def test_matrix_case(self):
         rng = np.random.default_rng(31)
