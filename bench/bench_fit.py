@@ -1,0 +1,143 @@
+"""Time whole ``fit_psmm`` runs on large synthetic draws, one child process per cell.
+
+Fits a fixed grid of simulated data sets with the default ``PsmmConfig``
+and one BLAS thread, and reports per cell the median fit seconds over the
+repeats, the child's peak RSS (``ru_maxrss``), the selected dims and the
+projector distance to the true subspace:
+
+    python3 bench/bench_fit.py --label change
+
+Grid: models 1 and 3 x n in {500, 2000, 4000} x d in {5, 10}, each drawn
+by ``gen_model(model, n, d, seed=--seed)``.  Every cell runs in its own
+child process, so that its peak RSS is its own; the child checks that
+every repeat selects the same dims at the same distance.  The row written
+to BENCH_fit.json replaces any row with the same label.  ``--src``
+imports psmm from another checkout's ``src``, so one copy of this script
+measures both:
+
+    python3 bench/bench_fit.py --label parent --src ../parent/src
+    python3 bench/bench_fit.py --label change
+"""
+
+import os
+
+# Pin BLAS/OpenMP threads before numpy is imported, here and in the
+# children that inherit this environment.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GRID = [{"model": model, "n": n, "d": d}
+        for model in (1, 3) for n in (500, 2000, 4000) for d in (5, 10)]
+CHILD_TIMEOUT_S = 1800
+
+
+def import_psmm(src):
+    sys.path.insert(0, src)
+    import psmm
+
+    if Path(src).resolve() not in Path(psmm.__file__).resolve().parents:
+        raise SystemExit(f"imported psmm from {psmm.__file__}, not from {src}")
+    return psmm
+
+
+def measure(psmm, model, n, d, seed, repeats):
+    """Fit one cell ``repeats`` times; returns its median seconds and result."""
+    instance = psmm.gen_model(model, n, d, seed=seed)
+    seconds = []
+    results = set()
+    for _ in range(repeats):
+        start = time.perf_counter()
+        estimate = psmm.fit_psmm(instance.dataset)
+        seconds.append(time.perf_counter() - start)
+        distance = psmm.subspace_distance(estimate.row_basis, estimate.col_basis,
+                                          instance.true_row_basis, instance.true_col_basis)
+        results.add((tuple(estimate.selected_dims), distance))
+    if len(results) != 1:
+        raise SystemExit(f"repeats disagree on model {model}, n={n}, d={d}: {results}")
+    ((dims, distance),) = results
+    return {
+        "median_s": round(statistics.median(seconds), 3),
+        "seconds": [round(s, 3) for s in seconds],
+        "maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "dims": list(dims),
+        "distance": distance,
+    }
+
+
+def child(argv):
+    """Entry point of a child process: measure one cell and print it as JSON."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--src", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--repeats", type=int, required=True)
+    parser.add_argument("--cell", type=int, nargs=3, required=True, metavar=("MODEL", "N", "D"))
+    args = parser.parse_args(argv)
+    psmm = import_psmm(args.src)
+    print(json.dumps(measure(psmm, *args.cell, args.seed, args.repeats)))
+
+
+def run_child(args):
+    done = subprocess.run([sys.executable, "-B", __file__, "--child", *args],
+                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"child {args} failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("--seed", type=int, default=0, help="gen_model seed of every cell")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
+    parser.add_argument("--output", default=str(ROOT / "BENCH_fit.json"))
+    args = parser.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    common = ["--src", src, "--seed", str(args.seed), "--repeats", str(args.repeats)]
+
+    cells = []
+    for cell in GRID:
+        result = run_child(common + ["--cell", *(str(cell[k]) for k in ("model", "n", "d"))])
+        cells.append({**cell, **result})
+        print(json.dumps(cells[-1]), flush=True)
+
+    row = {
+        "label": args.label,
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "cells": cells,
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "blas_threads": 1,
+            "machine": platform.machine(),
+        },
+    }
+    out = Path(args.output)
+    rows = json.loads(out.read_text())["rows"] if out.exists() else []
+    rows = [r for r in rows if r["label"] != args.label] + [row]
+    out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        child(sys.argv[2:])
+    else:
+        sys.exit(main())

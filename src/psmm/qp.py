@@ -6,8 +6,8 @@ The problem solved is
     subject to  sum_i a_i y_i = 0,    0 <= a_i <= C,
 
 with kernel K = F F' for an n x r factor F whose row i is the feature
-vector z_i, and labels y in {-1, +1}.  K is formed once, by a symmetric
-rank-r product, so it is exactly symmetric and positive semidefinite.
+vector z_i, and labels y in {-1, +1}.  The solver never forms K: every
+kernel entry it needs comes from rows of F, so memory stays O(n r).
 The quarter (not half) curvature matches a primal margin penalty of
 ||w||^2, so the implied weight vector is w = (1/2) F' (a * y) and the
 per-point decision values are f = F w = (1/2) K (a * y).
@@ -32,12 +32,9 @@ inside the box, because the face optimum is then reached.
 
 Between pair updates the loop carries the violation scores -y * grad
 rather than the gradient (a pair update changes them by
-(step/2) (k_j. - k_i.), read from contiguous kernel rows), the up/down
-working-set masks and the down-move caps; an update rewrites the masks
-and caps at its two indices only, and a face-polish move recomputes all
-three.  Because y = +-1 and the kernel is exactly symmetric, the
-carried scores are bitwise those of recomputing -y * grad from the
-updated gradient.
+-(step/2) F (z_i - z_j), one n x r product), the up/down working-set
+masks and the down-move caps; an update rewrites the masks and caps at
+its two indices only, and a face-polish move recomputes all three.
 """
 
 import math
@@ -55,16 +52,15 @@ _POLISH_INTERVAL = 8  # pair updates between face polishes
 class SvmDualProblem:
     """Factor, labels, box bound C and KKT tolerance of one dual problem.
 
-    The n x r ``factor`` F holds one feature vector per row.  The kernel
-    K = F F' is stored as ``kernel``; numpy forms it by a symmetric
-    rank-r update, so it is exactly symmetric and positive semidefinite.
+    The n x r ``factor`` F holds one feature vector per row; the kernel
+    is K = F F', which the solver reads through F without forming it, so
+    it is positive semidefinite by construction.
     """
 
     factor: np.ndarray
     labels: np.ndarray
     box: float
     tol: float = 1e-8
-    kernel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.factor = np.ascontiguousarray(self.factor, dtype=np.float64)
@@ -83,11 +79,10 @@ class SvmDualProblem:
             raise ValueError("box bound C must be positive")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        self.kernel = self.factor @ self.factor.T
 
     @property
     def n(self):
-        return self.kernel.shape[0]
+        return self.factor.shape[0]
 
 
 @dataclass(eq=False)
@@ -101,8 +96,13 @@ class SvmDualSolution:
     objective_path: list = field(default_factory=list)
 
 
-def _gradient(kernel, y, alphas):
-    return -1.0 + 0.5 * y * (kernel @ (y * alphas))
+def _decisions(factor, y, alphas):
+    """Decision values f = (1/2) F F' (y * a), without forming F F'."""
+    return factor @ (0.5 * (factor.T @ (y * alphas)))
+
+
+def _gradient(factor, y, alphas):
+    return -1.0 + y * _decisions(factor, y, alphas)
 
 
 def _working_masks(alphas, y, box):
@@ -125,62 +125,58 @@ def _violating_pair(crit, up, low):
     return i, j, upper.item(i) - lower.item(j)
 
 
-def _zero_sum_basis(m):
-    """Orthonormal basis of the zero-sum subspace, from a Householder frame.
-
-    The columns are columns 2..m of the reflector that maps e_1 onto
-    ones / sqrt(m), in closed form: 1 / sqrt(m) in the first row and
-    e_{c+1} - 1 / (m - sqrt(m)) below it.
-    """
-    root = np.sqrt(m)
-    basis = np.eye(m, m - 1, -1) - 1.0 / (m - root)
-    basis[0] = 1.0 / root
-    return basis
-
-
-def _face_polish(kernel, y, alphas, grad, box):
+def _face_polish(factor, y, alphas, grad, box):
     """Directly minimize over the strictly interior (margin) alphas.
 
     Two-coordinate updates crawl on ill-conditioned or rank-deficient
-    interior faces, so the quadratic restricted to the interior alphas
-    and the balance slice is attacked directly.  In an orthonormal basis
-    of the slice, a least-squares Newton step handles the curved part;
-    the least-squares residual is the reduced gradient's component in the
-    kernel null space, along which the objective is linear, so it is
-    ridden to the box.  Every move ends in an exact line search between
-    feasible points, preserving feasibility and objective monotonicity;
-    the stopping criterion is unaffected.  A round whose rides leave every
-    face alpha strictly inside the box has reached the face optimum and
-    ends the polish; a ride that hits a bound shrinks the face for the
-    next round.
+    interior faces, so the quadratic restricted to the m interior alphas
+    and the balance slice is attacked directly.  There, in beta = y * a,
+    the Hessian is (1/2) A A' for the centered face rows A = F_f - mean,
+    and one thin SVD A = U S V' gives the Newton step U (2 U'd / s^2)
+    for the centered descent d, keeping the s^2 > eps (m - 1) s_1^2 that
+    least squares keeps on the (m - 1) x (m - 1) reduced Hessian.  The
+    flat residual d - U U'd, along which the objective is linear, is
+    ridden to the box.  Both are centered again, as rounding in the SVD
+    would otherwise let y'a drift.  Every move ends in an exact line
+    search between feasible points, preserving feasibility and objective
+    monotonicity; the stopping criterion is unaffected.  A round whose
+    rides leave every face alpha strictly inside the box has reached the
+    face optimum and ends the polish; a ride that hits a bound shrinks
+    the face for the next round.
 
     Updates ``alphas`` and ``grad`` in place; returns whether it moved.
     """
     moved = False
     for _ in range(8):
         face = np.flatnonzero((alphas > 0.0) & (alphas < box))
-        if face.size < 2 or face.size > 1024:
+        m = face.size
+        if m < 2:
             break
-        rows = kernel[face]
-        kff = rows[:, face]
-        yf = y[face]
-        slice_basis = _zero_sum_basis(face.size)
-        reduced_hess = 0.5 * (slice_basis.T @ kff @ slice_basis)
-        descent = slice_basis.T @ (yf * -grad[face])
-        step, *_ = np.linalg.lstsq(reduced_hess, descent, rcond=None)
-        residual = descent - reduced_hess @ step
+        rows = factor[face]
+        centered = rows - rows.sum(axis=0) / m
+        descent = y[face] * -grad[face]
+        descent -= descent.sum() / m
+        basis, sing, _ = np.linalg.svd(centered, full_matrices=False)
+        sq = sing * sing
+        curved = sq > np.finfo(np.float64).eps * (m - 1) * sq.max(initial=0.0)
+        basis = basis[:, curved]
+        coef = basis.T @ descent
+        step = basis @ (2.0 * coef / sq[curved])
+        step -= step.sum() / m
+        residual = descent - basis @ coef
+        residual -= residual.sum() / m
 
         rode, hit = _ride_face_direction(
-            rows, kff, y, alphas, grad, box, face, slice_basis @ step, 1.0
+            factor, rows, y, alphas, grad, box, face, step, 1.0
         )
         moved = moved or rode
         if not hit:
             flat_norm = math.sqrt(float(residual @ residual))
             if flat_norm > 1e-12 * max(1.0, math.sqrt(float(descent @ descent))):
-                # No bound was hit, so the face and kff still apply.
+                # No bound was hit, so the face and its rows still apply.
                 rode, hit = _ride_face_direction(
-                    rows, kff, y, alphas, grad, box, face,
-                    slice_basis @ (residual / flat_norm), np.inf,
+                    factor, rows, y, alphas, grad, box, face,
+                    residual / flat_norm, np.inf,
                 )
                 moved = moved or rode
         if not hit:
@@ -188,22 +184,23 @@ def _face_polish(kernel, y, alphas, grad, box):
     return moved
 
 
-def _ride_face_direction(rows, kff, y, alphas, grad, box, face, delta_beta, max_theta):
+def _ride_face_direction(factor, rows, y, alphas, grad, box, face, delta_beta, max_theta):
     """Exact line search along a face direction given in beta coordinates.
 
-    ``rows`` holds the kernel rows of the face, kernel[face], and ``kff``
-    its face columns.  Updates ``alphas`` and ``grad`` in place and
-    returns (moved, hit), where ``hit`` says that an alpha of the face
-    reached 0 or the box.  Runs inside solve_svm_dual's errstate, which
-    silences the divisions by zero entries of the direction; a non-finite
-    direction gives a non-finite slope and no move.
+    ``rows`` holds the factor rows of the face, factor[face].  Updates
+    ``alphas`` and ``grad`` in place and returns (moved, hit), where
+    ``hit`` says that an alpha of the face reached 0 or the box.  Runs
+    inside solve_svm_dual's errstate, which silences the divisions by
+    zero entries of the direction; a non-finite direction gives a
+    non-finite slope and no move.
     """
     yf = y[face]
     delta_alpha = yf * delta_beta
     slope = float(grad[face] @ delta_alpha)
     if not (-np.inf < slope < 0.0 and float(np.abs(delta_alpha).max()) > 1e-16 * box):
         return False, False
-    curv = 0.5 * float(delta_beta @ (kff @ delta_beta))
+    image = rows.T @ delta_beta
+    curv = 0.5 * float(image @ image)
     alphas_f = alphas[face]
     limit = np.where(delta_alpha > 0.0, box - alphas_f, -alphas_f)
     theta_box = float((limit / delta_alpha).min(where=delta_alpha != 0.0, initial=np.inf))
@@ -222,7 +219,7 @@ def _ride_face_direction(rows, kff, y, alphas, grad, box, face, delta_beta, max_
         moved[moved >= box - eps] = box
     alphas[face] = moved
     change = yf * (moved - alphas_f)
-    grad += 0.5 * y * (change @ rows)
+    grad += 0.5 * y * (factor @ (rows.T @ change))
     return True, hit
 
 
@@ -247,19 +244,19 @@ def _best_gain_partner(kernel_row, diag, crit, low, cap, i, crit_i, cap_i):
     return j if candidate[j] else -1
 
 
-def dual_objective_value(kernel, labels, alphas):
-    """Achieved dual objective -sum(a) + (1/4) a' YKY a."""
+def dual_objective_value(factor, labels, alphas):
+    """Achieved dual objective -sum(a) + (1/4) a' YKY a for K = F F'."""
     y = np.asarray(labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
-    grad = _gradient(np.asarray(kernel, dtype=np.float64), y, a)
+    grad = _gradient(np.asarray(factor, dtype=np.float64), y, a)
     return 0.5 * float(a @ (grad - 1.0))
 
 
-def kkt_residual_value(kernel, labels, box, alphas):
-    """Maximal-violating-pair gap at ``alphas`` (0 when optimal)."""
+def kkt_residual_value(factor, labels, box, alphas):
+    """Maximal-violating-pair gap at ``alphas`` (0 when optimal) for K = F F'."""
     y = np.asarray(labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
-    grad = _gradient(np.asarray(kernel, dtype=np.float64), y, a)
+    grad = _gradient(np.asarray(factor, dtype=np.float64), y, a)
     gap = _violating_pair(-y * grad, *_working_masks(a, y, box))[2]
     return max(gap, 0.0)
 
@@ -273,8 +270,7 @@ def recover_bias(problem, alphas):
     """
     y = np.asarray(problem.labels, dtype=np.float64)
     a = np.asarray(alphas, dtype=np.float64)
-    f = 0.5 * (problem.kernel @ (y * a))
-    return _bias_from_decisions(f, y, a, problem.box)
+    return _bias_from_decisions(_decisions(problem.factor, y, a), y, a, problem.box)
 
 
 def _bias_from_decisions(f, y, a, box):
@@ -306,7 +302,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     the iteration with a feasible starting point, e.g. the solution of a
     nearby problem.
     """
-    kernel = problem.kernel
+    factor = problem.factor
     y = problem.labels.astype(np.float64)
     n = problem.n
     box = problem.box
@@ -320,14 +316,14 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         if abs(float(alphas @ y)) > 1e-10 * max(1.0, n * box):
             alphas = np.zeros(n)
 
-    crit = -y * _gradient(kernel, y, alphas)
+    crit = -y * _gradient(factor, y, alphas)
     up, low = _working_masks(alphas, y, box)
     cap = np.where(y > 0, alphas, box - alphas)
     signs = y.tolist()
-    diag = np.ascontiguousarray(np.diag(kernel))
+    diag = np.einsum("ij,ij->i", factor, factor)
     objective_path = []
     if track_objective:
-        objective_path.append(dual_objective_value(kernel, y, alphas))
+        objective_path.append(dual_objective_value(factor, y, alphas))
     updates = 0
     converged = False
     # A warm start is usually near a solution whose margin face the polish
@@ -337,7 +333,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         while True:
             i, j, gap = _violating_pair(crit, up, low)
             if gap <= tol:
-                crit = -y * _gradient(kernel, y, alphas)
+                crit = -y * _gradient(factor, y, alphas)
                 i, j, gap = _violating_pair(crit, up, low)
                 if gap <= tol:
                     converged = True
@@ -347,25 +343,26 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             if updates >= next_face:
                 next_face = updates + _POLISH_INTERVAL
                 grad = -y * crit
-                if _face_polish(kernel, y, alphas, grad, box):
+                if _face_polish(factor, y, alphas, grad, box):
                     crit = -y * grad
                     up, low = _working_masks(alphas, y, box)
                     cap = np.where(y > 0, alphas, box - alphas)
                     if track_objective:
-                        objective_path.append(dual_objective_value(kernel, y, alphas))
+                        objective_path.append(dual_objective_value(factor, y, alphas))
                     continue
             yi = signs[i]
             ai = alphas.item(i)
             crit_i = crit.item(i)
             cap_i = (box - ai) if yi > 0 else ai
-            j2 = _best_gain_partner(kernel[i], diag, crit, low, cap, i, crit_i, cap_i)
+            row_i = factor @ factor[i]
+            j2 = _best_gain_partner(row_i, diag, crit, low, cap, i, crit_i, cap_i)
             if j2 >= 0:
                 j = j2
 
             yj = signs[j]
             aj = alphas.item(j)
             slack = crit_i - crit.item(j)
-            curv = 0.5 * (diag.item(i) + diag.item(j) - 2.0 * kernel.item(i, j))
+            curv = 0.5 * (diag.item(i) + diag.item(j) - 2.0 * row_i.item(j))
             cap_j = aj if yj > 0 else (box - aj)
             step_max = min(cap_i, cap_j)
             if curv > 0.0:
@@ -374,7 +371,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
                 step = step_max
             if not step > 0.0:
                 # Numerical stall: trust only a freshly computed gradient.
-                crit = -y * _gradient(kernel, y, alphas)
+                crit = -y * _gradient(factor, y, alphas)
                 gap = _violating_pair(crit, up, low)[2]
                 converged = gap <= tol
                 break
@@ -396,16 +393,16 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
                 up[k] = ak < box if yk > 0 else ak > 0.0
                 low[k] = ak > 0.0 if yk > 0 else ak < box
                 cap[k] = ak if yk > 0 else box - ak
-            # crit = -y * grad; since y = +-1 and the kernel is exactly
-            # symmetric, this equals -y * (grad + (step/2) y (K[:, i] - K[:, j])).
-            crit -= (0.5 * step) * (kernel[i] - kernel[j])
+            # crit = -y * grad, and the pair moves y * a by +step at i and
+            # -step at j, so grad moves by (step/2) y F (z_i - z_j).
+            crit -= factor @ ((0.5 * step) * (factor[i] - factor[j]))
             updates += 1
             if track_objective:
-                objective_path.append(dual_objective_value(kernel, y, alphas))
+                objective_path.append(dual_objective_value(factor, y, alphas))
 
     # One product gives the decision values f and the gradient, which is
-    # bitwise _gradient's because y = +-1.
-    f = 0.5 * (kernel @ (y * alphas))
+    # bitwise _gradient's.
+    f = _decisions(factor, y, alphas)
     grad = -1.0 + y * f
     gap = _violating_pair(-y * grad, *_working_masks(alphas, y, box))[2]
     kkt = max(gap, 0.0)

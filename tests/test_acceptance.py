@@ -99,7 +99,7 @@ def test_criterion_1_qp_oracle_equivalence():
         box = [0.1, 1.0, 10.0][trial % 3]
         problem = SvmDualProblem(factor=feats, labels=labels, box=box, tol=1e-8)
         sol = solve_svm_dual(problem)
-        oracle_obj = dual_objective_value(kernel, labels, pg_oracle(kernel, labels, box))
+        oracle_obj = dual_objective_value(feats, labels, pg_oracle(kernel, labels, box))
         worst_gap = max(worst_gap, abs(sol.dual_objective - oracle_obj))
         worst_kkt = max(worst_kkt, sol.kkt_residual)
     report(

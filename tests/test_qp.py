@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,7 +105,8 @@ class TestTwoPointExample:
     def test_kkt_at_solution(self):
         sol = solve_svm_dual(self.problem())
         # margin SV conditions: y_i (f_i - t) = 1 with f_i = w z_i
-        f = 0.5 * (self.problem().kernel @ (np.array([1.0, -1.0]) * sol.alphas))
+        z = self.problem().factor
+        f = 0.5 * (z @ z.T @ (np.array([1.0, -1.0]) * sol.alphas))
         y = np.array([1.0, -1.0])
         assert np.allclose(y * (f - sol.bias_t), 1.0, atol=1e-8)
 
@@ -120,6 +123,17 @@ class TestDegenerateBoxes:
             factor=np.zeros((4, 1)), labels=np.array([1, 1, -1, -1]), box=0.3
         )
         sol = solve_svm_dual(prob)
+        assert sol.converged
+        assert np.allclose(sol.alphas, 0.3, atol=1e-12)
+
+    @pytest.mark.parametrize("warm", [None, 0.1])
+    def test_factor_without_columns_saturates_box(self, warm):
+        # The zero kernel again; a warm start inside the box reaches the
+        # face polish with an empty singular spectrum.
+        prob = SvmDualProblem(
+            factor=np.zeros((4, 0)), labels=np.array([1, 1, -1, -1]), box=0.3
+        )
+        sol = solve_svm_dual(prob, warm_alphas=None if warm is None else np.full(4, warm))
         assert sol.converged
         assert np.allclose(sol.alphas, 0.3, atol=1e-12)
 
@@ -157,8 +171,8 @@ class TestOracleEquivalence:
             sol = solve_svm_dual(prob)
             assert sol.converged
             assert sol.kkt_residual <= 1e-8
-            ora = pg_oracle(prob.kernel, prob.labels, box)
-            obj_o = dual_objective_value(prob.kernel, prob.labels, ora)
+            ora = pg_oracle(prob.factor @ prob.factor.T, prob.labels, box)
+            obj_o = dual_objective_value(prob.factor, prob.labels, ora)
             assert sol.dual_objective <= obj_o + 1e-6
             assert abs(sol.dual_objective - obj_o) <= 1e-6
 
@@ -185,16 +199,17 @@ class TestMonotonicity:
 
 class TestScaling:
     def test_residual_definition_scale_invariant(self):
-        # Exact for power-of-two factors when no alpha sits at the box.
+        # Exact for power-of-two scales c of the factor (alphas / c^2) when
+        # no alpha sits at the box.
         rng = np.random.default_rng(42)
         prob = random_problem(rng, box=1e6)  # large box: no bound alphas
         sol = solve_svm_dual(prob)
         assert sol.alphas.max() < prob.box * 0.5
-        for factor in (0.5, 2.0, 8.0):
+        for c in (0.5, 2.0, 8.0):
             left = kkt_residual_value(
-                factor * prob.kernel, prob.labels, prob.box, sol.alphas / factor
+                c * prob.factor, prob.labels, prob.box, sol.alphas / c**2
             )
-            right = kkt_residual_value(prob.kernel, prob.labels, prob.box, sol.alphas)
+            right = kkt_residual_value(prob.factor, prob.labels, prob.box, sol.alphas)
             assert left == right
 
     def test_scaled_solutions_match(self):
@@ -248,7 +263,7 @@ class TestSimGridScale:
         assert sol.iterations > 64  # the face polish has run
         assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= prob.box)
         assert abs(float(sol.alphas @ prob.labels)) <= 1e-10
-        assert kkt_residual_value(prob.kernel, prob.labels, prob.box, sol.alphas) <= prob.tol
+        assert kkt_residual_value(prob.factor, prob.labels, prob.box, sol.alphas) <= prob.tol
         assert np.all(np.diff(sol.objective_path) <= 0.0)
         untracked = solve_svm_dual(prob)
         assert np.array_equal(untracked.alphas, sol.alphas)
@@ -273,7 +288,7 @@ class TestSimGridScale:
         warm = sol.alphas.copy()
         warm[face] += 0.5 * room / np.abs(direction).max() * direction
         assert abs(float(warm @ prob.labels)) <= 1e-12
-        assert kkt_residual_value(prob.kernel, prob.labels, prob.box, warm) > prob.tol
+        assert kkt_residual_value(prob.factor, prob.labels, prob.box, warm) > prob.tol
         return warm
 
     def test_warm_start_polishes_before_pair_updates(self):
@@ -305,6 +320,43 @@ class TestSimGridScale:
         assert rides[0] == (True, False)
 
 
+class TestLargeProblems:
+    # Sizes where an n x n kernel, or a face solved as an m x m system,
+    # would dominate the memory and time of a solve.
+
+    def test_solve_never_forms_the_kernel(self):
+        n = 3000
+        rng = np.random.default_rng(3)
+        feats = rng.standard_normal((n, 5))
+        labels = np.where(feats[:, 0] + 0.5 * rng.standard_normal(n) > 0.0, 1, -1)
+        tracemalloc.start()
+        try:
+            prob = SvmDualProblem(factor=feats, labels=labels, box=0.5)
+            sol = solve_svm_dual(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < n * n * 8 / 8
+
+    def test_face_polish_takes_a_large_face(self):
+        m = 1500
+        rng = np.random.default_rng(4)
+        factor = rng.standard_normal((m, 3))
+        y = np.repeat([1.0, -1.0], m // 2)
+        box = 1.0
+        alphas = 0.5 + 0.4 * rng.uniform(-1.0, 1.0, m)
+        alphas -= (y @ alphas) / m * y
+        assert np.all((alphas > 0.0) & (alphas < box))
+        assert abs(float(y @ alphas)) <= 1e-12
+        before = dual_objective_value(factor, y, alphas)
+        grad = qp._gradient(factor, y, alphas)
+        assert qp._face_polish(factor, y, alphas, grad, box)
+        assert dual_objective_value(factor, y, alphas) < before
+        assert np.all(alphas >= 0.0) and np.all(alphas <= box)
+        assert abs(float(y @ alphas)) <= 1e-10
+
+
 @st.composite
 def low_rank_problems(draw):
     """A rank-r kernel F F' on n <= 60 points, box in [1e-3, 1e2], random labels
@@ -329,7 +381,7 @@ class TestProperties:
         assert sol.converged
         assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= prob.box)
         assert abs(float(sol.alphas @ prob.labels)) <= 1e-10
-        assert kkt_residual_value(prob.kernel, prob.labels, prob.box, sol.alphas) <= prob.tol
+        assert kkt_residual_value(prob.factor, prob.labels, prob.box, sol.alphas) <= prob.tol
         path = np.asarray(sol.objective_path)
         assert np.all(np.diff(path) <= 1e-12 * max(1.0, np.abs(path).max()))
         again = solve_svm_dual(prob, warm_alphas=sol.alphas)
