@@ -337,7 +337,7 @@ class TestLargeProblems:
         finally:
             tracemalloc.stop()
         assert sol.converged
-        assert peak < n * n * 8 / 8
+        assert peak < n * n * 8 / 8  # an eighth of one n x n float64 kernel
 
     def test_face_polish_takes_a_large_face(self):
         m = 1500
@@ -355,6 +355,7 @@ class TestLargeProblems:
         assert dual_objective_value(factor, y, alphas) < before
         assert np.all(alphas >= 0.0) and np.all(alphas <= box)
         assert abs(float(y @ alphas)) <= 1e-10
+        assert np.abs(grad - qp._gradient(factor, y, alphas)).max() <= 1e-10
 
 
 @st.composite
