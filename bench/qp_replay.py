@@ -18,9 +18,12 @@ two solvers, provided both replayed the same problems: equal
 call order).  ``--src`` imports psmm from another checkout's ``src``, so
 one copy of this script can measure two versions; ``--capture-src``
 captures the problems with another checkout (default: ``--src``), so that
-two solvers replay the same problem set.  Both checkouts must build
-problems the same way: the capture reads each ``problem.factor`` and the
-replay passes it back as ``SvmDualProblem(factor=...)``.
+two solvers replay the same problem set.  When the output already holds a
+row labelled ``parent`` with the same ``problems_sha256``, the new row
+records ``same_solutions_as_parent``: whether the two solution digests
+are equal.  Both checkouts must build problems the same way: the capture
+reads each ``problem.factor`` and the replay passes it back as
+``SvmDualProblem(factor=...)``.
 
     python3 bench/qp_replay.py --label parent --src ../parent/src
     python3 bench/qp_replay.py --label change --capture-src ../parent/src
@@ -200,7 +203,11 @@ def main(argv=None):
     }
     out = Path(args.output)
     rows = json.loads(out.read_text())["rows"] if out.exists() else []
-    rows = [r for r in rows if r["label"] != args.label] + [row]
+    rows = [r for r in rows if r["label"] != args.label]
+    parent = next((r for r in rows if r["label"] == "parent"), None)
+    if parent is not None and parent["problems_sha256"] == problems_sha:
+        row["same_solutions_as_parent"] = parent["solutions_sha256"] == first
+    rows.append(row)
     out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
     print(json.dumps(row))
     return 0

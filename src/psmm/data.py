@@ -33,6 +33,8 @@ class TensorDataset:
         self._check_order()
         if self.samples.shape[0] < 1:
             raise ValueError("need at least one sample")
+        if min(self.dims) < 1:
+            raise ValueError(f"sample dimensions must be positive, got {self.dims}")
         self.responses = _check_responses(self.responses, self.samples.shape[0])
 
     def _check_order(self):

@@ -88,6 +88,8 @@ def read_mds1(path):
         dims = [int(d) for d in header["dims"]]
         if len(dims) < 2:
             raise ValueError("MDS1 dims must have at least two entries")
+        if n < 1 or min(dims) < 1:
+            raise ValueError(f"MDS1 n and dims must be positive, got n={n}, dims={dims}")
         has_response = bool(header["has_response"])
         payload = os.fstat(fh.fileno()).st_size - len(line)
         count = n * int(np.prod(dims))

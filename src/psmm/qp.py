@@ -12,29 +12,34 @@ The quarter (not half) curvature matches a primal margin penalty of
 ||w||^2, so the implied weight vector is w = (1/2) F' (a * y) and the
 per-point decision values are f = F w = (1/2) K (a * y).
 
-The first working-set index maximizes the KKT violation on the dual
-gradient; the partner is chosen by the exact box-clipped gain among
-violating candidates, which avoids the slow zigzag of purely first-order
-pair selection on rank-deficient kernels.  Each selected pair is
-minimized exactly subject to its box and balance constraints, so the
-dual objective never increases.  Progress is measured by the
-maximal-violating-pair gap; when it closes, a full gradient
-recomputation confirms optimality before the solver reports convergence.
+The solver runs on the signed variables beta = y * a (Bottou & Lin
+2007): minimize -y'beta + (1/4) beta' K beta subject to sum(beta) = 0
+and lo <= beta <= hi, with lo_i = min(0, y_i C) and hi_i = max(0, y_i C).
+The violation score of index i is crit_i = y_i - f_i, the negated
+gradient; i may move up while beta_i < hi_i and down while beta_i > lo_i.
+Products with y = +-1 are exact, so the iterates are those of the same
+method written in a.  Between pair updates the loop carries only beta
+and the scores; a pair update changes the scores by
+-(step/2) F (z_i - z_j), one n x r product.
 
-A face polish minimizes directly over the interior (margin) alphas, which
-breaks the limit cycles that two-coordinate moves fall into on degenerate
-faces and closes most solves outright.  It runs every 8 pair updates, and
-a warm-started solve runs it before its first pair update, so that the
-polish solves the face and the pair updates mostly repair the active set
-(which alphas sit at a bound), as in an active-set method (Scheinberg
-2006).  A polish ends as soon as a round leaves every face alpha strictly
-inside the box, because the face optimum is then reached.
+The first working-set index maximizes the KKT violation; the partner is
+chosen by the exact box-clipped gain among violating candidates, which
+avoids the slow zigzag of purely first-order pair selection on
+rank-deficient kernels.  Each selected pair is minimized exactly subject
+to its box and balance constraints, so the dual objective never
+increases.  Progress is measured by the maximal-violating-pair gap; when
+it closes, a full recomputation of the scores confirms optimality before
+the solver reports convergence.
 
-Between pair updates the loop carries the violation scores -y * grad
-rather than the gradient (a pair update changes them by
--(step/2) F (z_i - z_j), one n x r product), the up/down working-set
-masks and the down-move caps; an update rewrites the masks and caps at
-its two indices only, and a face-polish move recomputes all three.
+A face polish minimizes directly over the interior (margin) coordinates,
+which breaks the limit cycles that two-coordinate moves fall into on
+degenerate faces and closes most solves outright.  It runs every 8 pair
+updates, and a warm-started solve runs it before its first pair update,
+so that the polish solves the face and the pair updates mostly repair
+the active set (which coordinates sit at a bound), as in an active-set
+method (Scheinberg 2006).  A polish ends as soon as a round leaves every
+face coordinate strictly inside its bounds, because the face optimum is
+then reached.
 """
 
 import math
@@ -96,26 +101,25 @@ class SvmDualSolution:
     objective_path: list = field(default_factory=list)
 
 
-def _decisions(factor, y, alphas):
-    """Decision values f = (1/2) F F' (y * a), without forming F F'."""
-    return factor @ (0.5 * (factor.T @ (y * alphas)))
+def _decisions(factor, beta):
+    """Decision values f = (1/2) F F' beta, without forming F F'."""
+    return factor @ (0.5 * (factor.T @ beta))
 
 
-def _gradient(factor, y, alphas):
-    return -1.0 + y * _decisions(factor, y, alphas)
+def _bounds(y, box):
+    """Bounds lo = min(0, y C) and hi = max(0, y C) of beta = y * a."""
+    return np.where(y > 0, 0.0, -box), np.where(y > 0, box, 0.0)
 
 
-def _working_masks(alphas, y, box):
-    """Masks of the indices that may move up (along y) and down."""
-    up = ((y > 0) & (alphas < box)) | ((y < 0) & (alphas > 0.0))
-    low = ((y < 0) & (alphas < box)) | ((y > 0) & (alphas > 0.0))
-    return up, low
+def _objective(y, beta, f):
+    """Dual objective -y'beta + (1/2) beta'f, given f = (1/2) K beta."""
+    return 0.5 * float(beta @ (f - y - y))
 
 
 def _violating_pair(crit, up, low):
     """Most violating (i, j) and the KKT gap; gap <= 0 means optimal.
 
-    ``crit`` holds the violation scores -y * grad.  An empty mask gives
+    ``crit`` holds the violation scores y - f.  An empty mask gives
     gap = -inf.
     """
     upper = np.where(up, crit, -np.inf)
@@ -125,36 +129,37 @@ def _violating_pair(crit, up, low):
     return i, j, upper.item(i) - lower.item(j)
 
 
-def _face_polish(factor, y, alphas, grad, box):
-    """Directly minimize over the strictly interior (margin) alphas.
+def _face_polish(factor, beta, crit, lo, hi, box):
+    """Directly minimize over the strictly interior (margin) coordinates.
 
     Two-coordinate updates crawl on ill-conditioned or rank-deficient
-    interior faces, so the quadratic restricted to the m interior alphas
-    and the balance slice is attacked directly.  There, in beta = y * a,
-    the Hessian is (1/2) A A' for the centered face rows A = F_f - mean,
-    and one thin SVD A = U S V' gives the Newton step U (2 U'd / s^2)
-    for the centered descent d, keeping the s^2 > eps (m - 1) s_1^2 that
-    least squares keeps on the (m - 1) x (m - 1) reduced Hessian.  The
-    flat residual d - U U'd, along which the objective is linear, is
-    ridden to the box.  Both are centered again, as rounding in the SVD
-    would otherwise let y'a drift.  Every move ends in an exact line
-    search between feasible points, preserving feasibility and objective
-    monotonicity; the stopping criterion is unaffected.  A round whose
-    rides leave every face alpha strictly inside the box has reached the
-    face optimum and ends the polish; a ride that hits a bound shrinks
-    the face for the next round.
+    interior faces, so the quadratic restricted to the m interior
+    coordinates and the balance slice sum(beta) = 0 is attacked directly.
+    There the Hessian is (1/2) A A' for the centered face rows
+    A = F_f - mean, and one thin SVD A = U S V' gives the Newton step
+    U (2 U'd / s^2) for the centered descent d (the face scores), keeping
+    the s^2 > eps (m - 1) s_1^2 that least squares keeps on the
+    (m - 1) x (m - 1) reduced Hessian.  The flat residual d - U U'd, along
+    which the objective is linear, is ridden to the bounds.  Both are
+    centered again, as rounding in the SVD would otherwise let sum(beta)
+    drift.  Every move ends in an exact line search between feasible
+    points, preserving feasibility and objective monotonicity; the
+    stopping criterion is unaffected.  A round whose rides leave every
+    face coordinate strictly inside its bounds has reached the face
+    optimum and ends the polish; a ride that hits a bound shrinks the
+    face for the next round.
 
-    Updates ``alphas`` and ``grad`` in place; returns whether it moved.
+    Updates ``beta`` and ``crit`` in place; returns whether it moved.
     """
     moved = False
     for _ in range(8):
-        face = np.flatnonzero((alphas > 0.0) & (alphas < box))
+        face = np.flatnonzero((beta > lo) & (beta < hi))
         m = face.size
         if m < 2:
             break
         rows = factor[face]
         centered = rows - rows.sum(axis=0) / m
-        descent = y[face] * -grad[face]
+        descent = crit[face]
         descent -= descent.sum() / m
         basis, sing, _ = np.linalg.svd(centered, full_matrices=False)
         sq = sing * sing
@@ -167,7 +172,7 @@ def _face_polish(factor, y, alphas, grad, box):
         residual -= residual.sum() / m
 
         rode, hit = _ride_face_direction(
-            factor, rows, y, alphas, grad, box, face, step, 1.0
+            factor, rows, face, beta, crit, lo, hi, box, step, 1.0
         )
         moved = moved or rode
         if not hit:
@@ -175,7 +180,7 @@ def _face_polish(factor, y, alphas, grad, box):
             if flat_norm > 1e-12 * max(1.0, math.sqrt(float(descent @ descent))):
                 # No bound was hit, so the face and its rows still apply.
                 rode, hit = _ride_face_direction(
-                    factor, rows, y, alphas, grad, box, face,
+                    factor, rows, face, beta, crit, lo, hi, box,
                     residual / flat_norm, np.inf,
                 )
                 moved = moved or rode
@@ -184,26 +189,24 @@ def _face_polish(factor, y, alphas, grad, box):
     return moved
 
 
-def _ride_face_direction(factor, rows, y, alphas, grad, box, face, delta_beta, max_theta):
-    """Exact line search along a face direction given in beta coordinates.
+def _ride_face_direction(factor, rows, face, beta, crit, lo, hi, box, delta, max_theta):
+    """Exact line search from beta[face] along the direction ``delta``.
 
     ``rows`` holds the factor rows of the face, factor[face].  Updates
-    ``alphas`` and ``grad`` in place and returns (moved, hit), where
-    ``hit`` says that an alpha of the face reached 0 or the box.  Runs
-    inside solve_svm_dual's errstate, which silences the divisions by
-    zero entries of the direction; a non-finite direction gives a
-    non-finite slope and no move.
+    ``beta`` and ``crit`` in place and returns (moved, hit), where ``hit``
+    says that a face coordinate reached one of its bounds.  Runs inside
+    solve_svm_dual's errstate, which silences the divisions by zero
+    entries of the direction; a non-finite direction gives a non-finite
+    slope and no move.
     """
-    yf = y[face]
-    delta_alpha = yf * delta_beta
-    slope = float(grad[face] @ delta_alpha)
-    if not (-np.inf < slope < 0.0 and float(np.abs(delta_alpha).max()) > 1e-16 * box):
+    slope = -float(crit[face] @ delta)
+    if not (-np.inf < slope < 0.0 and float(np.abs(delta).max()) > 1e-16 * box):
         return False, False
-    image = rows.T @ delta_beta
+    image = rows.T @ delta
     curv = 0.5 * float(image @ image)
-    alphas_f = alphas[face]
-    limit = np.where(delta_alpha > 0.0, box - alphas_f, -alphas_f)
-    theta_box = float((limit / delta_alpha).min(where=delta_alpha != 0.0, initial=np.inf))
+    beta_f, lo_f, hi_f = beta[face], lo[face], hi[face]
+    limit = np.where(delta > 0.0, hi_f, lo_f) - beta_f
+    theta_box = float((limit / delta).min(where=delta != 0.0, initial=np.inf))
     theta_max = min(theta_box, max_theta)
     if not theta_max > 0.0:
         return False, False
@@ -211,54 +214,52 @@ def _ride_face_direction(factor, rows, y, alphas, grad, box, face, delta_beta, m
     if not theta > 0.0:
         return False, False
     # Snap values within 1e-14 box of a bound onto it (this also clips).
-    moved = alphas_f + theta * delta_alpha
+    moved = beta_f + theta * delta
     eps = 1e-14 * box
-    hit = not ((moved > eps) & (moved < box - eps)).all()
+    hit = not ((moved > lo_f + eps) & (moved < hi_f - eps)).all()
     if hit:
-        moved[moved <= eps] = 0.0
-        moved[moved >= box - eps] = box
-    alphas[face] = moved
-    change = yf * (moved - alphas_f)
-    grad += 0.5 * y * (factor @ (rows.T @ change))
+        moved = np.where(moved <= lo_f + eps, lo_f, moved)
+        moved = np.where(moved >= hi_f - eps, hi_f, moved)
+    beta[face] = moved
+    crit -= 0.5 * (factor @ (rows.T @ (moved - beta_f)))
     return True, hit
 
 
-def _best_gain_partner(kernel_row, diag, crit, low, cap, i, crit_i, cap_i):
+def _best_gain_partner(kernel_row, diag, crit, low, down, i, cap_i):
     """Partner maximizing the exact (box-clipped) two-variable decrease.
 
-    ``kernel_row`` is row i of the kernel, ``cap`` the down-move caps of
-    every index and ``cap_i`` the up-move cap of i.  Rank-deficient
-    kernels have many zero-curvature pairs; the usual slack^2/curvature
-    score overrates them, so the achievable decrease is evaluated with the
-    step clipped to the box.  Every index is scored and the candidates
-    (down-movable with a lower score than i) are masked; returns -1 when
-    there is none.
+    ``kernel_row`` is row i of the kernel, ``down`` the down-move room
+    beta - lo of every index and ``cap_i`` the up-move room of i.
+    Rank-deficient kernels have many zero-curvature pairs; the usual
+    slack^2/curvature score overrates them, so the achievable decrease is
+    evaluated with the step clipped to the bounds.  Every index is scored
+    and the candidates (down-movable with a lower score than i) are
+    masked.  While the gap exceeds the tolerance, the most violating
+    partner is a candidate, so one always exists.
     """
-    candidate = low & (crit < crit_i)
+    crit_i = crit.item(i)
     slack = crit_i - crit
     curv = 0.5 * (diag.item(i) + diag - 2.0 * kernel_row)
-    step_max = np.minimum(cap, cap_i)
+    step_max = np.minimum(down, cap_i)
     step = np.where(curv > 0.0, np.minimum(slack / curv, step_max), step_max)
     gain = slack * step - 0.5 * curv * step * step
-    j = int(np.where(candidate, gain, -np.inf).argmax())
-    return j if candidate[j] else -1
+    return int(np.where(low & (crit < crit_i), gain, -np.inf).argmax())
 
 
 def dual_objective_value(factor, labels, alphas):
     """Achieved dual objective -sum(a) + (1/4) a' YKY a for K = F F'."""
     y = np.asarray(labels, dtype=np.float64)
-    a = np.asarray(alphas, dtype=np.float64)
-    grad = _gradient(np.asarray(factor, dtype=np.float64), y, a)
-    return 0.5 * float(a @ (grad - 1.0))
+    beta = y * np.asarray(alphas, dtype=np.float64)
+    return _objective(y, beta, _decisions(np.asarray(factor, dtype=np.float64), beta))
 
 
 def kkt_residual_value(factor, labels, box, alphas):
     """Maximal-violating-pair gap at ``alphas`` (0 when optimal) for K = F F'."""
     y = np.asarray(labels, dtype=np.float64)
-    a = np.asarray(alphas, dtype=np.float64)
-    grad = _gradient(np.asarray(factor, dtype=np.float64), y, a)
-    gap = _violating_pair(-y * grad, *_working_masks(a, y, box))[2]
-    return max(gap, 0.0)
+    beta = y * np.asarray(alphas, dtype=np.float64)
+    lo, hi = _bounds(y, box)
+    crit = y - _decisions(np.asarray(factor, dtype=np.float64), beta)
+    return max(_violating_pair(crit, beta < hi, beta > lo)[2], 0.0)
 
 
 def recover_bias(problem, alphas):
@@ -269,29 +270,26 @@ def recover_bias(problem, alphas):
     vectors confine t to an interval and its midpoint is returned.
     """
     y = np.asarray(problem.labels, dtype=np.float64)
-    a = np.asarray(alphas, dtype=np.float64)
-    return _bias_from_decisions(_decisions(problem.factor, y, a), y, a, problem.box)
+    beta = y * np.asarray(alphas, dtype=np.float64)
+    lo, hi = _bounds(y, problem.box)
+    return _bias_from_decisions(_decisions(problem.factor, beta), y, beta, lo, hi, problem.box)
 
 
-def _bias_from_decisions(f, y, a, box):
-    """recover_bias given the decision values f = (1/2) K (y * a)."""
+def _bias_from_decisions(f, y, beta, lo, hi, box):
+    """recover_bias given the decision values f = (1/2) K beta."""
     eps = 1e-10 * box
-    margin = (a > eps) & (a < box - eps)
+    offset = f - y
+    margin = (beta > lo + eps) & (beta < hi - eps)
     if margin.any():
-        return float(np.mean(f[margin] - y[margin]))
-    at_zero = a <= eps
-    at_box = a >= box - eps
-    lower = np.concatenate([f[at_zero & (y < 0)] + 1.0, f[at_box & (y > 0)] - 1.0])
-    upper = np.concatenate([f[at_zero & (y > 0)] - 1.0, f[at_box & (y < 0)] + 1.0])
-    lo = float(lower.max()) if lower.size else None
-    hi = float(upper.min()) if upper.size else None
-    if lo is None and hi is None:
-        return 0.0
-    if lo is None:
-        return hi
-    if hi is None:
-        return lo
-    return 0.5 * (lo + hi)
+        return float(np.mean(offset[margin]))
+    # A coordinate at hi gives t >= f_i - y_i, one at lo gives t <= f_i - y_i.
+    below = offset[beta >= hi - eps]
+    above = offset[beta <= lo + eps]
+    if not above.size:
+        return float(below.max()) if below.size else 0.0
+    if not below.size:
+        return float(above.min())
+    return 0.5 * (float(below.max()) + float(above.min()))
 
 
 def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
@@ -308,6 +306,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     box = problem.box
     tol = problem.tol
     max_updates = _PAIR_UPDATES_PER_N2 * n * n
+    lo, hi = _bounds(y, box)
 
     if warm_alphas is None:
         alphas = np.zeros(n)
@@ -315,15 +314,13 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         alphas = np.clip(np.asarray(warm_alphas, dtype=np.float64), 0.0, box)
         if abs(float(alphas @ y)) > 1e-10 * max(1.0, n * box):
             alphas = np.zeros(n)
+    beta = y * alphas
 
-    crit = -y * _gradient(factor, y, alphas)
-    up, low = _working_masks(alphas, y, box)
-    cap = np.where(y > 0, alphas, box - alphas)
-    signs = y.tolist()
+    crit = y - _decisions(factor, beta)
     diag = np.einsum("ij,ij->i", factor, factor)
     objective_path = []
     if track_objective:
-        objective_path.append(dual_objective_value(factor, y, alphas))
+        objective_path.append(_objective(y, beta, _decisions(factor, beta)))
     updates = 0
     converged = False
     # A warm start is usually near a solution whose margin face the polish
@@ -331,10 +328,11 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     next_face = _POLISH_INTERVAL if warm_alphas is None else 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            i, j, gap = _violating_pair(crit, up, low)
+            low = beta > lo
+            i, j, gap = _violating_pair(crit, beta < hi, low)
             if gap <= tol:
-                crit = -y * _gradient(factor, y, alphas)
-                i, j, gap = _violating_pair(crit, up, low)
+                crit = y - _decisions(factor, beta)
+                i, j, gap = _violating_pair(crit, beta < hi, low)
                 if gap <= tol:
                     converged = True
                     break
@@ -342,76 +340,48 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
                 break
             if updates >= next_face:
                 next_face = updates + _POLISH_INTERVAL
-                grad = -y * crit
-                if _face_polish(factor, y, alphas, grad, box):
-                    crit = -y * grad
-                    up, low = _working_masks(alphas, y, box)
-                    cap = np.where(y > 0, alphas, box - alphas)
+                if _face_polish(factor, beta, crit, lo, hi, box):
                     if track_objective:
-                        objective_path.append(dual_objective_value(factor, y, alphas))
+                        objective_path.append(_objective(y, beta, _decisions(factor, beta)))
                     continue
-            yi = signs[i]
-            ai = alphas.item(i)
-            crit_i = crit.item(i)
-            cap_i = (box - ai) if yi > 0 else ai
             row_i = factor @ factor[i]
-            j2 = _best_gain_partner(row_i, diag, crit, low, cap, i, crit_i, cap_i)
-            if j2 >= 0:
-                j = j2
-
-            yj = signs[j]
-            aj = alphas.item(j)
-            slack = crit_i - crit.item(j)
+            down = beta - lo
+            cap_i = hi.item(i) - beta.item(i)
+            j = _best_gain_partner(row_i, diag, crit, low, down, i, cap_i)
+            slack = crit.item(i) - crit.item(j)
             curv = 0.5 * (diag.item(i) + diag.item(j) - 2.0 * row_i.item(j))
-            cap_j = aj if yj > 0 else (box - aj)
+            cap_j = down.item(j)
             step_max = min(cap_i, cap_j)
-            if curv > 0.0:
-                step = min(slack / curv, step_max)
-            else:
-                step = step_max
+            step = min(slack / curv, step_max) if curv > 0.0 else step_max
             if not step > 0.0:
-                # Numerical stall: trust only a freshly computed gradient.
-                crit = -y * _gradient(factor, y, alphas)
-                gap = _violating_pair(crit, up, low)[2]
-                converged = gap <= tol
+                # Numerical stall: the fresh gap after the loop decides.
+                converged = True
                 break
 
-            ai += yi * step
-            aj -= yj * step
+            bi = beta.item(i) + step
+            bj = beta.item(j) - step
             if step == step_max:
                 # Snap the binding side exactly onto its bound so working-set
                 # membership stays crisp.
                 if cap_i <= cap_j:
-                    ai = box if yi > 0 else 0.0
+                    bi = hi.item(i)
                 if cap_j <= cap_i:
-                    aj = 0.0 if yj > 0 else box
-            ai = min(max(ai, 0.0), box)
-            aj = min(max(aj, 0.0), box)
-            alphas[i] = ai
-            alphas[j] = aj
-            for k, yk, ak in ((i, yi, ai), (j, yj, aj)):
-                up[k] = ak < box if yk > 0 else ak > 0.0
-                low[k] = ak > 0.0 if yk > 0 else ak < box
-                cap[k] = ak if yk > 0 else box - ak
-            # crit = -y * grad, and the pair moves y * a by +step at i and
-            # -step at j, so grad moves by (step/2) y F (z_i - z_j).
+                    bj = lo.item(j)
+            beta[i] = min(max(bi, lo.item(i)), hi.item(i))
+            beta[j] = min(max(bj, lo.item(j)), hi.item(j))
+            # crit = y - f, and the pair moves beta by +step at i and -step
+            # at j, so f moves by (step/2) F (z_i - z_j).
             crit -= factor @ ((0.5 * step) * (factor[i] - factor[j]))
             updates += 1
             if track_objective:
-                objective_path.append(dual_objective_value(factor, y, alphas))
+                objective_path.append(_objective(y, beta, _decisions(factor, beta)))
 
-    # One product gives the decision values f and the gradient, which is
-    # bitwise _gradient's.
-    f = _decisions(factor, y, alphas)
-    grad = -1.0 + y * f
-    gap = _violating_pair(-y * grad, *_working_masks(alphas, y, box))[2]
-    kkt = max(gap, 0.0)
-    dual_obj = 0.5 * float(alphas @ (grad - 1.0))
-    bias = _bias_from_decisions(f, y, alphas, box)
+    f = _decisions(factor, beta)
+    kkt = max(_violating_pair(y - f, beta < hi, beta > lo)[2], 0.0)
     return SvmDualSolution(
-        alphas=alphas,
-        bias_t=bias,
-        dual_objective=dual_obj,
+        alphas=np.abs(beta),
+        bias_t=_bias_from_decisions(f, y, beta, lo, hi, box),
+        dual_objective=_objective(y, beta, f),
         kkt_residual=kkt,
         iterations=updates,
         converged=converged and kkt <= tol,

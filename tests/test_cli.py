@@ -93,6 +93,31 @@ class TestMds1Format:
         with pytest.raises(ValueError):
             fileio.read_mds1(path)
 
+    @staticmethod
+    def write_header(path, n, dims, payload_values):
+        header = {"format": "MDS1", "n": n, "dims": dims, "dtype": "f64le",
+                  "has_response": True}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * payload_values))
+
+    @pytest.mark.parametrize("n, dims, payload_values", [
+        (3, [0, 5], 3),  # passes the size check: the payload is the 3 responses
+        (3, [-1, -1], 6),  # passes the size check: prod(dims) = 1
+        (0, [2, 2], 0),
+    ])
+    def test_nonpositive_sizes_rejected(self, tmp_path, n, dims, payload_values):
+        path = tmp_path / "sizes.mds1"
+        self.write_header(path, n, dims, payload_values)
+        with pytest.raises(ValueError, match="must be positive"):
+            fileio.read_mds1(path)
+        assert run_cli("cov", "--input", path, "--output", tmp_path / "c.json") == 2
+        assert run_cli("fit", "--input", path, "--output", tmp_path / "o.json") == 2
+
+    def test_zero_size_sample_dims_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            TensorDataset(np.zeros((3, 2, 0, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match="must be positive"):
+            MatrixDataset(np.zeros((3, 0, 5)), np.zeros(3))
+
 
 class TestCsvDataset:
     def test_roundtrip_exact(self, tmp_path):

@@ -161,6 +161,24 @@ class TestRecoverBias:
         prob = SvmDualProblem(factor=z, labels=np.array([1, -1]), box=1.0)
         assert abs(recover_bias(prob, np.array([1.0, 1.0])) - 0.75) <= 1e-12
 
+    def test_bound_vectors_of_both_labels(self):
+        # No margin vectors: two points for each of y = +-1 at a = 0 and at
+        # a = C.  The a-form KKT rules bound t from below by f_i + 1
+        # (y = -1, a = 0) and f_i - 1 (y = +1, a = C), and from above by
+        # f_i - 1 (y = +1, a = 0) and f_i + 1 (y = -1, a = C).
+        box = 0.8
+        y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+        a = np.array([0.0, 0.0, 0.0, 0.0, box, box, box, box])
+        factor = np.random.default_rng(9).standard_normal((8, 3))
+        prob = SvmDualProblem(factor=factor, labels=y.astype(int), box=box)
+        f = 0.5 * factor @ (factor.T @ (y * a))
+        at_zero, at_box = a == 0.0, a == box
+        lower = np.concatenate([f[at_zero & (y < 0)] + 1.0, f[at_box & (y > 0)] - 1.0])
+        upper = np.concatenate([f[at_zero & (y > 0)] - 1.0, f[at_box & (y < 0)] + 1.0])
+        assert lower.size == upper.size == 4
+        midpoint = 0.5 * (lower.max() + upper.min())
+        assert abs(recover_bias(prob, a) - midpoint) <= 1e-12 * max(1.0, abs(midpoint))
+
 
 class TestOracleEquivalence:
     def test_random_problems(self):
@@ -350,12 +368,17 @@ class TestLargeProblems:
         assert np.all((alphas > 0.0) & (alphas < box))
         assert abs(float(y @ alphas)) <= 1e-12
         before = dual_objective_value(factor, y, alphas)
-        grad = qp._gradient(factor, y, alphas)
-        assert qp._face_polish(factor, y, alphas, grad, box)
+        # The polish works on beta = y * a within [min(0, y C), max(0, y C)]
+        # and on the scores y - f.
+        beta = y * alphas
+        lo, hi = np.where(y > 0, 0.0, -box), np.where(y > 0, box, 0.0)
+        crit = y - 0.5 * factor @ (factor.T @ beta)
+        assert qp._face_polish(factor, beta, crit, lo, hi, box)
+        alphas = y * beta
         assert dual_objective_value(factor, y, alphas) < before
         assert np.all(alphas >= 0.0) and np.all(alphas <= box)
         assert abs(float(y @ alphas)) <= 1e-10
-        assert np.abs(grad - qp._gradient(factor, y, alphas)).max() <= 1e-10
+        assert np.abs(crit - (y - 0.5 * factor @ (factor.T @ beta))).max() <= 1e-10
 
 
 @st.composite
@@ -391,3 +414,20 @@ class TestProperties:
         assert abs(sol.dual_objective - cold.dual_objective) <= 1e-9 * max(
             1.0, abs(cold.dual_objective)
         )
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(low_rank_problems())
+    def test_label_flip_negates_the_classifier(self, case):
+        # Negating the labels maps a solution a to the same a with w and t
+        # negated, so two cold solves must agree up to tolerance.
+        prob, _ = case
+        flipped = SvmDualProblem(factor=prob.factor, labels=-prob.labels, box=prob.box)
+        sol, sol_f = solve_svm_dual(prob), solve_svm_dual(flipped)
+        assert sol.converged and sol_f.converged
+        assert abs(sol.dual_objective - sol_f.dual_objective) <= 1e-9 * max(
+            1.0, abs(sol.dual_objective)
+        )
+        w = 0.5 * prob.factor.T @ (prob.labels * sol.alphas)
+        w_f = 0.5 * prob.factor.T @ (flipped.labels * sol_f.alphas)
+        assert np.linalg.norm(w + w_f) <= 1e-6 * max(1.0, np.linalg.norm(w))
+        assert abs(sol.bias_t + sol_f.bias_t) <= 1e-6 * max(1.0, abs(sol.bias_t))
