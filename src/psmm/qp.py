@@ -33,13 +33,13 @@ the solver reports convergence.
 
 A face polish minimizes directly over the interior (margin) coordinates,
 which breaks the limit cycles that two-coordinate moves fall into on
-degenerate faces and closes most solves outright.  It runs every 8 pair
-updates, and a warm-started solve runs it before its first pair update,
-so that the polish solves the face and the pair updates mostly repair
-the active set (which coordinates sit at a bound), as in an active-set
-method (Scheinberg 2006).  A polish ends as soon as a round leaves every
-face coordinate strictly inside its bounds, because the face optimum is
-then reached.
+degenerate faces and closes most solves outright.  It runs before the
+first pair update (a no-op on a cold start, where every coordinate sits
+at a bound) and every 8 pair updates, so that the polish solves the face
+and the pair updates mostly repair the active set (which coordinates sit
+at a bound), as in an active-set method (Scheinberg 2006).  A polish ends
+as soon as a round leaves every face coordinate strictly inside its
+bounds, because the face optimum is then reached.
 """
 
 import math
@@ -80,8 +80,10 @@ class SvmDualProblem:
             raise ValueError("labels must take values in {-1, +1}")
         if not ((labels > 0).any() and (labels < 0).any()):
             raise InfeasibleLabels("both label classes are required")
-        if not self.box > 0.0:
-            raise ValueError("box bound C must be positive")
+        if not np.isfinite(self.factor).all():
+            raise ValueError("factor must be finite")
+        if not 0.0 < self.box < math.inf:
+            raise ValueError("box bound C must be positive and finite")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
@@ -232,9 +234,10 @@ def _best_gain_partner(kernel_row, diag, crit, low, down, i, cap_i):
     beta - lo of every index and ``cap_i`` the up-move room of i.
     Rank-deficient kernels have many zero-curvature pairs; the usual
     slack^2/curvature score overrates them, so the achievable decrease is
-    evaluated with the step clipped to the bounds.  Every index is scored
-    and the candidates (down-movable with a lower score than i) are
-    masked.  While the gap exceeds the tolerance, the most violating
+    evaluated with the step clipped to the bounds.  Every index is scored,
+    the candidates (down-movable with a lower score than i) are masked, and
+    (j, step, step limit min(cap_i, down_j)) is read from the scoring
+    vectors.  While the gap exceeds the tolerance, the most violating
     partner is a candidate, so one always exists.
     """
     crit_i = crit.item(i)
@@ -243,7 +246,8 @@ def _best_gain_partner(kernel_row, diag, crit, low, down, i, cap_i):
     step_max = np.minimum(down, cap_i)
     step = np.where(curv > 0.0, np.minimum(slack / curv, step_max), step_max)
     gain = slack * step - 0.5 * curv * step * step
-    return int(np.where(low & (crit < crit_i), gain, -np.inf).argmax())
+    j = int(np.where(low & (crit < crit_i), gain, -np.inf).argmax())
+    return j, step.item(j), step_max.item(j)
 
 
 def dual_objective_value(factor, labels, alphas):
@@ -297,8 +301,8 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
 
     The work is bounded at 10 n^2 pair updates; exhausting the budget
     returns the last iterate tagged unconverged.  ``warm_alphas`` seeds
-    the iteration with a feasible starting point, e.g. the solution of a
-    nearby problem.
+    the iteration with a point clipped into the box, e.g. the solution of
+    a nearby problem; a non-finite or unbalanced one gives a cold start.
     """
     factor = problem.factor
     y = problem.labels.astype(np.float64)
@@ -308,12 +312,11 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     max_updates = _PAIR_UPDATES_PER_N2 * n * n
     lo, hi = _bounds(y, box)
 
-    if warm_alphas is None:
-        alphas = np.zeros(n)
-    else:
-        alphas = np.clip(np.asarray(warm_alphas, dtype=np.float64), 0.0, box)
-        if abs(float(alphas @ y)) > 1e-10 * max(1.0, n * box):
-            alphas = np.zeros(n)
+    alphas = np.zeros(n)
+    if warm_alphas is not None:
+        warm = np.clip(np.asarray(warm_alphas, dtype=np.float64), 0.0, box)
+        if np.isfinite(warm_alphas).all() and abs(float(warm @ y)) <= 1e-10 * max(1.0, n * box):
+            alphas = warm
     beta = y * alphas
 
     crit = y - _decisions(factor, beta)
@@ -323,9 +326,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         objective_path.append(_objective(y, beta, _decisions(factor, beta)))
     updates = 0
     converged = False
-    # A warm start is usually near a solution whose margin face the polish
-    # solves directly, so it polishes before its first pair update.
-    next_face = _POLISH_INTERVAL if warm_alphas is None else 0
+    next_face = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             low = beta > lo
@@ -347,12 +348,8 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             row_i = factor @ factor[i]
             down = beta - lo
             cap_i = hi.item(i) - beta.item(i)
-            j = _best_gain_partner(row_i, diag, crit, low, down, i, cap_i)
-            slack = crit.item(i) - crit.item(j)
-            curv = 0.5 * (diag.item(i) + diag.item(j) - 2.0 * row_i.item(j))
+            j, step, step_max = _best_gain_partner(row_i, diag, crit, low, down, i, cap_i)
             cap_j = down.item(j)
-            step_max = min(cap_i, cap_j)
-            step = min(slack / curv, step_max) if curv > 0.0 else step_max
             if not step > 0.0:
                 # Numerical stall: the fresh gap after the loop decides.
                 converged = True

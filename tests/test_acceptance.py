@@ -30,41 +30,12 @@ from psmm import (
 )
 from psmm import fileio
 from psmm.cli import main as cli_main
+from qp_oracle import pg_oracle
 
 
 def report(criterion, passed, detail):
     print(f"[criterion {criterion}] {'PASS' if passed else 'FAIL'}: {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-# ---------------------------------------------------------------------------
-# oracle helpers (independent of the solver implementations they check)
-# ---------------------------------------------------------------------------
-
-def project_feasible(values, labels, box):
-    y = labels.astype(float)
-    span = float(np.abs(values).max()) + box + 1.0
-    lo, hi = -span, span
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(y @ np.clip(values - mid * y, 0.0, box)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(values - 0.5 * (lo + hi) * y, 0.0, box)
-
-
-def pg_oracle(kernel, labels, box, iters=30000):
-    y = labels.astype(float)
-    hess = 0.5 * np.outer(y, y) * kernel
-    lips = max(np.linalg.eigvalsh(hess).max(), 1e-12)
-    a = project_feasible(np.full(len(y), 0.5 * box), labels, box)
-    for _ in range(iters):
-        nxt = project_feasible(a - (-1.0 + hess @ a) / lips, labels, box)
-        if np.abs(nxt - a).max() < 1e-14 * box:
-            return nxt
-        a = nxt
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -14,37 +14,7 @@ from psmm import (
     recover_bias,
     solve_svm_dual,
 )
-
-
-def project_feasible(values, labels, box):
-    """Oracle projection onto {0 <= a <= box, sum(labels * a) = 0} by bisection."""
-    y = labels.astype(float)
-    span = float(np.abs(values).max()) + box + 1.0
-    lo, hi = -span, span
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(y @ np.clip(values - mid * y, 0.0, box)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(values - 0.5 * (lo + hi) * y, 0.0, box)
-
-
-def pg_oracle(kernel, labels, box, iters=40000):
-    """Brute-force projected gradient on the dual; independent of the solver."""
-    y = labels.astype(float)
-    n = len(y)
-    hess = 0.5 * np.outer(y, y) * kernel
-    lips = max(np.linalg.eigvalsh(hess).max(), 1e-12)
-    a = project_feasible(np.full(n, 0.5 * box), labels, box)
-    for _ in range(iters):
-        grad = -1.0 + hess @ a
-        nxt = project_feasible(a - grad / lips, labels, box)
-        if np.abs(nxt - a).max() < 1e-14 * box:
-            a = nxt
-            break
-        a = nxt
-    return a
+from qp_oracle import pg_oracle, project_feasible
 
 
 def random_problem(rng, n_max=20, box=1.0):
@@ -76,6 +46,32 @@ class TestProblemValidation:
     def test_nonpositive_box_rejected(self):
         with pytest.raises(ValueError):
             SvmDualProblem(factor=np.eye(2), labels=np.array([1, -1]), box=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_factor_rejected(self, bad):
+        factor = np.ones((4, 2))
+        factor[2, 1] = bad
+        with pytest.raises(ValueError):
+            SvmDualProblem(factor=factor, labels=np.array([1, -1, 1, -1]), box=1.0)
+
+    @pytest.mark.parametrize("box", [np.inf, np.nan])
+    def test_nonfinite_box_rejected(self, box):
+        with pytest.raises(ValueError):
+            SvmDualProblem(factor=np.eye(2), labels=np.array([1, -1]), box=box)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_warm_start_discarded(self, bad):
+        rng = np.random.default_rng(8)
+        prob = SvmDualProblem(
+            factor=rng.standard_normal((6, 2)), labels=np.array([1, -1, 1, -1, 1, -1]), box=1.0
+        )
+        cold = solve_svm_dual(prob)
+        warm = np.full(6, 0.1)
+        warm[0] = bad
+        sol = solve_svm_dual(prob, warm_alphas=warm)
+        assert sol.converged
+        assert np.array_equal(sol.alphas, cold.alphas)
+        assert sol.iterations == cold.iterations
 
 
 class TestTwoPointExample:
@@ -178,6 +174,36 @@ class TestRecoverBias:
         assert lower.size == upper.size == 4
         midpoint = 0.5 * (lower.max() + upper.min())
         assert abs(recover_bias(prob, a) - midpoint) <= 1e-12 * max(1.0, abs(midpoint))
+
+
+class TestOracleProjection:
+    def test_projection_is_feasible(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = rng.choice([-1, 1], size=n)
+            labels[:2] = [1, -1]
+            box = 10.0 ** rng.uniform(-3.0, 2.0)
+            values = rng.normal(0.0, 2.0 * box, n)
+            a = project_feasible(values, labels, box)
+            assert np.all(a >= 0.0) and np.all(a <= box)
+            assert abs(float(labels @ a)) <= 1e-12 * n * box
+
+    def test_unclipped_projection_matches_closed_form(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = rng.choice([-1, 1], size=n)
+            labels[:2] = [1, -1]
+            y = labels.astype(float)
+            # A balanced a > 0 plus a multiple of y projects onto a itself.
+            a = rng.uniform(1.0, 2.0, n)
+            a[y > 0] *= a[y < 0].sum() / a[y > 0].sum()
+            values = a + rng.normal(0.0, 3.0) * y
+            box = 2.0 * a.max()
+            closed = values - (y @ values / n) * y
+            assert np.all(closed > 0.0) and np.all(closed < box)
+            assert np.abs(project_feasible(values, labels, box) - closed).max() <= 1e-12
 
 
 class TestOracleEquivalence:
