@@ -25,6 +25,7 @@ from .qp import SvmDualProblem, solve_svm_dual
 
 _MODE_LETTERS = "abcdefghijklmnopqrstuvwxy"  # 'z' is reserved for the sample axis
 _ZERO_NORM = 1e-30
+_ZERO_STEP_EPS = 64 * np.finfo(np.float64).eps  # relative rounding of a zero step
 _QP_TOL = 1e-8  # KKT tolerance of every mode subproblem's dual
 
 
@@ -207,6 +208,19 @@ def _balance(us):
     return [u * (target / norm) for u, norm in zip(us, norms)]
 
 
+def _zero_step(solution):
+    """Whether a mode step's optimum is w = 0 up to rounding.
+
+    The dual objective is -sum(a) + (1/4) beta' K beta, and the quadratic
+    term is ||w||^2 in the whitened coordinates of the step.  When it is
+    within rounding of the objective, the computed direction is rounding
+    noise (about 1e-15 in norm, above any absolute zero test), and the
+    next step would divide by the square root of its quadratic form.
+    """
+    quad = solution.dual_objective + float(solution.alphas.sum())
+    return quad <= _ZERO_STEP_EPS * abs(solution.dual_objective)
+
+
 def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2, seed=0):
     """Fit the rank-1 machine of any order by cyclic mode updates.
 
@@ -214,7 +228,9 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     unit-vector starts and returns the lowest-objective direction set,
     norm-balanced.  Sweeps stop when the relative objective decrease
     falls below ``tol``; exhausting ``max_iter`` or any mode subproblem
-    whose dual QP did not converge tags the set unconverged.
+    whose dual QP did not converge tags the set unconverged.  A mode step
+    whose optimum is w = 0 up to rounding ends its start with that
+    direction set to exactly zero.
     """
     labels = _check_labels(labels, data.n)
     if tuple(data.dims) != tuple(params.dims):
@@ -260,6 +276,8 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
                     break
                 qp_converged = qp_converged and solution.converged
                 warm[k] = solution.alphas
+                if _zero_step(solution):
+                    direction = np.zeros_like(direction)
                 us[k] = direction
                 t = solution.bias_t
                 if np.linalg.norm(direction) <= _ZERO_NORM:

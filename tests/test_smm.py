@@ -304,6 +304,28 @@ class TestFitRank1Smm:
         for u, u_ref in zip(fitted.us, reference.us):
             assert np.array_equal(u, u_ref)
 
+    def test_zero_step_ends_the_start(self):
+        # The second class holds the first class's samples in another order,
+        # so the class means agree up to rounding.  With balanced labels the
+        # u-step optimum is then every alpha at the box and w = 0 exactly; the
+        # computed direction is rounding noise of norm about 1e-16, and the
+        # start must end at that step with zero directions instead of
+        # following the noise.
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((12, 3, 4))
+        x = np.concatenate([a, a[rng.permutation(12)]])
+        labels = np.repeat([1, -1], 12)
+        data = MatrixDataset(x)
+        params = TensorNormParams(x.mean(axis=0), [np.eye(3), np.eye(4)])
+        u, sol = update_u(data, labels, init_directions(data, labels, params)[1], params, 10.0)
+        assert np.allclose(sol.alphas, 10.0 / 24, atol=1e-12)
+        assert 0.0 < np.linalg.norm(u) <= 1e-14
+        fitted = fit_rank1_smm(data, labels, params, lam=10.0, restarts=0)
+        assert fitted.converged
+        assert fitted.iterations == 1
+        assert all(not np.any(u) for u in fitted.us)
+        assert fitted.objective == pytest.approx(10.0, abs=1e-12)
+
     def test_min_class_count_enforced(self):
         x = np.random.default_rng(0).standard_normal((5, 2, 2))
         labels = np.array([1, -1, -1, -1, -1])
