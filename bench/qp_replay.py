@@ -10,7 +10,10 @@ BLAS thread and reports the solver's own time:
 The row written to BENCH_qp.json (replacing any row with the same label)
 holds the solve and pair-update counts, the median replay seconds over the
 repeats, microseconds per pair update and a SHA-256 over every solution
-(alphas, iterations, bias in call order).  Equal digests mean the solver
+(alphas, iterations, bias in call order).  Its ``cold`` and ``warm`` parts
+split the solves by whether the call passed a warm start: solves, pair
+updates, interior-point iterations and the median seconds of that part.
+Equal digests mean the solver
 took the same iterates.  When they differ, the row's converged count, its
 largest KKT gap and |y'a|, and the sum of the dual objectives still compare
 two solvers, provided both replayed the same problems: equal
@@ -114,8 +117,8 @@ def problems_digest(records, factor_path):
 
 
 def replay(psmm, records, factors):
-    """Solve every captured problem once; returns (seconds, solutions)."""
-    seconds = 0.0
+    """Solve every captured problem once; returns (seconds per solve, solutions)."""
+    seconds = []
     solutions = []
     for rec in records:
         first = rec["offset"] // 8
@@ -124,9 +127,26 @@ def replay(psmm, records, factors):
                                       tol=rec["tol"])
         start = time.perf_counter()
         solution = psmm.solve_svm_dual(problem, warm_alphas=rec["warm"])
-        seconds += time.perf_counter() - start
+        seconds.append(time.perf_counter() - start)
         solutions.append(solution)
     return seconds, solutions
+
+
+def part(records, solutions, times, cold):
+    """Counts and median seconds of the cold (or the warm) solves."""
+    picked = [i for i, rec in enumerate(records) if (rec["warm"] is None) == cold]
+    return {
+        "solves": len(picked),
+        "pair_updates": sum(solutions[i].iterations for i in picked),
+        # Solutions of a solver without an interior point lack the field.
+        "interior_iterations": sum(getattr(solutions[i], "interior_iterations", 0)
+                                   for i in picked),
+        "median_s": round(statistics.median(math.fsum(t[i] for i in picked) for t in times), 4),
+        "converged": sum(bool(solutions[i].converged) for i in picked),
+        "kkt_max": max((solutions[i].kkt_residual for i in picked), default=0.0),
+        "balance_max": max((abs(float(solutions[i].alphas @ records[i]["labels"]))
+                            for i in picked), default=0.0),
+    }
 
 
 def digest(solutions):
@@ -162,8 +182,8 @@ def main(argv=None):
         times = []
         first = None
         for _ in range(args.repeats):
-            seconds, solutions = replay(psmm, records, factors)
-            times.append(seconds)
+            per_solve, solutions = replay(psmm, records, factors)
+            times.append(per_solve)
             sha = digest(solutions)
             if first is None:
                 first = sha
@@ -175,16 +195,18 @@ def main(argv=None):
     kkt_max = max(sol.kkt_residual for sol in solutions)
     balance_max = max(abs(float(sol.alphas @ rec["labels"]))
                       for sol, rec in zip(solutions, records))
-    median = statistics.median(times)
+    seconds = [math.fsum(t) for t in times]
+    median = statistics.median(seconds)
     row = {
         "label": args.label,
         "seed": args.seed,
         "grid": GRID,
         "solves": len(records),
-        "cold_solves": sum(rec["warm"] is None for rec in records),
         "pair_updates": updates,
+        "cold": part(records, solutions, times, cold=True),
+        "warm": part(records, solutions, times, cold=False),
         "repeats": args.repeats,
-        "seconds": [round(t, 4) for t in times],
+        "seconds": [round(t, 4) for t in seconds],
         "median_s": round(median, 4),
         "us_per_update": round(1e6 * median / max(updates, 1), 3),
         "converged": sum(bool(sol.converged) for sol in solutions),

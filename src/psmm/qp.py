@@ -1,4 +1,4 @@
-"""Sequential two-coordinate solver for the box-and-balance SVM dual.
+"""Interior-point start and two-coordinate solver for the box-and-balance SVM dual.
 
 The problem solved is
 
@@ -34,12 +34,20 @@ the solver reports convergence.
 A face polish minimizes directly over the interior (margin) coordinates,
 which breaks the limit cycles that two-coordinate moves fall into on
 degenerate faces and closes most solves outright.  It runs before the
-first pair update (a no-op on a cold start, where every coordinate sits
-at a bound) and every 8 pair updates, so that the polish solves the face
-and the pair updates mostly repair the active set (which coordinates sit
-at a bound), as in an active-set method (Scheinberg 2006).  A polish ends
-as soon as a round leaves every face coordinate strictly inside its
+first pair update and every 8 pair updates, so that the polish solves the
+face and the pair updates mostly repair the active set (which coordinates
+sit at a bound), as in an active-set method (Scheinberg 2006).  A polish
+ends as soon as a round leaves every face coordinate strictly inside its
 bounds, because the face optimum is then reached.
+
+A cold solve (no usable warm start) does not start the pair updates from
+a = 0, where they would need O(#SV) updates of O(n r) each.  It first
+runs a primal-dual interior point whose Newton systems cost O(n r^2)
+through the rank-r kernel, takes a crossover that puts each coordinate at
+0, at C or in the face and restores the balance, and hands that point to
+the loop above; the polish then usually closes the solve without a pair
+update.  Warm solves start the loop at the warm start directly, which at
+the sizes the pipeline meets is cheaper than an interior point.
 """
 
 import math
@@ -51,6 +59,9 @@ from .errors import InfeasibleLabels
 
 _PAIR_UPDATES_PER_N2 = 10  # a solve's pair-update budget is this times n^2
 _POLISH_INTERVAL = 8  # pair updates between face polishes
+_INTERIOR_MAX_ITER = 50  # interior-point iterations of a cold start
+_INTERIOR_TOL = 1e-9  # interior-point stop, relative to the gradient scale 1 and C
+_TO_BOUNDARY = 0.995  # fraction of the step to the boundary an iteration takes
 
 
 @dataclass(eq=False)
@@ -101,6 +112,7 @@ class SvmDualSolution:
     iterations: int
     converged: bool
     objective_path: list = field(default_factory=list)
+    interior_iterations: int = 0
 
 
 def _decisions(factor, beta):
@@ -250,6 +262,111 @@ def _best_gain_partner(kernel_row, diag, crit, low, down, i, cap_i):
     return j, step.item(j), step_max.item(j)
 
 
+def _step_to_boundary(x, dx):
+    """Largest t <= 1 keeping x + t dx >= 0."""
+    return min(1.0, float((-x / dx).min(where=dx < 0.0, initial=np.inf)))
+
+
+def _interior_point(factor, y, box):
+    """Cold start: a low-rank primal-dual interior point, then a crossover.
+
+    Runs Mehrotra's predictor-corrector on the a-form dual,
+
+        minimize (1/2) a'Qa - 1'a  s.t.  y'a = 0,  a + s = C,  a, s >= 0,
+
+    with Q = (1/2) G G' for G = y * F, the multiplier z of a >= 0, v of
+    s >= 0 and b of the balance row.  The slack s is carried as its own
+    iterate: recomputed as C - a it would lose its digits to cancellation
+    near the box and could reach 0.  Each Newton system
+    (D + Q) da - y db = rhs, with D = z/a + v/s, is solved through
+    Woodbury with one r x r Cholesky of 2I + G'D^{-1}G, so an iteration
+    costs O(n r^2) (Fine & Scheinberg 2001); db comes from the balance
+    row.  The iteration stops when mu and the balance residual fall
+    below 1e-9 C and the stationarity residual below 1e-9 times its
+    starting size (at least 1e-9), or after 50 iterations.  That last
+    test is relative because the residual cannot fall below the rounding
+    of Q a, which grows with the kernel.  The crossover then puts a_i at
+    0 where z_i > a_i and at C where v_i > s_i, and moves the free a_i
+    (all a_i, if the free ones lack the room) in proportion to their room
+    toward the balance, so that y'a = 0 holds to rounding.
+
+    Returns (beta, iterations) with beta = y * a at the crossover point;
+    the beta is the zero start when an iterate turns non-finite, the
+    Cholesky fails or the crossover point is worse than the zero start.
+    """
+    n = factor.shape[0]
+    g = y[:, None] * factor
+    eye2 = 2.0 * np.eye(factor.shape[1])
+    # Rows a, s, z, v; a and s are the primal rows, z and v their multipliers.
+    x = np.empty((4, n))
+    x[:2] = 0.5 * box
+    x[2:] = 1.0
+    a, s, z, v = x
+    b = 0.0
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while iterations < _INTERIOR_MAX_ITER:
+            res_d = 0.5 * (g @ (g.T @ a)) - 1.0 - y * b - z + v
+            res_p = float(y @ a)
+            res_u = a + s - box
+            comp = x[:2] * x[2:]
+            mu = float(comp.sum()) / (2 * n)
+            if not iterations:
+                res_d_tol = _INTERIOR_TOL * max(1.0, float(np.abs(res_d).max()))
+            if (mu <= _INTERIOR_TOL * box and abs(res_p) <= _INTERIOR_TOL * box
+                    and float(np.abs(res_d).max()) <= res_d_tol):
+                break
+            d = z / a + v / s
+            gd = g / d[:, None]
+            try:
+                chol = np.linalg.cholesky(eye2 + g.T @ gd)
+            except np.linalg.LinAlgError:
+                return np.zeros(n), iterations
+            proj = np.linalg.solve(chol, gd.T)  # (D + Q)^{-1} = D^{-1} - proj' proj
+
+            def solve(rhs):
+                return rhs / d - (proj @ rhs) @ proj
+
+            m_y = solve(y)
+
+            def newton(r_c):
+                """Step for the complementarity targets r_c = (r_z, r_v)."""
+                m_r = solve(r_c[0] / a - (r_c[1] + v * res_u) / s - res_d)
+                db = (-res_p - float(y @ m_r)) / float(y @ m_y)
+                dx = np.empty_like(x)
+                dx[0] = m_r + db * m_y
+                dx[1] = -dx[0] - res_u
+                dx[2:] = (r_c - x[2:] * dx[:2]) / x[:2]
+                return dx, db
+
+            dx, _ = newton(-comp)
+            t = _step_to_boundary(x, dx)
+            mu_aff = float(((x[:2] + t * dx[:2]) * (x[2:] + t * dx[2:])).sum()) / (2 * n)
+            dx, db = newton((mu_aff / mu) ** 3 * mu - comp - dx[:2] * dx[2:])
+            t = min(1.0, _TO_BOUNDARY * _step_to_boundary(x, dx))
+            x += t * dx
+            b += t * db
+            iterations += 1
+            if not (np.isfinite(x).all() and math.isfinite(b)):
+                return np.zeros(n), iterations
+
+    free = (z <= a) & (v <= s)
+    beta = y * np.where(z > a, 0.0, np.where(v > s, box, np.clip(a, 0.0, box)))
+    lo, hi = _bounds(y, box)
+    excess = float(beta.sum())
+    if excess != 0.0:
+        room = beta - lo if excess > 0.0 else hi - beta
+        free_room = np.where(free, room, 0.0)
+        if free_room.sum() >= abs(excess):
+            room = free_room
+        beta = np.clip(beta - excess * (room / room.sum()), lo, hi)
+    if _objective(y, beta, _decisions(factor, beta)) > 0.0:
+        # Worse than the zero start: the iteration stalled, which happens
+        # when the kernel dwarfs 1/C by many orders of magnitude.
+        return np.zeros(n), iterations
+    return beta, iterations
+
+
 def dual_objective_value(factor, labels, alphas):
     """Achieved dual objective -sum(a) + (1/4) a' YKY a for K = F F'."""
     y = np.asarray(labels, dtype=np.float64)
@@ -302,7 +419,12 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     The work is bounded at 10 n^2 pair updates; exhausting the budget
     returns the last iterate tagged unconverged.  ``warm_alphas`` seeds
     the iteration with a point clipped into the box, e.g. the solution of
-    a nearby problem; a non-finite or unbalanced one gives a cold start.
+    a nearby problem.  Without one, or when it is non-finite or
+    unbalanced, the solve is cold: the iteration starts from the
+    crossover point of an interior-point solve (``_interior_point``),
+    whose iteration count is returned as ``interior_iterations`` (0 on a
+    warm solve).  Either way the solution is exactly feasible and
+    ``converged`` means a KKT gap <= tol.
     """
     factor = problem.factor
     y = problem.labels.astype(np.float64)
@@ -312,12 +434,14 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     max_updates = _PAIR_UPDATES_PER_N2 * n * n
     lo, hi = _bounds(y, box)
 
-    alphas = np.zeros(n)
+    beta = None
     if warm_alphas is not None:
         warm = np.clip(np.asarray(warm_alphas, dtype=np.float64), 0.0, box)
         if np.isfinite(warm_alphas).all() and abs(float(warm @ y)) <= 1e-10 * max(1.0, n * box):
-            alphas = warm
-    beta = y * alphas
+            beta = y * warm
+    interior = 0
+    if beta is None:
+        beta, interior = _interior_point(factor, y, box)
 
     crit = y - _decisions(factor, beta)
     diag = np.einsum("ij,ij->i", factor, factor)
@@ -383,4 +507,5 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         iterations=updates,
         converged=converged and kkt <= tol,
         objective_path=objective_path,
+        interior_iterations=interior,
     )

@@ -230,6 +230,60 @@ class TestOracleEquivalence:
             assert balance <= 1e-10 * prob.n * prob.box
 
 
+class TestInteriorPoint:
+    @pytest.mark.parametrize("seed, count", [(77, 30), (101, 200)])
+    def test_crossover_alone_matches_oracle(self, seed, count):
+        # The oracle problem sets of TestOracleEquivalence (seed 77) and of
+        # acceptance criterion 1 (seed 101, drawn the same way), solved by the
+        # interior point and its crossover with no pair update after them.
+        rng = np.random.default_rng(seed)
+        for trial in range(count):
+            box = [0.1, 1.0, 10.0][trial % 3]
+            prob = random_problem(rng, box=box)
+            y = prob.labels.astype(float)
+            beta, iterations = qp._interior_point(prob.factor, y, box)
+            alphas = y * beta
+            assert 0 < iterations <= qp._INTERIOR_MAX_ITER
+            assert np.all(alphas >= 0.0) and np.all(alphas <= box)
+            assert abs(float(alphas @ y)) <= 1e-10 * prob.n * box
+            ora = pg_oracle(prob.factor @ prob.factor.T, prob.labels, box)
+            obj_o = dual_objective_value(prob.factor, prob.labels, ora)
+            assert abs(dual_objective_value(prob.factor, prob.labels, alphas) - obj_o) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+    def test_kernel_scale_does_not_stall_the_iteration(self, scale):
+        # The stationarity residual cannot fall below the rounding of Q a, so
+        # its stop is relative to the first residual; an absolute 1e-9 never
+        # stopped at scale 1e2 and the iteration broke down at the cap.
+        rng = np.random.default_rng(12)
+        factor = scale * rng.standard_normal((40, 3))
+        labels = np.where(factor[:, 0] + scale * rng.standard_normal(40) > 0.0, 1, -1)
+        labels[:2] = [1, -1]
+        prob = SvmDualProblem(factor=factor, labels=labels, box=10.0)
+        sol = solve_svm_dual(prob)
+        zero_start = solve_svm_dual(prob, warm_alphas=np.zeros(40))
+        assert sol.converged
+        assert sol.interior_iterations < qp._INTERIOR_MAX_ITER
+        assert abs(sol.dual_objective - zero_start.dual_objective) <= 1e-9 * abs(
+            zero_start.dual_objective
+        )
+
+    def test_failed_cholesky_falls_back_to_the_zero_start(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        prob = random_problem(rng, box=1.0)
+        zero_start = solve_svm_dual(prob, warm_alphas=np.zeros(prob.n))
+
+        def not_positive_definite(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        sol = solve_svm_dual(prob)
+        assert sol.converged
+        assert sol.interior_iterations == 0
+        assert np.array_equal(sol.alphas, zero_start.alphas)
+        assert sol.iterations == zero_start.iterations
+
+
 class TestMonotonicity:
     def test_objective_path_non_increasing(self):
         rng = np.random.default_rng(21)
@@ -301,10 +355,27 @@ class TestSimGridScale:
         return SvmDualProblem(factor=feats, labels=labels, box=0.5)
 
     def test_solution_and_path(self):
+        # The zero start is a warm start, so this pins the pair-update path
+        # that a cold solve no longer takes.
+        prob = self.problem()
+        zero = np.zeros(200)
+        sol = solve_svm_dual(prob, warm_alphas=zero, track_objective=True)
+        assert sol.converged
+        assert sol.iterations > 64  # the face polish has run
+        assert sol.interior_iterations == 0
+        assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= prob.box)
+        assert abs(float(sol.alphas @ prob.labels)) <= 1e-10
+        assert kkt_residual_value(prob.factor, prob.labels, prob.box, sol.alphas) <= prob.tol
+        assert np.all(np.diff(sol.objective_path) <= 0.0)
+        untracked = solve_svm_dual(prob, warm_alphas=zero)
+        assert np.array_equal(untracked.alphas, sol.alphas)
+        assert untracked.iterations == sol.iterations
+
+    def test_cold_solution_and_path(self):
         prob = self.problem()
         sol = solve_svm_dual(prob, track_objective=True)
         assert sol.converged
-        assert sol.iterations > 64  # the face polish has run
+        assert sol.interior_iterations > 0
         assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= prob.box)
         assert abs(float(sol.alphas @ prob.labels)) <= 1e-10
         assert kkt_residual_value(prob.factor, prob.labels, prob.box, sol.alphas) <= prob.tol
@@ -312,6 +383,8 @@ class TestSimGridScale:
         untracked = solve_svm_dual(prob)
         assert np.array_equal(untracked.alphas, sol.alphas)
         assert untracked.iterations == sol.iterations
+        smo = solve_svm_dual(prob, warm_alphas=np.zeros(200))
+        assert abs(sol.dual_objective - smo.dual_objective) <= 1e-12 * abs(smo.dual_objective)
 
     def test_warm_start_from_solution_is_done(self):
         prob = self.problem()
@@ -440,6 +513,22 @@ class TestProperties:
         assert abs(sol.dual_objective - cold.dual_objective) <= 1e-9 * max(
             1.0, abs(cold.dual_objective)
         )
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(low_rank_problems())
+    def test_crossover_is_feasible_and_the_finish_descends(self, case):
+        # A cold solve starts its objective path at the crossover point and
+        # only descends from there.
+        prob, _ = case
+        y = prob.labels.astype(float)
+        beta, _ = qp._interior_point(prob.factor, y, prob.box)
+        alphas = y * beta
+        assert np.all(alphas >= 0.0) and np.all(alphas <= prob.box)
+        assert abs(float(alphas @ y)) <= 1e-10
+        start = dual_objective_value(prob.factor, prob.labels, alphas)
+        sol = solve_svm_dual(prob, track_objective=True)
+        assert sol.objective_path[0] == start
+        assert sol.dual_objective <= start + 1e-12 * max(1.0, abs(start))
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(low_rank_problems())
