@@ -60,7 +60,7 @@ from .errors import InfeasibleLabels
 _PAIR_UPDATES_PER_N2 = 10  # a solve's pair-update budget is this times n^2
 _POLISH_INTERVAL = 8  # pair updates between face polishes
 _INTERIOR_MAX_ITER = 50  # interior-point iterations of a cold start
-_INTERIOR_TOL = 1e-9  # interior-point stop, relative to the gradient scale 1 and C
+_INTERIOR_TOL = 1e-9  # interior-point stop, relative to C and to the first residual
 _TO_BOUNDARY = 0.995  # fraction of the step to the boundary an iteration takes
 
 
@@ -350,8 +350,9 @@ def _interior_point(factor, y, box):
             if not (np.isfinite(x).all() and math.isfinite(b)):
                 return np.zeros(n), iterations
 
-    free = (z <= a) & (v <= s)
-    beta = y * np.where(z > a, 0.0, np.where(v > s, box, np.clip(a, 0.0, box)))
+    at_zero, at_box = z > a, v > s
+    beta = y * np.where(at_zero, 0.0, np.where(at_box, box, np.clip(a, 0.0, box)))
+    free = ~(at_zero | at_box)
     lo, hi = _bounds(y, box)
     excess = float(beta.sum())
     if excess != 0.0:

@@ -276,13 +276,12 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
                     break
                 qp_converged = qp_converged and solution.converged
                 warm[k] = solution.alphas
-                if _zero_step(solution):
-                    direction = np.zeros_like(direction)
-                us[k] = direction
                 t = solution.bias_t
-                if np.linalg.norm(direction) <= _ZERO_NORM:
+                if _zero_step(solution):
+                    us[k] = np.zeros_like(direction)
                     degenerate = True
                     break
+                us[k] = direction
             new_objective = _objective_core(centered, us, t, labels, sigmas, lam)
             if degenerate:
                 converged = True
