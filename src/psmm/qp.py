@@ -44,10 +44,10 @@ A cold solve (no usable warm start) does not start the pair updates from
 a = 0, where they would need O(#SV) updates of O(n r) each.  It first
 runs a primal-dual interior point whose Newton systems cost O(n r^2)
 through the rank-r kernel, takes a crossover that puts each coordinate at
-0, at C or in the face and restores the balance, and hands that point to
-the loop above; the polish then usually closes the solve without a pair
-update.  Warm solves start the loop at the warm start directly, which at
-the sizes the pipeline meets is cheaper than an interior point.
+0, at C or in the face, restores the balance and polishes that face, and
+hands the point to the loop above, which then usually stops without a
+pair update.  Warm solves start the loop at the warm start directly,
+which at the sizes the pipeline meets is cheaper than an interior point.
 """
 
 import math
@@ -283,16 +283,19 @@ def _interior_point(factor, y, box):
     costs O(n r^2) (Fine & Scheinberg 2001); db comes from the balance
     row.  The iteration stops when mu and the balance residual fall
     below 1e-9 C and the stationarity residual below 1e-9 times its
-    starting size (at least 1e-9), or after 50 iterations.  That last
-    test is relative because the residual cannot fall below the rounding
-    of Q a, which grows with the kernel.  The crossover then puts a_i at
-    0 where z_i > a_i and at C where v_i > s_i, and moves the free a_i
-    (all a_i, if the free ones lack the room) in proportion to their room
-    toward the balance, so that y'a = 0 holds to rounding.
+    starting size (at least 1e-9); that last test is relative because
+    the residual cannot fall below the rounding of Q a, which grows with
+    the kernel.  The crossover then puts a_i at 0 where z_i > a_i and at
+    C where v_i > s_i, moves the free a_i (all a_i, if the free ones lack
+    the room) in proportion to their room so that y'a = 0 holds to
+    rounding, and solves the face it chose with one face polish: the
+    interior point leaves the free a_i about 1e-9 from the face optimum,
+    the polish leaves them at rounding.
 
     Returns (beta, iterations) with beta = y * a at the crossover point;
     the beta is the zero start when an iterate turns non-finite, the
-    Cholesky fails or the crossover point is worse than the zero start.
+    Cholesky fails or the stop is not reached within 50 iterations (the
+    iteration stalls when the kernel dwarfs 1/C by about 1e8).
     """
     n = factor.shape[0]
     g = y[:, None] * factor
@@ -305,7 +308,7 @@ def _interior_point(factor, y, box):
     b = 0.0
     iterations = 0
     with np.errstate(all="ignore"):
-        while iterations < _INTERIOR_MAX_ITER:
+        while True:
             res_d = 0.5 * (g @ (g.T @ a)) - 1.0 - y * b - z + v
             res_p = float(y @ a)
             res_u = a + s - box
@@ -316,6 +319,8 @@ def _interior_point(factor, y, box):
             if (mu <= _INTERIOR_TOL * box and abs(res_p) <= _INTERIOR_TOL * box
                     and float(np.abs(res_d).max()) <= res_d_tol):
                 break
+            if iterations == _INTERIOR_MAX_ITER:
+                return np.zeros(n), iterations
             d = z / a + v / s
             gd = g / d[:, None]
             try:
@@ -350,22 +355,19 @@ def _interior_point(factor, y, box):
             if not (np.isfinite(x).all() and math.isfinite(b)):
                 return np.zeros(n), iterations
 
-    at_zero, at_box = z > a, v > s
-    beta = y * np.where(at_zero, 0.0, np.where(at_box, box, np.clip(a, 0.0, box)))
-    free = ~(at_zero | at_box)
-    lo, hi = _bounds(y, box)
-    excess = float(beta.sum())
-    if excess != 0.0:
-        room = beta - lo if excess > 0.0 else hi - beta
-        free_room = np.where(free, room, 0.0)
-        if free_room.sum() >= abs(excess):
-            room = free_room
-        beta = np.clip(beta - excess * (room / room.sum()), lo, hi)
-    if _objective(y, beta, _decisions(factor, beta)) > 0.0:
-        # Worse than the zero start: the iteration stalled, which happens
-        # when the kernel dwarfs 1/C by many orders of magnitude.
-        return np.zeros(n), iterations
-    return beta, iterations
+        at_zero, at_box = z > a, v > s
+        beta = y * np.where(at_zero, 0.0, np.where(at_box, box, np.clip(a, 0.0, box)))
+        free = ~(at_zero | at_box)
+        lo, hi = _bounds(y, box)
+        excess = float(beta.sum())
+        if excess != 0.0:
+            room = beta - lo if excess > 0.0 else hi - beta
+            free_room = np.where(free, room, 0.0)
+            if free_room.sum() >= abs(excess):
+                room = free_room
+            beta = np.clip(beta - excess * (room / room.sum()), lo, hi)
+        _face_polish(factor, beta, y - _decisions(factor, beta), lo, hi, box)
+        return beta, iterations
 
 
 def dual_objective_value(factor, labels, alphas):

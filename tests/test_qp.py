@@ -268,6 +268,17 @@ class TestInteriorPoint:
             zero_start.dual_objective
         )
 
+    def test_iteration_cap_falls_back_to_the_zero_start(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        prob = random_problem(rng, box=1.0)
+        zero_start = solve_svm_dual(prob, warm_alphas=np.zeros(prob.n))
+        monkeypatch.setattr(qp, "_INTERIOR_MAX_ITER", 2)
+        sol = solve_svm_dual(prob)
+        assert sol.converged
+        assert sol.interior_iterations == 2
+        assert np.array_equal(sol.alphas, zero_start.alphas)
+        assert sol.iterations == zero_start.iterations
+
     def test_failed_cholesky_falls_back_to_the_zero_start(self, monkeypatch):
         rng = np.random.default_rng(6)
         prob = random_problem(rng, box=1.0)
