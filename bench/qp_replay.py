@@ -11,12 +11,12 @@ The row written to BENCH_qp.json (replacing any row with the same label)
 holds the solve and pair-update counts, the median replay seconds over the
 repeats, microseconds per pair update and a SHA-256 over every solution
 (alphas, iterations, bias in call order).  Its ``cold`` and ``warm`` parts
-split the solves by whether the call passed a warm start: solves, pair
-updates, interior-point iterations and the median seconds of that part.
-Equal digests mean the solver
-took the same iterates.  When they differ, the row's converged count, its
-largest KKT gap and |y'a|, and the sum of the dual objectives still compare
-two solvers, provided both replayed the same problems: equal
+split the solves by whether the call passed a warm start, each with its
+solve, pair-update and interior-point iteration counts, median seconds,
+converged count, largest KKT gap and largest |y'a|.  Equal digests mean
+the solver took the same iterates.  When they differ, the row's converged
+count, its largest KKT gap and |y'a|, and the sum of the dual objectives
+still compare two solvers, provided both replayed the same problems: equal
 ``problems_sha256`` (factors, labels, boxes, tolerances and warm starts in
 call order).  ``--src`` imports psmm from another checkout's ``src``, so
 one copy of this script can measure two versions; ``--capture-src``

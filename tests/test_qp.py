@@ -253,8 +253,8 @@ class TestInteriorPoint:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
     def test_kernel_scale_does_not_stall_the_iteration(self, scale):
         # The stationarity residual cannot fall below the rounding of Q a, so
-        # its stop is relative to the first residual; an absolute 1e-9 never
-        # stopped at scale 1e2 and the iteration broke down at the cap.
+        # its stop is relative to the first residual; an absolute 1e-9 is not
+        # reached at scale 1e2, and the iteration would run to its cap.
         rng = np.random.default_rng(12)
         factor = scale * rng.standard_normal((40, 3))
         labels = np.where(factor[:, 0] + scale * rng.standard_normal(40) > 0.0, 1, -1)
