@@ -209,9 +209,9 @@ def _ride_face_direction(factor, rows, face, beta, crit, lo, hi, box, delta, max
     ``rows`` holds the factor rows of the face, factor[face].  Updates
     ``beta`` and ``crit`` in place and returns (moved, hit), where ``hit``
     says that a face coordinate reached one of its bounds.  Runs inside
-    solve_svm_dual's errstate, which silences the divisions by zero
-    entries of the direction; a non-finite direction gives a non-finite
-    slope and no move.
+    the errstate of solve_svm_dual or _interior_point, which silences the
+    divisions by zero entries of the direction; a non-finite direction
+    gives a non-finite slope and no move.
     """
     slope = -float(crit[face] @ delta)
     if not (-np.inf < slope < 0.0 and float(np.abs(delta).max()) > 1e-16 * box):
