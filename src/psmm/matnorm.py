@@ -4,7 +4,7 @@ The covariance of the vectorized predictor is modeled as a Kronecker
 product of small per-mode factors.  Factors are estimated by alternating
 closed-form updates (the "flip-flop" iteration); each update maximizes
 the Gaussian likelihood in one factor with the others held fixed, so the
-log-likelihood is non-decreasing sweep over sweep.
+log-likelihood is non-decreasing sweep over sweep (up to rounding).
 
 Scale identifiability: multiplying one factor by c and dividing another
 by c leaves the Kronecker product unchanged.  After fitting, every factor
@@ -24,6 +24,10 @@ import numpy as np
 from .errors import SampleTooSmall, SingularCovariance
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Every pass over the samples works on blocks of about this many bytes of
+# float64 samples, so no batch-sized temporary is allocated.
+_BLOCK_BYTES = 4 << 20
 
 
 def _symmetrize(m):
@@ -96,6 +100,34 @@ def _mode_gram(batch, mode):
         return u.T @ u
     u = np.moveaxis(batch, axis, 0).reshape(batch.shape[axis], -1)
     return u @ u.T
+
+
+def _product_blocks(samples, mats, mean=None):
+    """Yield (rows, Z) over consecutive blocks of about ``_BLOCK_BYTES`` of samples.
+
+    Z = (X[rows] - mean) x_1 mats[0] ... x_K mats[K-1], where a ``None``
+    entry of ``mats`` leaves its mode alone and ``mean=None`` skips the
+    centering.  Each block holds max(1, _BLOCK_BYTES // (8 prod d_k))
+    samples; an input of one block runs the same arithmetic as the whole
+    batch at once.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(samples.shape[1:])))
+    for start in range(0, samples.shape[0], step):
+        rows = slice(start, start + step)
+        z = samples[rows] if mean is None else samples[rows] - mean
+        for k, mat in enumerate(mats):
+            if mat is not None:
+                z = _mode_multiply(z, mat, k)
+        yield rows, z
+
+
+def _product(samples, mats, mean=None):
+    """The whole batch of :func:`_product_blocks`, written block by block into one array."""
+    out_dims = [d if m is None else m.shape[0] for d, m in zip(samples.shape[1:], mats)]
+    out = np.empty((samples.shape[0], *out_dims))
+    for rows, z in _product_blocks(samples, mats, mean):
+        out[rows] = z
+    return out
 
 
 def _kron_inner(a, b):
@@ -183,22 +215,27 @@ def _check_factors(sigmas, dims, name):
 def gaussian_loglik(samples, mean, sigmas):
     """Log-likelihood of i.i.d. samples under a tensor-normal model.
 
-    Costs one centering copy and K mode products of the whole batch; the
-    quadratic term is one dot product of the whitened batch with itself.
+    ``mean`` must have the shape of one sample.  The samples are centered
+    and whitened block by block (:func:`_product_blocks`); the quadratic
+    term sums each block's dot product with itself, so the pass needs
+    O(_BLOCK_BYTES) memory besides the input.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
     n = samples.shape[0]
     dims = samples.shape[1:]
+    if mean.shape != dims:
+        raise ValueError(f"mean has shape {mean.shape}, expected the sample shape {dims}")
     total = int(np.prod(dims))
-    z = samples - np.asarray(mean, dtype=np.float64)
+    whiteners = []
     logdet = 0.0
     for k, sigma in enumerate(_check_factors(sigmas, dims, "gaussian_loglik")):
         w, v = np.linalg.eigh(_symmetrize(sigma))
         if w.min() <= 0.0:
             raise SingularCovariance("log-likelihood needs positive definite factors")
-        z = _mode_multiply(z, (v * w**-0.5) @ v.T, k)
+        whiteners.append((v * w**-0.5) @ v.T)
         logdet += (total / dims[k]) * float(np.log(w).sum())
-    quad = float(np.vdot(z, z))
+    quad = sum(float(np.vdot(z, z)) for _, z in _product_blocks(samples, whiteners, mean))
     return -0.5 * (n * total * _LOG_2PI + n * logdet + quad)
 
 
@@ -229,10 +266,17 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     the factors falls below ``tol``; exceeding ``max_iter`` returns the
     last iterate tagged unconverged.
 
-    One sweep costs, per mode, K - 1 mode products of the centered batch
-    (:func:`_mode_multiply`), one unfolding copy and one syrk
-    (:func:`_mode_gram`; the last mode needs no copy), plus one
-    :func:`gaussian_loglik` call for ``loglik_path``.
+    ``loglik_path`` holds one :func:`gaussian_loglik` value per sweep.  The
+    iteration makes it non-decreasing in exact arithmetic; at large n it is
+    monotone only up to rounding (on n = 50000, 10 x 10 samples a step can
+    fall by about 1e-9 on a log-likelihood of about -7e6).
+
+    One sweep costs, per mode, K - 1 mode products (:func:`_mode_multiply`)
+    and one syrk (:func:`_mode_gram`) per block of samples, plus one
+    :func:`gaussian_loglik` call.  Each block is centered and whitened on
+    its own (:func:`_product_blocks`), so the fit needs O(_BLOCK_BYTES)
+    memory besides the input, and the unfolding copy of every mode but the
+    last touches one block.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -244,7 +288,6 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     _guard_sample_size(n, dims)
 
     mean = x.mean(axis=0)
-    xc = x - mean
     if sigmas_init is None:
         sigmas = [np.eye(d) for d in dims]
     else:
@@ -256,11 +299,10 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     prev = None
     for iterations in range(1, max_iter + 1):
         for k in range(order):
-            z = xc
-            for j in range(order):
-                if j != k:
-                    z = _mode_multiply(z, _inv_sqrt_ridged(sigmas[j], ridge), j)
-            sigmas[k] = _mode_gram(z, k) / (n * (total // dims[k]))
+            whiteners = [None if j == k else _inv_sqrt_ridged(sigmas[j], ridge)
+                         for j in range(order)]
+            grams = (_mode_gram(z, k) for _, z in _product_blocks(x, whiteners, mean))
+            sigmas[k] = functools.reduce(np.add, grams) / (n * (total // dims[k]))
         logliks.append(gaussian_loglik(x, mean, sigmas))
         if prev is not None and _kron_rel_change(prev, sigmas) < tol:
             converged = True
@@ -292,12 +334,14 @@ def whiten(data, params):
     second moment of Z is the identity up to roughly ten times the fit
     tolerance; for matrices, (1/(d2 n)) sum_i Z_i Z_i^T and
     (1/(d1 n)) sum_i Z_i^T Z_i.
+
+    The samples are centered and whitened block by block into one
+    preallocated output, so the call needs the output plus
+    O(_BLOCK_BYTES) memory besides the input.
     """
     if tuple(data.dims) != tuple(params.dims):
         raise ValueError(
             f"dataset shape {tuple(data.dims)} does not match parameters {tuple(params.dims)}"
         )
-    z = data.samples - params.mean
-    for k in range(params.order):
-        z = _mode_multiply(z, params.factor_inv_sqrt(k), k)
-    return z
+    whiteners = [params.factor_inv_sqrt(k) for k in range(params.order)]
+    return _product(data.samples, whiteners, params.mean)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import MatrixDataset
 from .errors import TooFewSlices
-from .matnorm import TensorNormParams, flipflop_fit
+from .matnorm import TensorNormParams, _product, flipflop_fit
 from .smm import fit_rank1_smm, update_u
 
 
@@ -343,15 +343,15 @@ def fit_psvm_baseline(data, config=None):
 
 
 def reduce(data, estimate):
-    """Per-sample reduced coordinates basis' X basis (one contraction per mode)."""
+    """Per-sample reduced coordinates X x_1 B_1' ... x_K B_K' (basis' X basis for matrices).
+
+    Each block of samples is contracted mode by mode, the first mode as one
+    stacked matmul on a view of the block, into one preallocated output, so
+    the call needs the output plus O(4 MiB) memory besides the input.
+    """
     if tuple(data.dims) != tuple(b.shape[0] for b in estimate.mode_bases):
         raise ValueError("estimate dimensions do not match the dataset")
-    coords = data.samples
-    for k, basis in enumerate(estimate.mode_bases):
-        coords = np.moveaxis(
-            np.tensordot(basis.T, coords, axes=(1, k + 1)), 0, k + 1
-        )
-    return coords
+    return _product(data.samples, [basis.T for basis in estimate.mode_bases])
 
 
 def symmetric_triple(reduced):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from psmm import (
     SampleTooSmall,
     SingularCovariance,
     TensorNormParams,
+    TensorSubspaceEstimate,
     flipflop_fit,
     gaussian_loglik,
+    reduce,
     sample_mean,
     sym_inv_sqrt,
     whiten,
 )
+from psmm import matnorm
 from psmm.matnorm import _inv_sqrt_ridged, _kron_rel_change, _mode_gram, _mode_multiply
 
 
@@ -387,6 +391,13 @@ class TestFactorChecks:
         with pytest.raises(ValueError, match="mode 1"):
             gaussian_loglik(x, x.mean(axis=0), [np.eye(2), np.ones((3, 2))])
 
+    def test_loglik_rejects_mean_of_another_shape(self):
+        x = np.random.default_rng(101).standard_normal((50, 4, 3))
+        sigmas = [np.eye(4), np.eye(3)]
+        for mean in (np.zeros(3), np.zeros((4, 1)), 0.0, np.zeros((1, 4, 3))):
+            with pytest.raises(ValueError, match="mean has shape"):
+                gaussian_loglik(x, mean, sigmas)
+
     def test_flipflop_rejects_misshapen_init(self):
         data = TensorDataset(np.random.default_rng(97).standard_normal((30, 2, 3, 2)))
         with pytest.raises(ValueError, match="mode 1"):
@@ -395,3 +406,73 @@ class TestFactorChecks:
             flipflop_fit(data, sigmas_init=[np.eye(2), np.eye(3)])
         with pytest.raises(ValueError, match="mode 3"):
             flipflop_fit(data, sigmas_init=[np.eye(2), np.eye(3), np.eye(2), np.eye(2)])
+
+
+def _rel_diff(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _block_passes(data, params, estimate):
+    fit = flipflop_fit(data)
+    return (
+        fit,
+        gaussian_loglik(data.samples, params.mean, params.sigmas),
+        whiten(data, params),
+        reduce(data, estimate),
+    )
+
+
+class TestSampleBlocks:
+    """Every pass over the samples runs on blocks of ``matnorm._BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize(
+        "n, dims, per_block", [(203, (4, 3), 40), (157, (3, 2, 4), 30)]
+    )
+    def test_many_blocks_match_one_block(self, monkeypatch, n, dims, per_block):
+        rng = np.random.default_rng(103)
+        x = rng.standard_normal((n, *dims))
+        for k, d in enumerate(dims):
+            x = _reference_mode_multiply(x, rng.standard_normal((d, d)) + 2 * np.eye(d), k)
+        data = TensorDataset(x + 1.5)
+        bases = [np.linalg.qr(rng.standard_normal((d, 2)))[0] for d in dims]
+        estimate = TensorSubspaceEstimate(bases, [np.ones(d) for d in dims], (2,) * len(dims), {})
+        params = flipflop_fit(data)
+        one = _block_passes(data, params, estimate)
+        # per_block samples a block; the last block is ragged.
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * math.prod(dims) * per_block)
+        assert n // per_block >= 5 and n % per_block
+        many = _block_passes(data, params, estimate)
+
+        assert many[0].iterations == one[0].iterations
+        assert many[0].converged == one[0].converged
+        for got, ref in zip(many[0].sigmas, one[0].sigmas):
+            assert _rel_diff(got, ref) <= 1e-12
+        assert _rel_diff(many[0].loglik_path, one[0].loglik_path) <= 1e-12
+        assert abs(many[1] - one[1]) <= 1e-12 * abs(one[1])
+        for got, ref in zip(many[2:], one[2:]):
+            assert got.shape == ref.shape
+            assert _rel_diff(got, ref) <= 1e-12
+
+    def test_passes_allocate_one_block_besides_input(self):
+        # n = 40000 samples of 10 x 10 are 30.5 MiB; a block is 4 MiB.
+        rng = np.random.default_rng(107)
+        data = TensorDataset(rng.standard_normal((40000, 10, 10)))
+        bases = [np.linalg.qr(rng.standard_normal((10, r)))[0] for r in (1, 2)]
+        estimate = TensorSubspaceEstimate(bases, [np.ones(10)] * 2, (1, 2), {})
+        params = flipflop_fit(data)
+        budget = 16 << 20
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: flipflop_fit(data))[0] <= budget
+        assert peak(lambda: gaussian_loglik(data.samples, params.mean, params.sigmas))[0] <= budget
+        assert peak(lambda: reduce(data, estimate))[0] <= budget
+        used, white = peak(lambda: whiten(data, params))
+        assert used <= white.nbytes + budget
