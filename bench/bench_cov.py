@@ -20,7 +20,9 @@ as a user runs them.  Timing wrappers around ``fileio.read_mds1``,
 and ``fileio.read_estimate_json`` split it into layers; the CSV write is
 the reduce command's time minus its reads and its contraction.  One
 untimed round per file runs first.  Each row records the sweep count, the
-child's peak RSS (``ru_maxrss``), the fitted factors (float64, base64) and
+child's peak RSS (``ru_maxrss``) at its end (``maxrss_mib``) and right
+after its first ``psmm cov`` (``cov_maxrss_mib``), so a row shows which
+command sets the peak, the fitted factors (float64, base64) and
 the largest relative change of those factors against the row labelled
 ``parent``, max |new - base| / max |base| over every factor of every file.
 
@@ -96,6 +98,10 @@ def make_inputs(psmm, seed, workdir):
         psmm.fileio.write_estimate_json(workdir / f"{draw['name']}.estimate.json", estimate)
 
 
+def _maxrss_mib():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
 def measure(psmm, workdir, name, repeats):
     """Run one file's rounds; returns the medians, sweeps, factors and peak RSS."""
     spans = defaultdict(float)
@@ -125,12 +131,15 @@ def measure(psmm, workdir, name, repeats):
     red = ["reduce", "--input", data, "--model", str(workdir / f"{name}.estimate.json"),
            "--output", str(workdir / f"{name}.csv")]
     rounds = []
+    cov_maxrss = None
     for _ in range(repeats + 1):
         spans.clear()
         start = time.perf_counter()
         if psmm.cli.main(cov) != 0:
             raise SystemExit(f"psmm cov failed on {name}")
         spans["cov_cmd"] = time.perf_counter() - start
+        if cov_maxrss is None:
+            cov_maxrss = _maxrss_mib()
         cov_read = spans["read_mds1"]
         start = time.perf_counter()
         if psmm.cli.main(red) != 0:
@@ -150,7 +159,8 @@ def measure(psmm, workdir, name, repeats):
         **{key: round(value, 4) for key, value in sorted(medians.items())},
         "sweeps": params.iterations,
         "converged": bool(params.converged),
-        "maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "cov_maxrss_mib": cov_maxrss,
+        "maxrss_mib": _maxrss_mib(),
         "sigmas_b64": [base64.b64encode(np.ascontiguousarray(s, dtype="<f8").tobytes()).decode()
                        for s in params.sigmas],
     }
