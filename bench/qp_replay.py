@@ -20,15 +20,19 @@ still compare two solvers, provided both replayed the same problems: equal
 ``problems_sha256`` (factors, labels, boxes, tolerances and warm starts in
 call order).  ``--src`` imports psmm from another checkout's ``src``, so
 one copy of this script can measure two versions; ``--capture-src``
-captures the problems with another checkout (default: ``--src``), so that
-two solvers replay the same problem set.  When the output already holds a
-row labelled ``parent`` with the same ``problems_sha256``, the new row
-records ``same_solutions_as_parent``: whether the two solution digests
-are equal.  Both checkouts must build problems the same way: the capture
-reads each ``problem.factor`` and the replay passes it back as
-``SvmDualProblem(factor=...)``.
+captures the problems with another checkout (default: ``--src``).  When
+the two differ, both versions are loaded in this one process and replay
+the same capture in alternating rounds (the parent first in even rounds,
+second in odd ones), so that their timings share the host's state;
+the ``--capture-src`` version's row is labelled ``parent`` and the
+``--src`` version's row ``--label``, and both rows are written.  When
+the output holds a row labelled ``parent`` with the same
+``problems_sha256``, the new row records ``same_solutions_as_parent``:
+whether the two solution digests are equal.  Both checkouts must build
+problems the same way: the capture reads each ``problem.factor`` and the
+replay passes it back as ``SvmDualProblem(factor=...)``.
 
-    python3 bench/qp_replay.py --label parent --src ../parent/src
+    python3 bench/qp_replay.py --label change
     python3 bench/qp_replay.py --label change --capture-src ../parent/src
 """
 
@@ -158,47 +162,13 @@ def digest(solutions):
     return h.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
-    parser.add_argument("--seed", type=int, default=1, help="run_benchmark master seed")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
-    parser.add_argument("--capture-src", default=None,
-                        help="directory holding the psmm that captures the problems "
-                             "(default: --src)")
-    parser.add_argument("--output", default=str(ROOT / "BENCH_qp.json"))
-    parser.add_argument("--workdir", default=None,
-                        help="directory for the captured factors (default: a temporary one)")
-    args = parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        path = Path(tmp) / "factors.f8"
-        with open(path, "wb") as fh:
-            records = capture(import_psmm(args.capture_src or args.src), args.seed, fh)
-        problems_sha = problems_digest(records, path)
-        psmm = import_psmm(args.src)
-        factors = np.memmap(path, dtype=np.float64, mode="r")
-        times = []
-        first = None
-        for _ in range(args.repeats):
-            per_solve, solutions = replay(psmm, records, factors)
-            times.append(per_solve)
-            sha = digest(solutions)
-            if first is None:
-                first = sha
-            elif sha != first:
-                raise SystemExit("replay is not deterministic: digests differ between repeats")
-        del factors
-
+def make_row(label, args, records, solutions, times, sha, problems_sha):
+    """The BENCH_qp.json row of one version's replays."""
     updates = sum(sol.iterations for sol in solutions)
-    kkt_max = max(sol.kkt_residual for sol in solutions)
-    balance_max = max(abs(float(sol.alphas @ rec["labels"]))
-                      for sol, rec in zip(solutions, records))
     seconds = [math.fsum(t) for t in times]
     median = statistics.median(seconds)
-    row = {
-        "label": args.label,
+    return {
+        "label": label,
         "seed": args.seed,
         "grid": GRID,
         "solves": len(records),
@@ -210,10 +180,11 @@ def main(argv=None):
         "median_s": round(median, 4),
         "us_per_update": round(1e6 * median / max(updates, 1), 3),
         "converged": sum(bool(sol.converged) for sol in solutions),
-        "kkt_max": kkt_max,
-        "balance_max": balance_max,
+        "kkt_max": max(sol.kkt_residual for sol in solutions),
+        "balance_max": max(abs(float(sol.alphas @ rec["labels"]))
+                           for sol, rec in zip(solutions, records)),
         "dual_objective_sum": math.fsum(sol.dual_objective for sol in solutions),
-        "solutions_sha256": first,
+        "solutions_sha256": sha,
         "problems_sha256": problems_sha,
         "env": {
             "python": platform.python_version(),
@@ -223,15 +194,67 @@ def main(argv=None):
             "machine": platform.machine(),
         },
     }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("--seed", type=int, default=1, help="run_benchmark master seed")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
+    parser.add_argument("--capture-src", default=None,
+                        help="directory holding the psmm that captures the problems "
+                             "(default: --src); a different one is replayed too, "
+                             "alternating with --src, and written as the parent row")
+    parser.add_argument("--output", default=str(ROOT / "BENCH_qp.json"))
+    parser.add_argument("--workdir", default=None,
+                        help="directory for the captured factors (default: a temporary one)")
+    args = parser.parse_args(argv)
+    capture_src = args.capture_src or args.src
+    two_sided = Path(capture_src).resolve() != Path(args.src).resolve()
+    if two_sided and args.label == "parent":
+        raise SystemExit("--label parent names the --capture-src row; pick another label")
+
+    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        path = Path(tmp) / "factors.f8"
+        capture_psmm = import_psmm(capture_src)
+        with open(path, "wb") as fh:
+            records = capture(capture_psmm, args.seed, fh)
+        problems_sha = problems_digest(records, path)
+        sides = [(args.label, import_psmm(args.src))]
+        if two_sided:
+            sides.insert(0, ("parent", capture_psmm))
+        factors = np.memmap(path, dtype=np.float64, mode="r")
+        times = {label: [] for label, _ in sides}
+        last = {}
+        digests = {}
+        for repeat in range(args.repeats):
+            for label, psmm in (sides if repeat % 2 == 0 else sides[::-1]):
+                per_solve, solutions = replay(psmm, records, factors)
+                times[label].append(per_solve)
+                last[label] = solutions
+                sha = digest(solutions)
+                if digests.setdefault(label, sha) != sha:
+                    raise SystemExit(f"{label} replay is not deterministic: "
+                                     "digests differ between repeats")
+        del factors
+
+    new_rows = [make_row(label, args, records, last[label], times[label], digests[label],
+                         problems_sha) for label, _ in sides]
+    if two_sided:
+        new_rows[0]["alternated_with"] = args.label
+        new_rows[1]["alternated_with"] = "parent"
     out = Path(args.output)
     rows = json.loads(out.read_text())["rows"] if out.exists() else []
-    rows = [r for r in rows if r["label"] != args.label]
-    parent = next((r for r in rows if r["label"] == "parent"), None)
-    if parent is not None and parent["problems_sha256"] == problems_sha:
-        row["same_solutions_as_parent"] = parent["solutions_sha256"] == first
-    rows.append(row)
+    labels = {row["label"] for row in new_rows}
+    rows = [r for r in rows if r["label"] not in labels]
+    parent = next((r for r in rows + new_rows if r["label"] == "parent"), None)
+    for row in new_rows:
+        if row is not parent and parent is not None and parent["problems_sha256"] == problems_sha:
+            row["same_solutions_as_parent"] = parent["solutions_sha256"] == row["solutions_sha256"]
+        rows.append(row)
+        print(json.dumps(row))
     out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
-    print(json.dumps(row))
     return 0
 
 

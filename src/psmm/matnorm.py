@@ -102,31 +102,35 @@ def _mode_gram(batch, mode):
     return u @ u.T
 
 
-def _product_blocks(samples, mats, mean=None):
-    """Yield (rows, Z) over consecutive blocks of about ``_BLOCK_BYTES`` of samples.
+def _map_blocks(fn, samples, mats, mean=None):
+    """[fn(rows, Z) for consecutive blocks of about ``_BLOCK_BYTES`` of samples].
 
     Z = (X[rows] - mean) x_1 mats[0] ... x_K mats[K-1], where a ``None``
     entry of ``mats`` leaves its mode alone and ``mean=None`` skips the
     centering.  Each block holds max(1, _BLOCK_BYTES // (8 prod d_k))
     samples; an input of one block runs the same arithmetic as the whole
-    batch at once.
+    batch at once.  A block's Z is dropped before the next block is
+    centered, so with square ``mats`` a pass holds at most two blocks
+    besides the input: the operand and the result of one product.
     """
     step = max(1, _BLOCK_BYTES // (8 * math.prod(samples.shape[1:])))
+    results = []
     for start in range(0, samples.shape[0], step):
         rows = slice(start, start + step)
         z = samples[rows] if mean is None else samples[rows] - mean
         for k, mat in enumerate(mats):
             if mat is not None:
                 z = _mode_multiply(z, mat, k)
-        yield rows, z
+        results.append(fn(rows, z))
+        del z
+    return results
 
 
 def _product(samples, mats, mean=None):
-    """The whole batch of :func:`_product_blocks`, written block by block into one array."""
+    """The whole batch of :func:`_map_blocks` products, written block by block into one array."""
     out_dims = [d if m is None else m.shape[0] for d, m in zip(samples.shape[1:], mats)]
     out = np.empty((samples.shape[0], *out_dims))
-    for rows, z in _product_blocks(samples, mats, mean):
-        out[rows] = z
+    _map_blocks(out.__setitem__, samples, mats, mean)
     return out
 
 
@@ -216,7 +220,7 @@ def gaussian_loglik(samples, mean, sigmas):
     """Log-likelihood of i.i.d. samples under a tensor-normal model.
 
     ``mean`` must have the shape of one sample.  The samples are centered
-    and whitened block by block (:func:`_product_blocks`); the quadratic
+    and whitened block by block (:func:`_map_blocks`); the quadratic
     term sums each block's dot product with itself, so the pass needs
     O(_BLOCK_BYTES) memory besides the input.
     """
@@ -235,7 +239,7 @@ def gaussian_loglik(samples, mean, sigmas):
             raise SingularCovariance("log-likelihood needs positive definite factors")
         whiteners.append((v * w**-0.5) @ v.T)
         logdet += (total / dims[k]) * float(np.log(w).sum())
-    quad = sum(float(np.vdot(z, z)) for _, z in _product_blocks(samples, whiteners, mean))
+    quad = sum(_map_blocks(lambda _, z: float(np.vdot(z, z)), samples, whiteners, mean))
     return -0.5 * (n * total * _LOG_2PI + n * logdet + quad)
 
 
@@ -274,7 +278,7 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     One sweep costs, per mode, K - 1 mode products (:func:`_mode_multiply`)
     and one syrk (:func:`_mode_gram`) per block of samples, plus one
     :func:`gaussian_loglik` call.  Each block is centered and whitened on
-    its own (:func:`_product_blocks`), so the fit needs O(_BLOCK_BYTES)
+    its own (:func:`_map_blocks`), so the fit needs O(_BLOCK_BYTES)
     memory besides the input, and the unfolding copy of every mode but the
     last touches one block.
     """
@@ -301,7 +305,7 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
         for k in range(order):
             whiteners = [None if j == k else _inv_sqrt_ridged(sigmas[j], ridge)
                          for j in range(order)]
-            grams = (_mode_gram(z, k) for _, z in _product_blocks(x, whiteners, mean))
+            grams = _map_blocks(lambda _, z: _mode_gram(z, k), x, whiteners, mean)
             sigmas[k] = functools.reduce(np.add, grams) / (n * (total // dims[k]))
         logliks.append(gaussian_loglik(x, mean, sigmas))
         if prev is not None and _kron_rel_change(prev, sigmas) < tol:

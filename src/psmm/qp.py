@@ -22,13 +22,12 @@ method written in a.  Between pair updates the loop carries only beta
 and the scores; a pair update changes the scores by
 -(step/2) F (z_i - z_j), one n x r product.
 
-The first working-set index maximizes the KKT violation; the partner is
-chosen by the exact box-clipped gain among violating candidates, which
-avoids the slow zigzag of purely first-order pair selection on
-rank-deficient kernels.  Each selected pair is minimized exactly subject
-to its box and balance constraints, so the dual objective never
-increases.  Progress is measured by the maximal-violating-pair gap; when
-it closes, a full recomputation of the scores confirms optimality before
+Each pair update takes the maximal violating pair (Keerthi et al. 2001):
+i maximizes the score among the indices that may move up, j minimizes it
+among those that may move down.  The pair is minimized exactly subject to
+its box and balance constraints, so the dual objective never increases.
+Progress is measured by the gap crit_i - crit_j of that pair; when it
+closes, a full recomputation of the scores confirms optimality before
 the solver reports convergence.
 
 A face polish minimizes directly over the interior (margin) coordinates,
@@ -38,7 +37,11 @@ first pair update and every 8 pair updates, so that the polish solves the
 face and the pair updates mostly repair the active set (which coordinates
 sit at a bound), as in an active-set method (Scheinberg 2006).  A polish
 ends as soon as a round leaves every face coordinate strictly inside its
-bounds, because the face optimum is then reached.
+bounds, because the face optimum is then reached.  First-order pairs
+alone zigzag across the rank-deficient faces of a low-rank kernel; since
+the polish solves those faces, and a cold solve starts from a polished
+crossover point (below), the pair updates need no second-order choice
+of partner.
 
 A cold solve (no usable warm start) does not start the pair updates from
 a = 0, where they would need O(#SV) updates of O(n r) each.  It first
@@ -239,29 +242,6 @@ def _ride_face_direction(factor, rows, face, beta, crit, lo, hi, box, delta, max
     return True, hit
 
 
-def _best_gain_partner(kernel_row, diag, crit, low, down, i, cap_i):
-    """Partner maximizing the exact (box-clipped) two-variable decrease.
-
-    ``kernel_row`` is row i of the kernel, ``down`` the down-move room
-    beta - lo of every index and ``cap_i`` the up-move room of i.
-    Rank-deficient kernels have many zero-curvature pairs; the usual
-    slack^2/curvature score overrates them, so the achievable decrease is
-    evaluated with the step clipped to the bounds.  Every index is scored,
-    the candidates (down-movable with a lower score than i) are masked, and
-    (j, step, step limit min(cap_i, down_j)) is read from the scoring
-    vectors.  While the gap exceeds the tolerance, the most violating
-    partner is a candidate, so one always exists.
-    """
-    crit_i = crit.item(i)
-    slack = crit_i - crit
-    curv = 0.5 * (diag.item(i) + diag - 2.0 * kernel_row)
-    step_max = np.minimum(down, cap_i)
-    step = np.where(curv > 0.0, np.minimum(slack / curv, step_max), step_max)
-    gain = slack * step - 0.5 * curv * step * step
-    j = int(np.where(low & (crit < crit_i), gain, -np.inf).argmax())
-    return j, step.item(j), step_max.item(j)
-
-
 def _step_to_boundary(x, dx):
     """Largest t <= 1 keeping x + t dx >= 0."""
     return min(1.0, float((-x / dx).min(where=dx < 0.0, initial=np.inf)))
@@ -447,7 +427,6 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
         beta, interior = _interior_point(factor, y, box)
 
     crit = y - _decisions(factor, beta)
-    diag = np.einsum("ij,ij->i", factor, factor)
     objective_path = []
     if track_objective:
         objective_path.append(_objective(y, beta, _decisions(factor, beta)))
@@ -472,11 +451,12 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
                     if track_objective:
                         objective_path.append(_objective(y, beta, _decisions(factor, beta)))
                     continue
-            row_i = factor @ factor[i]
-            down = beta - lo
+            edge = factor[i] - factor[j]
+            curv = 0.5 * float(edge @ edge)
             cap_i = hi.item(i) - beta.item(i)
-            j, step, step_max = _best_gain_partner(row_i, diag, crit, low, down, i, cap_i)
-            cap_j = down.item(j)
+            cap_j = beta.item(j) - lo.item(j)
+            step_max = min(cap_i, cap_j)
+            step = min(gap / curv, step_max) if curv > 0.0 else step_max
             if not step > 0.0:
                 # Numerical stall: the fresh gap after the loop decides.
                 converged = True
@@ -495,7 +475,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             beta[j] = min(max(bj, lo.item(j)), hi.item(j))
             # crit = y - f, and the pair moves beta by +step at i and -step
             # at j, so f moves by (step/2) F (z_i - z_j).
-            crit -= factor @ ((0.5 * step) * (factor[i] - factor[j]))
+            crit -= factor @ ((0.5 * step) * edge)
             updates += 1
             if track_objective:
                 objective_path.append(_objective(y, beta, _decisions(factor, beta)))

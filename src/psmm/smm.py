@@ -283,15 +283,10 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
                     break
                 us[k] = direction
             new_objective = _objective_core(centered, us, t, labels, sigmas, lam)
-            if degenerate:
-                converged = True
-                objective = new_objective
-                break
-            if objective - new_objective <= tol * max(objective, 1e-30):
-                converged = True
-                objective = new_objective
-                break
+            converged = degenerate or objective - new_objective <= tol * max(objective, 1e-30)
             objective = new_objective
+            if converged:
+                break
         us = _balance(us)
         objective = _objective_core(centered, us, t, labels, sigmas, lam)
         if best is None or objective < best[0]:

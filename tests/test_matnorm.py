@@ -471,8 +471,14 @@ class TestSampleBlocks:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: flipflop_fit(data))[0] <= budget
-        assert peak(lambda: gaussian_loglik(data.samples, params.mean, params.sigmas))[0] <= budget
+        fit_peak = peak(lambda: flipflop_fit(data))[0]
+        loglik_peak = peak(lambda: gaussian_loglik(data.samples, params.mean, params.sigmas))[0]
+        assert fit_peak <= budget
+        assert loglik_peak <= budget
+        # One product's operand and result: no earlier block is kept alive.
+        two_blocks = 2 * matnorm._BLOCK_BYTES + (1 << 20)
+        assert fit_peak <= two_blocks
+        assert loglik_peak <= two_blocks
         assert peak(lambda: reduce(data, estimate))[0] <= budget
         used, white = peak(lambda: whiten(data, params))
         assert used <= white.nbytes + budget

@@ -208,17 +208,32 @@ class TestOracleProjection:
 
 class TestOracleEquivalence:
     def test_random_problems(self):
+        # Each drawn problem is also posed with its factor rounded (tied
+        # kernel entries) and with every even row repeated in the next one
+        # (duplicated rows), the faces on which pair updates zigzag.  Each is
+        # solved cold and from the zero start; a cold solve usually ends at
+        # its crossover, so the zero start is what reaches the pair updates.
         rng = np.random.default_rng(77)
+        pair_updates = 0
         for trial in range(30):
             box = [0.1, 1.0, 10.0][trial % 3]
-            prob = random_problem(rng, box=box)
-            sol = solve_svm_dual(prob)
-            assert sol.converged
-            assert sol.kkt_residual <= 1e-8
-            ora = pg_oracle(prob.factor @ prob.factor.T, prob.labels, box)
-            obj_o = dual_objective_value(prob.factor, prob.labels, ora)
-            assert sol.dual_objective <= obj_o + 1e-6
-            assert abs(sol.dual_objective - obj_o) <= 1e-6
+            drawn = random_problem(rng, box=box)
+            n = drawn.n
+            rounded = np.round(drawn.factor)
+            duplicated = drawn.factor[np.arange(n) // 2 * 2]
+            for factor in (drawn.factor, rounded, duplicated):
+                prob = SvmDualProblem(factor=factor, labels=drawn.labels, box=box)
+                ora = pg_oracle(prob.factor @ prob.factor.T, prob.labels, box)
+                obj_o = dual_objective_value(prob.factor, prob.labels, ora)
+                for warm in (None, np.zeros(n)):
+                    sol = solve_svm_dual(prob, warm_alphas=warm)
+                    assert sol.converged
+                    assert sol.kkt_residual <= 1e-8
+                    assert sol.dual_objective <= obj_o + 1e-6
+                    assert abs(sol.dual_objective - obj_o) <= 1e-6
+                    if warm is not None:
+                        pair_updates += sol.iterations
+        assert pair_updates > 0
 
     def test_solution_feasible(self):
         rng = np.random.default_rng(5)
