@@ -1,8 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psmm import (
     MatrixDataset,
@@ -20,6 +23,17 @@ from psmm import (
 )
 from psmm import matnorm
 from psmm.matnorm import _inv_sqrt_ridged, _kron_rel_change, _mode_gram, _mode_multiply
+
+
+def _well_conditioned(rng, d):
+    """A random d x d matrix with singular values in [0.5, 2]."""
+    q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (q1 * rng.uniform(0.5, 2.0, d)) @ q2
+
+
+def _kron_all(factors):
+    return functools.reduce(np.kron, factors)
 
 
 def _kron_rel_err(sig_row, sig_col, true_row, true_col):
@@ -156,6 +170,33 @@ class TestFlipFlop:
         expected = ba @ kron1 @ ba.T
         rel = np.linalg.norm(kron2 - expected) / np.linalg.norm(expected)
         assert rel <= 1e-6
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(4, 3), (3, 2, 4)]))
+    def test_equivariance_from_default_start(self, seed, dims):
+        # X_i -> X_i x_1 A_1 ... x_K A_K maps the MLE mean to the same
+        # product and kron(sigmas) to A kron(sigmas) A^T, A = A_1 x ... x A_K
+        # (the C-order vec: the last mode varies fastest).
+        # Both fits start from identity factors, so they agree to the fit
+        # tolerance, not to rounding.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((300, *dims)) + rng.standard_normal(dims)
+        mats = [_well_conditioned(rng, d) for d in dims]
+        x2 = x
+        for k, a in enumerate(mats):
+            x2 = _reference_mode_multiply(x2, a, k)
+        params = flipflop_fit(TensorDataset(x))
+        params2 = flipflop_fit(TensorDataset(x2))
+        assert params.converged and params2.converged
+
+        mapped = params.mean
+        for k, a in enumerate(mats):
+            mapped = _reference_mode_multiply(mapped[None], a, k)[0]
+        assert _rel_diff(params2.mean, mapped) <= 1e-12
+        big = _kron_all(mats)
+        expected = big @ _kron_all(params.sigmas) @ big.T
+        got = _kron_all(params2.sigmas)
+        assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
 
     def test_scale_convention_invariance(self):
         # Rescaling each sweep or only at the end gives the same product.
@@ -374,6 +415,69 @@ class TestModeHelpers:
         assert len(params.loglik_path) == len(path)
         for got, ref in zip(params.loglik_path, path):
             assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _transformed_draw(rng, n, dims):
+    # The moment path's rounding grows with the condition number of the
+    # covariance (see flipflop_fit); mode factors of condition <= 16 keep
+    # it well below the 1e-12 agreement asked of the two paths.
+    x = rng.standard_normal((n, *dims))
+    for k, d in enumerate(dims):
+        x = _reference_mode_multiply(x, _well_conditioned(rng, d), k)
+    return x + 1.5
+
+
+class TestMomentPath:
+    """Samples whose second moment fits in one block are read once for it."""
+
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 4), (2, 3, 2, 2)])
+    def test_moment_and_streamed_paths_agree(self, monkeypatch, dims):
+        n = 240
+        total = math.prod(dims)
+        x = _transformed_draw(np.random.default_rng(109), n, dims)
+        data = TensorDataset(x)
+        calls = []
+        map_blocks = matnorm._map_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return map_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(matnorm, "_map_blocks", counting)
+        moment = flipflop_fit(data)
+        assert len(calls) == 1
+        # One block can no longer hold M: every update re-reads the samples.
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * total**2 - 8)
+        calls.clear()
+        streamed = flipflop_fit(data)
+        assert len(calls) == (len(dims) + 1) * streamed.iterations
+
+        assert moment.iterations == streamed.iterations
+        assert moment.converged == streamed.converged
+        for got, ref in zip(moment.sigmas, streamed.sigmas):
+            assert _rel_diff(got, ref) <= 1e-12
+        assert _rel_diff(moment.loglik_path, streamed.loglik_path) <= 1e-12
+
+        vecs = (x - moment.mean).reshape(n, total)
+        second = vecs.T @ vecs
+        ll = gaussian_loglik(x, moment.mean, moment.sigmas)
+        ll_moment = gaussian_loglik(x, moment.mean, moment.sigmas, second_moment=second)
+        assert abs(ll_moment - ll) <= 1e-12 * abs(ll)
+
+    def test_second_moment_is_symmetric_sum_over_blocks(self, monkeypatch):
+        x = _transformed_draw(np.random.default_rng(113), 157, (3, 2, 4))
+        mean = x.mean(axis=0)
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * 24 * 30)
+        got = matnorm._second_moment(x, mean)
+        vecs = (x - mean).reshape(157, 24)
+        assert np.array_equal(got, got.T)
+        assert _rel_diff(got, vecs.T @ vecs) <= 1e-13
+
+    def test_loglik_rejects_misshapen_second_moment(self):
+        x = np.random.default_rng(127).standard_normal((20, 2, 3))
+        with pytest.raises(ValueError, match="second_moment has shape"):
+            gaussian_loglik(x, x.mean(axis=0), [np.eye(2), np.eye(3)],
+                            second_moment=np.eye(5))
 
 
 class TestFactorChecks:
