@@ -125,7 +125,7 @@ def slice_labels(responses, n_slices):
     if n_slices < 2:
         raise ValueError("slice count must be at least 2 (H >= 2)")
     if n < 4:
-        raise ValueError("need at least 4 responses to slice")
+        raise TooFewSlices("need at least 4 responses to slice")
     order_stats = np.sort(y)
     cutpoints = np.empty(n_slices)
     retained = []

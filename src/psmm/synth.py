@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import MatrixDataset
 from .errors import PsmmError
-from .pipeline import PsmmConfig, fit_psmm, fit_psvm_baseline
+from .pipeline import PsmmConfig, _validate_fixed_dims, fit_psmm, fit_psvm_baseline
 
 BENCHMARK_METHODS = ("psmm", "psvm")
 
@@ -238,7 +238,7 @@ def _run_single(task):
             )
         r1, r2 = estimate.selected_dims
         status = "ok"
-    except (PsmmError, ValueError, np.linalg.LinAlgError) as exc:
+    except (PsmmError, np.linalg.LinAlgError) as exc:
         distance = float("nan")
         r1 = r2 = None
         status = f"error:{type(exc).__name__}"
@@ -273,7 +273,10 @@ def run_benchmark(
     Replicate data seeds depend only on (seed, model, d, n, replicate),
     so all methods inside a cell see identical data.  Rows come back in
     canonical (model, method, d, n, replicate) order regardless of
-    ``jobs``; failed fits are recorded as error rows, not raised.
+    ``jobs``; fits that fail with a :class:`PsmmError` or a
+    ``LinAlgError`` are recorded as error rows, not raised.  A ``config``
+    whose fixed ``dims`` do not fit every d of ``d_grid`` raises
+    ``ValueError`` before any fit.
     """
     models = list(models)
     methods = list(methods)
@@ -285,6 +288,8 @@ def run_benchmark(
         if method not in BENCHMARK_METHODS:
             raise ValueError(f"unknown method {method!r}")
     config = config if config is not None else PsmmConfig()
+    for d in d_grid:
+        _validate_fixed_dims(config.dims, (d, d))
 
     tasks = [
         (model, method, n, d, replicate, noise_sd, config, seed)

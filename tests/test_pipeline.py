@@ -38,6 +38,12 @@ class TestSliceLabels:
         with pytest.raises(TooFewSlices):
             slice_labels(np.full(20, 3.3), 10)
 
+    def test_fewer_than_four_responses(self):
+        # Too little data is a PsmmError, which the benchmark grid records
+        # as an error row; a ValueError there is a caller's mistake.
+        with pytest.raises(TooFewSlices, match="at least 4"):
+            slice_labels(np.arange(3, dtype=float), 2)
+
     def test_h_below_two_rejected(self):
         with pytest.raises(ValueError):
             slice_labels(np.arange(8, dtype=float), 1)

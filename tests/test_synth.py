@@ -9,6 +9,7 @@ from psmm import (
     sample_matrix_normal,
     subspace_distance,
 )
+from psmm import synth
 
 
 class TestSampleMatrixNormal:
@@ -206,6 +207,17 @@ class TestRunBenchmark:
         row = result.rows[0]
         assert row.status.startswith("error:")
         assert np.isnan(row.distance)
+
+    def test_bad_fixed_dims_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(synth, "fit_psmm", lambda *a: fits.append(a))
+        monkeypatch.setattr(synth, "fit_psvm_baseline", lambda *a: fits.append(a))
+        with pytest.raises(ValueError, match="fixed rank 5"):
+            run_benchmark(
+                models=[1], methods=["psmm", "psvm"], n_grid=[40], d_grid=[6, 3],
+                replicates=1, config=PsmmConfig(dims=(1, 5)), seed=1,
+            )
+        assert fits == []
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
