@@ -10,8 +10,12 @@ Grid (``--seed`` draws the data):
 
 * three draws shaped like perfbench's cov-reduce inputs: n = 50000
   standard matrix-normal 10 x 10 samples with model-1 responses;
-* one order-3 draw, n = 20000 standard normal 6 x 6 x 6 samples, whose
-  middle mode takes the stacked-matmul path of the mode product.
+* one order-3 draw, n = 20000 standard normal 6 x 6 x 6 samples; its
+  middle mode takes the stacked-matmul path of the mode product in
+  ``reduce`` (the flip-flop works on the second moment there);
+* one n = 4000 standard matrix-normal 32 x 32 draw, whose 8 MiB second
+  moment does not fit in one sample block, so its flip-flop re-reads the
+  samples at every mode update (the streamed path).
 
 A round is ``psmm cov`` and then ``psmm reduce`` onto a seeded random
 orthonormal estimate (ranks 1 and 2 per mode), run through ``cli.main``
@@ -20,6 +24,9 @@ as a user runs them.  Timing wrappers around ``fileio.read_mds1``,
 and ``fileio.read_estimate_json`` split it into layers; the CSV write is
 the reduce command's time minus its reads and its contraction.  One
 untimed round per file runs first.  Each row records the sweep count, the
+passes over the samples that one ``psmm cov`` makes in blocks
+(``cov_sample_passes``: calls of ``matnorm._map_blocks``; the mean's pass
+is not counted), the
 child's peak RSS (``ru_maxrss``) at its end (``maxrss_mib``) and right
 after its first ``psmm cov`` (``cov_maxrss_mib``), so a row shows which
 command sets the peak, the fitted factors (float64, base64) and
@@ -60,7 +67,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 GRID = [
     {"name": f"matrix_{i}", "n": 50000, "dims": [10, 10], "response": True} for i in range(3)
-] + [{"name": "order3", "n": 20000, "dims": [6, 6, 6], "response": False}]
+] + [
+    {"name": "order3", "n": 20000, "dims": [6, 6, 6], "response": False},
+    {"name": "matrix_32", "n": 4000, "dims": [32, 32], "response": True},
+]
 RANKS = (1, 2)
 CHILD_TIMEOUT_S = 900
 
@@ -125,6 +135,14 @@ def measure(psmm, workdir, name, repeats):
     timed(psmm.cli, "flipflop_fit", "flipflop", fits)
     timed(psmm.matnorm, "gaussian_loglik", "loglik")
     timed(psmm.cli, "reduce_features", "reduce")
+    sample_passes = []
+    map_blocks = psmm.matnorm._map_blocks
+
+    def counting_map_blocks(*args, **kwargs):
+        sample_passes.append(1)
+        return map_blocks(*args, **kwargs)
+
+    psmm.matnorm._map_blocks = counting_map_blocks
 
     data = str(workdir / f"{name}.mds1")
     cov = ["cov", "--input", data, "--output", str(workdir / f"{name}.cov.json")]
@@ -132,12 +150,15 @@ def measure(psmm, workdir, name, repeats):
            "--output", str(workdir / f"{name}.csv")]
     rounds = []
     cov_maxrss = None
+    cov_passes = set()
     for _ in range(repeats + 1):
         spans.clear()
+        sample_passes.clear()
         start = time.perf_counter()
         if psmm.cli.main(cov) != 0:
             raise SystemExit(f"psmm cov failed on {name}")
         spans["cov_cmd"] = time.perf_counter() - start
+        cov_passes.add(len(sample_passes))
         if cov_maxrss is None:
             cov_maxrss = _maxrss_mib()
         cov_read = spans["read_mds1"]
@@ -151,13 +172,14 @@ def measure(psmm, workdir, name, repeats):
         rounds.append(dict(spans))
     rounds = rounds[1:]  # the first round fills caches
     params = fits[-1]
-    if any(f.iterations != params.iterations for f in fits):
-        raise SystemExit(f"sweep count changed between rounds on {name}")
+    if any(f.iterations != params.iterations for f in fits) or len(cov_passes) != 1:
+        raise SystemExit(f"sweep or sample-pass count changed between rounds on {name}")
     medians = {f"{key}_s": statistics.median(r[key] for r in rounds) for key in rounds[0]}
     medians["sweep_s"] = medians["flipflop_s"] / params.iterations
     return {
         **{key: round(value, 4) for key, value in sorted(medians.items())},
         "sweeps": params.iterations,
+        "cov_sample_passes": cov_passes.pop(),
         "converged": bool(params.converged),
         "cov_maxrss_mib": cov_maxrss,
         "maxrss_mib": _maxrss_mib(),
@@ -226,7 +248,8 @@ def main(argv=None):
 
     out = Path(args.output)
     rows = json.loads(out.read_text())["rows"] if out.exists() else []
-    base = next((r for r in rows if r["label"] == "parent"), None)
+    base = None if args.label == "parent" else next(
+        (r for r in rows if r["label"] == "parent"), None)
     row = {
         "label": args.label,
         "seed": args.seed,
