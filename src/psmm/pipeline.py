@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import MatrixDataset
 from .errors import TooFewSlices
-from .matnorm import TensorNormParams, _product, flipflop_fit
+from .matnorm import TensorNormParams, _product, _second_moment, flipflop_fit
 from .smm import fit_rank1_smm, update_u
 
 
@@ -308,8 +308,7 @@ def fit_psvm_baseline(data, config=None):
     dim = data.dims[0] * data.dims[1]
     vecs = data.samples.transpose(0, 2, 1).reshape(n, dim)
     vbar = vecs.mean(axis=0)
-    centered = vecs - vbar
-    cov = (centered.T @ centered) / n
+    cov = _second_moment(vecs, vbar) / n
     cov = cov + 1e-6 * (np.trace(cov) / dim) * np.eye(dim)
     params = TensorNormParams(mean=vbar[:, None], sigmas=[cov, np.eye(1)])
     vec_data = MatrixDataset(vecs[:, :, None], data.responses)

@@ -14,6 +14,11 @@ direction update.
 Every function takes a dataset and a :class:`~psmm.matnorm.TensorNormParams`
 of any order; ``update_u`` and ``update_v`` are the two mode updates of
 the matrix case.
+
+Every pass over the samples (mode features, decision values, the
+class-mean gap) is a blocked pass of :mod:`psmm.matnorm`, which centers
+and contracts about 4 MiB of samples at a time, so a fit holds the input,
+O(4 MiB) and a few n x d_k arrays for each mode step's dual QP.
 """
 
 from dataclasses import dataclass
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDirection
+from .matnorm import _map_blocks, _mode_gram, _product
 from .qp import SvmDualProblem, solve_svm_dual
 
-_MODE_LETTERS = "abcdefghijklmnopqrstuvwxy"  # 'z' is reserved for the sample axis
 _ZERO_NORM = 1e-30
 _ZERO_STEP_EPS = 64 * np.finfo(np.float64).eps  # relative rounding of a zero step
 _QP_TOL = 1e-8  # KKT tolerance of every mode subproblem's dual
@@ -71,30 +76,28 @@ def mode_k_contract(tensor, vectors, skip=None):
                 f"vector for mode {mode} has shape {np.shape(vec)}, "
                 f"expected ({tensor.shape[mode]},)"
             )
-    result = _batch_contract(tensor[None], vectors, skip)[0]
+    result = _contract(tensor[None], vectors, skip=skip)[0]
     return float(result) if skip is None else result
 
 
-def _batch_contract(centered, vectors, skip=None):
-    """Contract every sample in a (n, d1, ..., dK) batch; see mode_k_contract."""
-    order = centered.ndim - 1
-    operands = [centered]
-    subs = ["z" + _MODE_LETTERS[:order]]
-    for mode in range(order):
-        if mode == skip:
-            continue
-        operands.append(np.asarray(vectors[mode], dtype=np.float64))
-        subs.append(_MODE_LETTERS[mode])
-    out = "z" + ("" if skip is None else _MODE_LETTERS[skip])
-    return np.einsum(",".join(subs) + "->" + out, *operands)
+def _contract(samples, vectors, mean=None, skip=None):
+    """mode_k_contract of every sample minus ``mean``: (n,) values, or (n, d_skip) with ``skip``.
+
+    One blocked :func:`~psmm.matnorm._product` whose mode-k matrix is the
+    1 x d_k row ``vectors[k]``.
+    """
+    mats = [None if k == skip else np.asarray(u, dtype=np.float64)[None]
+            for k, u in enumerate(vectors)]
+    out = _product(samples, mats, mean).reshape(len(samples), -1)
+    return out[:, 0] if skip is None else out
 
 
-def _objective_core(centered, us, t, labels, sigmas, lam):
-    n = centered.shape[0]
-    decisions = _batch_contract(centered, us)
+def _objective_core(samples, us, t, labels, params, lam):
+    n = samples.shape[0]
+    decisions = _contract(samples, us, params.mean)
     hinge = np.maximum(0.0, 1.0 - labels * (decisions - t)).sum()
     quad = 1.0
-    for u, sigma in zip(us, sigmas):
+    for u, sigma in zip(us, params.sigmas):
         quad *= float(u @ sigma @ u)
     return quad + (lam / n) * float(hinge)
 
@@ -102,16 +105,16 @@ def _objective_core(centered, us, t, labels, sigmas, lam):
 def objective_eval(us, t, data, labels, params, lam):
     """Sample objective at (u_1, ..., u_K, t); centering uses the fitted mean."""
     labels = _check_labels(labels, data.n)
-    centered = data.samples - params.mean
     us = [np.asarray(u, dtype=np.float64) for u in us]
-    return _objective_core(centered, us, t, labels, params.sigmas, lam)
+    return _objective_core(data.samples, us, t, labels, params, lam)
 
 
-def _mode_step(centered, labels, us, k, params, lam, warm_alphas):
+def _mode_step(samples, labels, us, k, params, lam, warm_alphas):
     """Exact minimizer over direction k with the directions of the other modes fixed.
 
     ``us[k]`` is ignored and may be None.  The subproblem is a linear SVM
-    on feats, the centered samples contracted over every other mode, with
+    on feats, the samples centered at ``params.mean`` and contracted over
+    every other mode in one blocked pass (an n x d_k array), with
     ``scale`` the product of the quadratic forms of the fixed directions.
     Its dual kernel feats Sigma_k^{-1} feats' / scale is H H' for the
     factor H = feats Sigma_k^{-1/2} / sqrt(scale), which the dual problem
@@ -127,7 +130,7 @@ def _mode_step(centered, labels, us, k, params, lam, warm_alphas):
         raise DegenerateDirection(
             f"fixed directions give a quadratic-form product of {scale:.3e}"
         )
-    feats = _batch_contract(centered, us, skip=k)
+    feats = _contract(samples, us, params.mean, skip=k)
     n = feats.shape[0]
     root = params.factor_inv_sqrt(k) / np.sqrt(scale)
     half = feats @ root
@@ -141,18 +144,14 @@ def update_u(data, labels, v, params, lam, warm_alphas=None):
     """Exact minimizer over u for fixed v, with the dual alphas."""
     labels = _check_labels(labels, data.n)
     us = [None, np.asarray(v, dtype=np.float64)]
-    return _mode_step(
-        data.samples - params.mean, labels, us, 0, params, lam, warm_alphas
-    )
+    return _mode_step(data.samples, labels, us, 0, params, lam, warm_alphas)
 
 
 def update_v(data, labels, u, params, lam, warm_alphas=None):
     """Exact minimizer over v for fixed u; the transpose of update_u."""
     labels = _check_labels(labels, data.n)
     us = [np.asarray(u, dtype=np.float64), None]
-    return _mode_step(
-        data.samples - params.mean, labels, us, 1, params, lam, warm_alphas
-    )
+    return _mode_step(data.samples, labels, us, 1, params, lam, warm_alphas)
 
 
 def _sign_fix(vec):
@@ -160,44 +159,37 @@ def _sign_fix(vec):
     return -vec if vec[idx] < 0 else vec
 
 
-def _unfold(tensor, mode):
-    return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
-
-
-def _initial_directions(centered, labels, params):
+def _initial_directions(samples, labels, params):
     """Deterministic starting directions from the whitened class-mean gap.
 
     Uses the per-mode leading left singular vectors of the whitened signed
-    mean difference, mapped back through the inverse square roots; when
-    the gap vanishes, falls back to the leading eigenvectors of the
-    covariance factors.
+    mean difference (the leading eigenvectors of its mode Grams), mapped
+    back through the inverse square roots; when the gap vanishes, falls
+    back to the leading eigenvectors of the covariance factors.  The gap
+    and the data scale come from one blocked pass over the samples.
     """
-    order = centered.ndim - 1
-    shape = (slice(None),) + (None,) * order
-    delta = (labels[shape] * centered).mean(axis=0)
-    whitened = delta
-    for k in range(order):
-        whitened = np.tensordot(params.factor_inv_sqrt(k), whitened, axes=(1, k))
-        whitened = np.moveaxis(whitened, 0, k)
-    data_scale = float(np.sqrt((centered**2).sum() / centered.shape[0]))
-    if float(np.sqrt((whitened**2).sum())) <= 1e-13 * max(data_scale, 1e-300):
-        out = []
-        for k in range(order):
-            w, v = params._eighs[k]
-            out.append(_sign_fix(v[:, -1].copy()))
-        return out
+    n = samples.shape[0]
+    roots = [params.factor_inv_sqrt(k) for k in range(params.order)]
+    sums = _map_blocks(
+        lambda rows, z: (labels[rows] @ z.reshape(len(z), -1), float(np.vdot(z, z))),
+        samples, [None] * params.order, params.mean,
+    )
+    delta = sum(gap for gap, _ in sums).reshape(1, *params.dims) / n
+    whitened = _product(delta, roots)
+    data_scale = float(np.sqrt(sum(sq for _, sq in sums) / n))
+    if float(np.linalg.norm(whitened)) <= 1e-13 * max(data_scale, 1e-300):
+        return [_sign_fix(v[:, -1].copy()) for _, v in params._eighs]
     out = []
-    for k in range(order):
-        mat = _unfold(whitened, k)
-        left = np.linalg.svd(mat, full_matrices=False)[0][:, 0]
-        out.append(_sign_fix(params.factor_inv_sqrt(k) @ left))
+    for k, root in enumerate(roots):
+        left = np.linalg.eigh(_mode_gram(whitened, k))[1][:, -1]
+        out.append(_sign_fix(root @ left))
     return out
 
 
 def init_directions(data, labels, params):
     """Starting directions, one per mode ([u0, v0] for matrices)."""
     labels = _check_labels(labels, data.n)
-    return _initial_directions(data.samples - params.mean, labels, params)
+    return _initial_directions(data.samples, labels, params)
 
 
 def _balance(us):
@@ -235,14 +227,13 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     labels = _check_labels(labels, data.n)
     if tuple(data.dims) != tuple(params.dims):
         raise ValueError("parameter dimensions do not match the dataset")
-    centered = data.samples - params.mean
+    samples = data.samples
     dims = params.dims
     order = params.order
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
         raise ValueError("each label class needs at least two samples")
-    sigmas = params.sigmas
 
-    starts = [_initial_directions(centered, labels, params)]
+    starts = [_initial_directions(samples, labels, params)]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         vecs = []
@@ -258,7 +249,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     for start in starts:
         us = [u.copy() for u in start]
         t = 0.0
-        objective = _objective_core(centered, us, t, labels, sigmas, lam)
+        objective = _objective_core(samples, us, t, labels, params, lam)
         warm = [None] * order
         converged = False
         qp_converged = True  # an unconverged dual is not an exact mode step
@@ -269,7 +260,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
             for k in range(order):
                 try:
                     direction, solution = _mode_step(
-                        centered, labels, us, k, params, lam, warm[k]
+                        samples, labels, us, k, params, lam, warm[k]
                     )
                 except DegenerateDirection:
                     degenerate = True
@@ -282,13 +273,13 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
                     degenerate = True
                     break
                 us[k] = direction
-            new_objective = _objective_core(centered, us, t, labels, sigmas, lam)
+            new_objective = _objective_core(samples, us, t, labels, params, lam)
             converged = degenerate or objective - new_objective <= tol * max(objective, 1e-30)
             objective = new_objective
             if converged:
                 break
         us = _balance(us)
-        objective = _objective_core(centered, us, t, labels, sigmas, lam)
+        objective = _objective_core(samples, us, t, labels, params, lam)
         if best is None or objective < best[0]:
             best = (objective, us, t, sweeps, converged and qp_converged)
 

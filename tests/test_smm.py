@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +8,19 @@ import pytest
 from psmm import (
     DegenerateDirection,
     MatrixDataset,
+    PsmmConfig,
     TensorDataset,
     TensorNormParams,
+    fit_psvm_baseline,
     fit_rank1_smm,
+    flipflop_fit,
     init_directions,
     mode_k_contract,
     objective_eval,
     update_u,
     update_v,
 )
+from psmm import matnorm, pipeline, smm
 
 
 def identity_params(d1, d2):
@@ -457,3 +463,96 @@ class TestFitRank1Stm:
         fitted = fit_rank1_smm(data, labels, params, lam=12.0, seed=2)
         value = objective_eval(fitted.us, fitted.t, data, labels, params, 12.0)
         assert abs(fitted.objective - value) <= 1e-10
+
+
+def _rel_diff(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _smm_passes(data, labels, params, us):
+    """Every result that smm computes in a pass over the samples."""
+    out = [objective_eval(us, 0.25, data, labels, params, 30.0)]
+    out += init_directions(data, labels, params)
+    for k in range(len(us)):
+        fixed = [None if j == k else u for j, u in enumerate(us)]
+        out.append(smm._mode_step(data.samples, labels, fixed, k, params, 30.0, None)[0])
+        out.append(mode_k_contract(data.samples[k] - params.mean, us, skip=k))
+    return out
+
+
+class TestSampleBlocks:
+    """smm passes over the samples on blocks of ``matnorm._BLOCK_BYTES``."""
+
+    @staticmethod
+    def _draw(n, dims):
+        rng = np.random.default_rng(211)
+        x = rng.standard_normal((n, *dims)) * rng.uniform(0.5, 2.0, dims) + 1.5
+        scores = x.reshape(n, -1)[:, 0] - x.reshape(n, -1)[:, -1]
+        return x, np.where(scores > np.median(scores), 1, -1), rng
+
+    @pytest.mark.parametrize(
+        "n, dims, per_block", [(203, (4, 3), 40), (157, (3, 2, 4), 30)]
+    )
+    def test_many_blocks_match_one_block(self, monkeypatch, n, dims, per_block):
+        x, labels, rng = self._draw(n, dims)
+        data = TensorDataset(x)
+        params = flipflop_fit(data)
+        us = [rng.standard_normal(d) for d in dims]
+        one = _smm_passes(data, labels, params, us)
+        # per_block samples a block; the last block is ragged.
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * math.prod(dims) * per_block)
+        assert n // per_block >= 5 and n % per_block
+        many = _smm_passes(data, labels, params, us)
+        assert len(many) == len(one)
+        for got, ref in zip(many, one):
+            assert np.shape(got) == np.shape(ref)
+            assert _rel_diff(got, ref) <= 1e-12
+
+    def test_update_u_and_psvm_covariance_match_one_block(self, monkeypatch):
+        n, dims, per_block = 203, (4, 3), 40
+        x, labels, rng = self._draw(n, dims)
+        data = MatrixDataset(x, rng.standard_normal(n))
+        params = flipflop_fit(data)
+        v = rng.standard_normal(dims[1])
+        real_params = pipeline.TensorNormParams
+        covariances = []
+
+        def spy(mean, sigmas):
+            covariances.append(sigmas[0])
+            return real_params(mean=mean, sigmas=sigmas)
+
+        monkeypatch.setattr(pipeline, "TensorNormParams", spy)
+
+        def passes():
+            fit_psvm_baseline(data, PsmmConfig(slices=3))
+            return update_u(data, labels, v, params, 30.0)[0], covariances.pop()
+
+        one = passes()
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * math.prod(dims) * per_block)
+        many = passes()
+        for got, ref in zip(many, one):
+            assert _rel_diff(got, ref) <= 1e-12
+
+
+def test_fit_memory_is_blocks_plus_qp_arrays():
+    # n = 40000 samples of 10 x 10 are 30.5 MiB; a centered copy of them
+    # was a second input.
+    n, dims = 40000, (10, 10)
+    rng = np.random.default_rng(223)
+    x = rng.standard_normal((n, *dims)) + 0.5
+    data = TensorDataset(x)
+    labels = np.where(x[:, 0, 0] + x[:, 1, 2] > 1.0, 1, -1)
+    params = flipflop_fit(data)
+    tracemalloc.start()
+    try:
+        fit_rank1_smm(data, labels, params, lam=100.0, restarts=0, max_iter=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    two_blocks = 2 * matnorm._BLOCK_BYTES  # one blocked product's operand and result
+    small = 1 << 20  # vectors of length n and d_k x d_k matrices
+    # Eight n x d_k arrays: the mode step's features and dual factor, and
+    # up to six that the dual QP's interior-point cold start holds at once.
+    qp_arrays = 8 * (8 * n * max(dims))
+    assert peak <= two_blocks + small + qp_arrays
