@@ -15,10 +15,10 @@ Every function takes a dataset and a :class:`~psmm.matnorm.TensorNormParams`
 of any order; ``update_u`` and ``update_v`` are the two mode updates of
 the matrix case.
 
-Every pass over the samples (mode features, decision values, the
-class-mean gap) is a blocked pass of :mod:`psmm.matnorm`, which centers
-and contracts about 4 MiB of samples at a time, so a fit holds the input,
-O(4 MiB) and a few n x d_k arrays for each mode step's dual QP.
+Every pass over the samples (mode features, a start's first decision
+values, the class-mean gap) is a blocked pass of :mod:`psmm.matnorm`,
+which centers and contracts about 4 MiB of samples at a time, so a fit
+holds the input, O(4 MiB) and a few n x d_k arrays per mode step's dual QP.
 """
 
 from dataclasses import dataclass
@@ -92,21 +92,20 @@ def _contract(samples, vectors, mean=None, skip=None):
     return out[:, 0] if skip is None else out
 
 
-def _objective_core(samples, us, t, labels, params, lam):
-    n = samples.shape[0]
-    decisions = _contract(samples, us, params.mean)
+def _objective_core(decisions, us, t, labels, params, lam):
     hinge = np.maximum(0.0, 1.0 - labels * (decisions - t)).sum()
     quad = 1.0
     for u, sigma in zip(us, params.sigmas):
         quad *= float(u @ sigma @ u)
-    return quad + (lam / n) * float(hinge)
+    return quad + (lam / len(decisions)) * float(hinge)
 
 
 def objective_eval(us, t, data, labels, params, lam):
     """Sample objective at (u_1, ..., u_K, t); centering uses the fitted mean."""
     labels = _check_labels(labels, data.n)
     us = [np.asarray(u, dtype=np.float64) for u in us]
-    return _objective_core(data.samples, us, t, labels, params, lam)
+    decisions = _contract(data.samples, us, params.mean)
+    return _objective_core(decisions, us, t, labels, params, lam)
 
 
 def _mode_step(samples, labels, us, k, params, lam, warm_alphas):
@@ -119,7 +118,8 @@ def _mode_step(samples, labels, us, k, params, lam, warm_alphas):
     Its dual kernel feats Sigma_k^{-1} feats' / scale is H H' for the
     factor H = feats Sigma_k^{-1/2} / sqrt(scale), which the dual problem
     takes, and the minimizer is read back through the same root,
-    Sigma_k^{-1/2} H' (alpha * y / 2) / sqrt(scale).  Raises
+    Sigma_k^{-1/2} H' (alpha * y / 2) / sqrt(scale); it is returned with
+    the dual solution and its decision values, feats @ direction.  Raises
     DegenerateDirection when ``scale`` is not positive and finite.
     """
     scale = 1.0
@@ -137,21 +137,21 @@ def _mode_step(samples, labels, us, k, params, lam, warm_alphas):
     problem = SvmDualProblem(factor=half, labels=labels, box=lam / n, tol=_QP_TOL)
     solution = solve_svm_dual(problem, warm_alphas=warm_alphas)
     direction = root @ (half.T @ (0.5 * solution.alphas * labels))
-    return direction, solution
+    return direction, solution, feats @ direction
 
 
 def update_u(data, labels, v, params, lam, warm_alphas=None):
     """Exact minimizer over u for fixed v, with the dual alphas."""
     labels = _check_labels(labels, data.n)
     us = [None, np.asarray(v, dtype=np.float64)]
-    return _mode_step(data.samples, labels, us, 0, params, lam, warm_alphas)
+    return _mode_step(data.samples, labels, us, 0, params, lam, warm_alphas)[:2]
 
 
 def update_v(data, labels, u, params, lam, warm_alphas=None):
     """Exact minimizer over v for fixed u; the transpose of update_u."""
     labels = _check_labels(labels, data.n)
     us = [np.asarray(u, dtype=np.float64), None]
-    return _mode_step(data.samples, labels, us, 1, params, lam, warm_alphas)
+    return _mode_step(data.samples, labels, us, 1, params, lam, warm_alphas)[:2]
 
 
 def _sign_fix(vec):
@@ -222,13 +222,16 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     falls below ``tol``; exhausting ``max_iter`` or any mode subproblem
     whose dual QP did not converge tags the set unconverged.  A mode step
     whose optimum is w = 0 up to rounding ends its start with that
-    direction set to exactly zero.
+    direction set to exactly zero.  A start contracts the samples once;
+    each later objective takes the last mode step's decision values, which
+    the reciprocal rescaling of balancing leaves unchanged.
     """
     labels = _check_labels(labels, data.n)
     if tuple(data.dims) != tuple(params.dims):
         raise ValueError("parameter dimensions do not match the dataset")
+    if max_iter < 1 or not np.isfinite(tol):
+        raise ValueError("max_iter must be at least 1 and tol finite")
     samples = data.samples
-    dims = params.dims
     order = params.order
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
         raise ValueError("each label class needs at least two samples")
@@ -237,7 +240,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         vecs = []
-        for d in dims:
+        for d in params.dims:
             g = rng.standard_normal(d)
             vecs.append(g / np.linalg.norm(g))
         starts.append(vecs)
@@ -249,17 +252,15 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     for start in starts:
         us = [u.copy() for u in start]
         t = 0.0
-        objective = _objective_core(samples, us, t, labels, params, lam)
+        decisions = _contract(samples, us, params.mean)
+        objective = _objective_core(decisions, us, t, labels, params, lam)
         warm = [None] * order
-        converged = False
         qp_converged = True  # an unconverged dual is not an exact mode step
         degenerate = False
-        sweeps = 0
-        for sweep in range(1, max_iter + 1):
-            sweeps = sweep
+        for sweeps in range(1, max_iter + 1):
             for k in range(order):
                 try:
-                    direction, solution = _mode_step(
+                    direction, solution, values = _mode_step(
                         samples, labels, us, k, params, lam, warm[k]
                     )
                 except DegenerateDirection:
@@ -269,17 +270,16 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
                 warm[k] = solution.alphas
                 t = solution.bias_t
                 if _zero_step(solution):
-                    us[k] = np.zeros_like(direction)
+                    us[k], decisions = np.zeros_like(direction), np.zeros_like(values)
                     degenerate = True
                     break
-                us[k] = direction
-            new_objective = _objective_core(samples, us, t, labels, params, lam)
+                us[k], decisions = direction, values
+            new_objective = _objective_core(decisions, us, t, labels, params, lam)
             converged = degenerate or objective - new_objective <= tol * max(objective, 1e-30)
             objective = new_objective
             if converged:
                 break
         us = _balance(us)
-        objective = _objective_core(samples, us, t, labels, params, lam)
         if best is None or objective < best[0]:
             best = (objective, us, t, sweeps, converged and qp_converged)
 

@@ -46,16 +46,18 @@ class TestObjectiveEval:
         assert value == pytest.approx(lam, abs=1e-12)
 
     def test_reciprocal_rescaling_invariant(self):
+        # The invariance that lets fit_rank1_smm keep its objective across _balance.
         rng = np.random.default_rng(1)
-        data = MatrixDataset(rng.standard_normal((12, 4, 3)))
-        labels = np.array([1, -1] * 6)
-        params = identity_params(4, 3)
-        u = rng.standard_normal(4)
-        v = rng.standard_normal(3)
-        base = objective_eval([u, v], 0.3, data, labels, params, 10.0)
-        for c in (0.5, 2.0, 10.0):
-            scaled = objective_eval([c * u, v / c], 0.3, data, labels, params, 10.0)
-            assert abs(scaled - base) <= 1e-10 * (1.0 + abs(base))
+        for dims in ((4, 3), (3, 3, 2)):
+            data = TensorDataset(rng.standard_normal((12, *dims)))
+            labels = np.array([1, -1] * 6)
+            params = TensorNormParams(np.zeros(dims), [np.eye(d) for d in dims])
+            us = [rng.standard_normal(d) for d in dims]
+            base = objective_eval(us, 0.3, data, labels, params, 10.0)
+            for c in (0.5, 2.0, 10.0):
+                scaled = [c * us[0], us[1] / c, *us[2:]]
+                value = objective_eval(scaled, 0.3, data, labels, params, 10.0)
+                assert abs(value - base) <= 1e-10 * (1.0 + abs(base))
 
     def test_single_sample_formula(self):
         x = np.zeros((1, 2, 2))
@@ -338,6 +340,42 @@ class TestFitRank1Smm:
         with pytest.raises(ValueError):
             fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0)
 
+    def test_max_iter_and_tol_validated(self):
+        x = np.random.default_rng(0).standard_normal((8, 2, 2))
+        labels = np.array([1, -1] * 4)
+        for bad in ({"max_iter": 0}, {"max_iter": -3}, {"tol": math.nan}, {"tol": math.inf}):
+            with pytest.raises(ValueError, match="max_iter must be at least 1 and tol finite"):
+                fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0, **bad)
+
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 3, 2)])
+    def test_one_sample_pass_per_mode_step(self, monkeypatch, dims):
+        # A start contracts the samples once; every objective after that
+        # takes the last mode step's decision values, so a start of s
+        # sweeps makes 1 + K s passes, none for the objective after each
+        # sweep or after balancing.
+        rng = np.random.default_rng(71)
+        n = 120
+        x = rng.standard_normal((n, *dims))
+        scores = np.einsum("na...,a->n...", x, rng.standard_normal(dims[0]))
+        scores = scores.reshape(n, -1) @ rng.standard_normal(math.prod(dims[1:]))
+        labels = np.where(scores + 0.5 * rng.standard_normal(n) > 0, 1, -1)
+        data = TensorDataset(x)
+        params = flipflop_fit(data)
+        passes = []
+        real_contract = smm._contract
+
+        def counting(*args, **kwargs):
+            passes.append(kwargs.get("skip"))
+            return real_contract(*args, **kwargs)
+
+        monkeypatch.setattr(smm, "_contract", counting)
+        fitted = fit_rank1_smm(data, labels, params, lam=50.0, restarts=0)
+        assert fitted.converged and fitted.iterations >= 2
+        assert all(np.linalg.norm(u) > 0.0 for u in fitted.us)
+        sweeps = fitted.iterations
+        assert len(passes) == 1 + len(dims) * sweeps
+        assert passes == [None] + list(range(len(dims))) * sweeps
+
 
 class TestModeStep:
     @pytest.mark.parametrize(
@@ -368,7 +406,9 @@ class TestModeStep:
             return real_solve(problem, **kwargs)
 
         monkeypatch.setattr(smm, "solve_svm_dual", spy)
-        direction, solution = smm._mode_step(centered, labels, us, k, params, 30.0, None)
+        direction, solution, decisions = smm._mode_step(
+            centered, labels, us, k, params, 30.0, None
+        )
 
         (problem,) = problems
         scale = np.prod([u @ s @ u for j, (u, s) in enumerate(zip(us, sigmas)) if j != k])
@@ -379,6 +419,8 @@ class TestModeStep:
         assert np.abs(formed - kernel).max() <= 1e-12 * np.abs(kernel).max()
         expected = sigma_inv @ feats.T @ (0.5 * solution.alphas * labels) / scale
         assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
+        values = feats @ expected
+        assert np.abs(decisions - values).max() <= 1e-12 * np.abs(values).max()
 
 
 class TestModeKContract:
