@@ -290,12 +290,13 @@ def fit_pstm(data, config=None):
 def fit_psvm_baseline(data, config=None):
     """Vectorized baseline: one linear SVM per slice on vec(X).
 
-    Samples are vectorized column-major, the full covariance of vec(X) is
-    estimated with a small ridge, and each slice solves the d1*d2-by-1
-    special case of the direction update (column factor pinned to the
-    scalar 1).  Aggregation and eigen-selection then proceed as usual,
-    yielding a single basis for vec(X).  Fixed dims (r1, r2) request rank
-    r1 * r2 in the vectorized space.
+    The full covariance of vec(X) is estimated with a small ridge, and
+    each slice solves the d1*d2-by-1 special case of the direction update
+    (column factor pinned to the scalar 1).  Aggregation and
+    eigen-selection then proceed as usual, yielding a single basis for
+    vec(X), column-major.  The fit works on the row-major view of the
+    samples, which needs no copy, and permutes the basis rows at the end.
+    Fixed dims (r1, r2) request rank r1 * r2 in the vectorized space.
     """
     config = config if config is not None else PsmmConfig()
     if len(data.dims) != 2:
@@ -305,8 +306,9 @@ def fit_psvm_baseline(data, config=None):
     _validate_fixed_dims(config.dims, tuple(data.dims))
 
     n = data.n
-    dim = data.dims[0] * data.dims[1]
-    vecs = data.samples.transpose(0, 2, 1).reshape(n, dim)
+    d1, d2 = data.dims
+    dim = d1 * d2
+    vecs = data.samples.reshape(n, dim)
     vbar = vecs.mean(axis=0)
     cov = _second_moment(vecs, vbar) / n
     cov = cov + 1e-6 * (np.trace(cov) / dim) * np.eye(dim)
@@ -328,6 +330,7 @@ def fit_psvm_baseline(data, config=None):
             }
         )
     _, w, q = aggregate_directions(directions)
+    q = q.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(dim, -1)
     fixed = None if config.dims is None else config.dims[0] * config.dims[1]
     r = select_dimension_bic(w, n) if fixed is None else fixed
     return SubspaceEstimate(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from psmm import (
     subspace_distance,
     symmetric_triple,
 )
+from psmm import matnorm
 
 
 class TestSliceLabels:
@@ -227,6 +230,35 @@ class TestFitPsvmBaseline:
         data = TensorDataset(rng.standard_normal((40, 3, 2, 2)), rng.standard_normal(40))
         with pytest.raises(ValueError, match="matrix"):
             fit_psvm_baseline(data)
+
+    def test_basis_is_column_major(self):
+        # Y depends on X[:, 0, 1] alone, entry 1 * d1 + 0 of the column-major vec(X).
+        rng = np.random.default_rng(43)
+        n, d1, d2 = 400, 3, 4
+        x = rng.standard_normal((n, d1, d2))
+        data = MatrixDataset(x, x[:, 0, 1] + rng.normal(0.0, 0.1, n))
+        est = fit_psvm_baseline(data, PsmmConfig(dims=(1, 1), seed=0))
+        assert abs(est.row_basis[d1, 0]) >= 0.99
+
+    def test_memory_holds_no_copy_of_the_input(self):
+        # The column-major vectorization was an n x D copy of the input.
+        n, d = 20000, 10
+        dim = d * d
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((n, d, d))
+        data = MatrixDataset(x, x[:, 0, 0] + x[:, 1, 2] + rng.normal(0.0, 0.2, n))
+        tracemalloc.start()
+        try:
+            fit_psvm_baseline(data, PsmmConfig(slices=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_by_dim = 8 * n * dim  # one array the size of the input
+        two_blocks = 2 * matnorm._BLOCK_BYTES  # one blocked product's operand and result
+        vectors = 32 * 8 * n  # alphas, labels, scores and the dual QP's length-n vectors
+        # A slice's features and dual factor, and up to four n x D arrays
+        # that the dual QP's interior-point cold start holds at once.
+        assert peak <= two_blocks + vectors + (2 + 4) * n_by_dim
 
     def test_vector_case_matches_psmm_row_space(self):
         # d2 = 1 predictors: both methods estimate the same vector subspace.
