@@ -355,8 +355,10 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     the contraction makes each take at most _BLOCK_BYTES, so the fit needs
     O(_BLOCK_BYTES) memory besides the input.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     x = data.samples
     n = data.n
     dims = data.dims
@@ -373,7 +375,6 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
 
     logliks = []
     converged = False
-    iterations = 0
     prev = None
     for iterations in range(1, max_iter + 1):
         for k in range(order):

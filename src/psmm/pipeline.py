@@ -7,6 +7,7 @@ the subspace bases off the leading eigenvectors (with the ranks either
 fixed or selected by a penalized eigenvalue-sum criterion).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,16 @@ class PsmmConfig:
     def __post_init__(self):
         if self.slices < 2:
             raise ValueError("slice count must be at least 2 (H >= 2)")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValueError("lam must be positive and finite")
+        if self.smm_max_iter < 1 or self.flipflop_max_iter < 1:
+            raise ValueError("smm_max_iter and flipflop_max_iter must be at least 1")
+        if not (self.smm_tol >= 0.0 and math.isfinite(self.smm_tol)):
+            raise ValueError("smm_tol must be non-negative and finite")
+        if not (self.flipflop_tol > 0.0 and math.isfinite(self.flipflop_tol)):
+            raise ValueError("flipflop_tol must be positive and finite")
+        if not (self.flipflop_ridge >= 0.0 and math.isfinite(self.flipflop_ridge)):
+            raise ValueError("flipflop_ridge must be non-negative and finite")
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
         if self.seed < 0:

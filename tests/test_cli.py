@@ -169,11 +169,23 @@ class TestCmdFit:
         assert json.loads(out.read_text())["config"] == PsmmConfig().to_dict()
 
     def test_slices_validation(self, tmp_path, model1_file, capsys):
-        code = run_cli("fit", "--input", model1_file, "--output", tmp_path / "x.json",
-                       "--slices", 1)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "H >= 2" in err and err.count("\n") == 1
+        cases = [
+            ("fit", "--slices", 1, "H >= 2"),
+            ("fit", "--max-iter", 0, "smm_max_iter"),
+            ("fit", "--max-iter", -3, "smm_max_iter"),
+            ("fit", "--tol", -1, "smm_tol"),
+            ("fit", "--tol", "nan", "smm_tol"),
+            ("fit", "--lambda", "inf", "lam"),
+            ("cov", "--tol", "nan", "tol"),
+            ("cov", "--tol", 0, "tol"),
+        ]
+        for command, flag, value, message in cases:
+            out = tmp_path / "x.json"
+            code = run_cli(command, "--input", model1_file, "--output", out, flag, value)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert message in err and err.count("\n") == 1
+            assert not out.exists()
 
     def test_csv_and_mds1_agree(self, tmp_path):
         inst = gen_model(1, 60, 3, seed=21)

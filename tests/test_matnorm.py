@@ -117,6 +117,14 @@ class TestFlipFlop:
         with pytest.raises(SampleTooSmall):
             flipflop_fit(MatrixDataset(x))
 
+    def test_max_iter_and_tol_validated(self):
+        data = MatrixDataset(np.random.default_rng(5).standard_normal((20, 3, 2)))
+        for bad, match in [({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+                           ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
+                           ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol")]:
+            with pytest.raises(ValueError, match=match):
+                flipflop_fit(data, **bad)
+
     def test_trace_convention(self):
         rng = np.random.default_rng(3)
         params = flipflop_fit(MatrixDataset(rng.standard_normal((100, 3, 4))))

@@ -96,6 +96,19 @@ class TestFitPsmm:
     def test_config_validates_slices(self):
         with pytest.raises(ValueError, match="H >= 2"):
             PsmmConfig(slices=1)
+        nan, inf = float("nan"), float("inf")
+        for field, values in [
+            ("smm_max_iter", [0, -3]),
+            ("flipflop_max_iter", [0, -3]),
+            ("smm_tol", [-1.0, nan, inf]),
+            ("flipflop_tol", [0.0, -1.0, nan, inf]),
+            ("flipflop_ridge", [-1.0, nan, inf]),
+            ("lam", [0.0, -1.0, nan, inf]),
+        ]:
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    PsmmConfig(**{field: value})
+        PsmmConfig(smm_tol=0.0, flipflop_ridge=0.0, smm_max_iter=1, flipflop_max_iter=1)
 
     def test_responses_required(self):
         data = MatrixDataset(np.random.default_rng(0).standard_normal((20, 3, 3)))
