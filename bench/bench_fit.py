@@ -2,15 +2,19 @@
 
 Fits a fixed grid of simulated data sets with the default ``PsmmConfig``
 and one BLAS thread, and reports per cell the median fit seconds over the
-repeats, the child's peak RSS (``ru_maxrss``), the selected dims and the
-projector distance to the true subspace:
+repeats, the child's peak RSS (``ru_maxrss``), the selected dims, the
+projector distance to the true subspace and ``sample_passes``, a
+deterministic work counter: the number of ``matnorm._map_blocks`` calls
+of one fit whose input is the fit's own n samples (every blocked pass of
+the flip-flop, the rank-1 fits and the psvm covariance runs through it):
 
     python3 bench/bench_fit.py --label change
 
 Grid: models 1 and 3 x n in {500, 2000, 4000} x d in {5, 10}, each drawn
 by ``gen_model(model, n, d, seed=--seed)``.  Every cell runs in its own
 child process, so that its peak RSS is its own; the child checks that
-every repeat selects the same dims at the same distance.  The row written
+every repeat selects the same dims at the same distance with the same
+sample passes.  The row written
 to BENCH_fit.json replaces any row with the same label.  ``--src``
 imports psmm from another checkout's ``src``, so one copy of this script
 measures both:
@@ -55,27 +59,46 @@ def import_psmm(src):
     return psmm
 
 
+def count_sample_passes(psmm, samples):
+    """Make ``matnorm._map_blocks`` count its calls on ``samples``; returns the counter.
+
+    smm holds its own reference to the function, so it is replaced there too.
+    """
+    real = psmm.matnorm._map_blocks
+    calls = [0]
+
+    def counting(fn, blocks_of, *args, **kwargs):
+        calls[0] += blocks_of is samples
+        return real(fn, blocks_of, *args, **kwargs)
+
+    psmm.matnorm._map_blocks = psmm.smm._map_blocks = counting
+    return calls
+
+
 def measure(psmm, model, n, d, seed, repeats):
     """Fit one cell ``repeats`` times; returns its median seconds and result."""
     instance = psmm.gen_model(model, n, d, seed=seed)
+    passes = count_sample_passes(psmm, instance.dataset.samples)
     seconds = []
     results = set()
     for _ in range(repeats):
+        passes[0] = 0
         start = time.perf_counter()
         estimate = psmm.fit_psmm(instance.dataset)
         seconds.append(time.perf_counter() - start)
         distance = psmm.subspace_distance(estimate.row_basis, estimate.col_basis,
                                           instance.true_row_basis, instance.true_col_basis)
-        results.add((tuple(estimate.selected_dims), distance))
+        results.add((tuple(estimate.selected_dims), distance, passes[0]))
     if len(results) != 1:
         raise SystemExit(f"repeats disagree on model {model}, n={n}, d={d}: {results}")
-    ((dims, distance),) = results
+    ((dims, distance, sample_passes),) = results
     return {
         "median_s": round(statistics.median(seconds), 3),
         "seconds": [round(s, 3) for s in seconds],
         "maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "dims": list(dims),
         "distance": distance,
+        "sample_passes": sample_passes,
     }
 
 
