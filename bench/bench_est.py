@@ -41,19 +41,11 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
+from bench.bench_fit import import_psmm  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 SEEDS = range(101, 121)
 SIZE = inputs.SIZES["full"]["sim-grid"]
-
-
-def import_psmm(src):
-    sys.path.insert(0, src)
-    import psmm
-
-    if Path(src).resolve() not in Path(psmm.__file__).resolve().parents:
-        raise SystemExit(f"imported psmm from {psmm.__file__}, not from {src}")
-    return psmm
 
 
 def measure(psmm):
