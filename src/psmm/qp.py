@@ -254,18 +254,19 @@ def _interior_point(factor, y, box):
 
         minimize (1/2) a'Qa - 1'a  s.t.  y'a = 0,  a + s = C,  a, s >= 0,
 
-    with Q = (1/2) G G' for G = y * F, the multiplier z of a >= 0, v of
-    s >= 0 and b of the balance row.  The slack s is carried as its own
-    iterate: recomputed as C - a it would lose its digits to cancellation
-    near the box and could reach 0.  Each Newton system
+    with Q = (1/2) Y F F' Y for Y = diag(y), the multiplier z of a >= 0,
+    v of s >= 0 and b of the balance row.  The problem is read through F
+    alone: Q a = y * _decisions(F, y * a).  The slack s is carried as its
+    own iterate: recomputed as C - a it would lose its digits to
+    cancellation near the box and could reach 0.  Each Newton system
     (D + Q) da - y db = rhs, with D = z/a + v/s, is solved through
-    Woodbury with one r x r Cholesky of 2I + G'D^{-1}G, so an iteration
-    costs O(n r^2) (Fine & Scheinberg 2001); db comes from the balance
-    row.  The iteration stops when mu and the balance residual fall
-    below 1e-9 C and the stationarity residual below 1e-9 times its
-    starting size (at least 1e-9); that last test is relative because
-    the residual cannot fall below the rounding of Q a, which grows with
-    the kernel.  The crossover then puts a_i at 0 where z_i > a_i and at
+    Woodbury with one r x r Cholesky of 2I + F'D^{-1}F (Y D^{-1} Y = D^{-1}
+    since y = +-1), so an iteration costs O(n r^2) (Fine & Scheinberg
+    2001); db comes from the balance row.  The iteration stops when mu
+    and the balance residual fall below 1e-9 C and the stationarity
+    residual below 1e-9 times its starting size (at least 1e-9); that
+    last test is relative because the residual cannot fall below the
+    rounding of Q a, which grows with the kernel.  The crossover then puts a_i at 0 where z_i > a_i and at
     C where v_i > s_i, moves the free a_i (all a_i, if the free ones lack
     the room) in proportion to their room so that y'a = 0 holds to
     rounding, and solves the face it chose with one face polish: the
@@ -278,7 +279,6 @@ def _interior_point(factor, y, box):
     iteration stalls when the kernel dwarfs 1/C by about 1e8).
     """
     n = factor.shape[0]
-    g = y[:, None] * factor
     eye2 = 2.0 * np.eye(factor.shape[1])
     # Rows a, s, z, v; a and s are the primal rows, z and v their multipliers.
     x = np.empty((4, n))
@@ -289,7 +289,7 @@ def _interior_point(factor, y, box):
     iterations = 0
     with np.errstate(all="ignore"):
         while True:
-            res_d = 0.5 * (g @ (g.T @ a)) - 1.0 - y * b - z + v
+            res_d = y * _decisions(factor, y * a) - 1.0 - y * b - z + v
             res_p = float(y @ a)
             res_u = a + s - box
             comp = x[:2] * x[2:]
@@ -302,15 +302,15 @@ def _interior_point(factor, y, box):
             if iterations == _INTERIOR_MAX_ITER:
                 return np.zeros(n), iterations
             d = z / a + v / s
-            gd = g / d[:, None]
+            fd = factor / d[:, None]
             try:
-                chol = np.linalg.cholesky(eye2 + g.T @ gd)
+                chol = np.linalg.cholesky(eye2 + factor.T @ fd)
             except np.linalg.LinAlgError:
                 return np.zeros(n), iterations
-            proj = np.linalg.solve(chol, gd.T)  # (D + Q)^{-1} = D^{-1} - proj' proj
+            proj = np.linalg.solve(chol, fd.T)  # (D + Q)^{-1} = D^{-1} - Y proj' proj Y
 
             def solve(rhs):
-                return rhs / d - (proj @ rhs) @ proj
+                return rhs / d - y * ((proj @ (y * rhs)) @ proj)
 
             m_y = solve(y)
 
@@ -428,13 +428,14 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
 
     crit = y - _decisions(factor, beta)
     objective_path = []
-    if track_objective:
-        objective_path.append(_objective(y, beta, _decisions(factor, beta)))
     updates = 0
     converged = False
     next_face = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
+            # Each pass here follows the start, a polish that moved or a pair update.
+            if track_objective:
+                objective_path.append(_objective(y, beta, _decisions(factor, beta)))
             low = beta > lo
             i, j, gap = _violating_pair(crit, beta < hi, low)
             if gap <= tol:
@@ -448,8 +449,6 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             if updates >= next_face:
                 next_face = updates + _POLISH_INTERVAL
                 if _face_polish(factor, beta, crit, lo, hi, box):
-                    if track_objective:
-                        objective_path.append(_objective(y, beta, _decisions(factor, beta)))
                     continue
             edge = factor[i] - factor[j]
             curv = 0.5 * float(edge @ edge)
@@ -477,8 +476,6 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             # at j, so f moves by (step/2) F (z_i - z_j).
             crit -= factor @ ((0.5 * step) * edge)
             updates += 1
-            if track_objective:
-                objective_path.append(_objective(y, beta, _decisions(factor, beta)))
 
     f = _decisions(factor, beta)
     kkt = max(_violating_pair(y - f, beta < hi, beta > lo)[2], 0.0)
