@@ -307,7 +307,7 @@ def _interior_point(factor, y, box):
                 chol = np.linalg.cholesky(eye2 + factor.T @ fd)
             except np.linalg.LinAlgError:
                 return np.zeros(n), iterations
-            proj = np.linalg.solve(chol, fd.T)  # (D + Q)^{-1} = D^{-1} - Y proj' proj Y
+            proj = np.linalg.inv(chol) @ fd.T  # (D + Q)^{-1} = D^{-1} - Y proj' proj Y
 
             def solve(rhs):
                 return rhs / d - y * ((proj @ (y * rhs)) @ proj)
