@@ -278,8 +278,9 @@ def _interior_point(factor, y, box):
     Cholesky fails or the stop is not reached within 50 iterations (the
     iteration stalls when the kernel dwarfs 1/C by about 1e8).
     """
-    n = factor.shape[0]
-    eye2 = 2.0 * np.eye(factor.shape[1])
+    n, r = factor.shape
+    eye2 = 2.0 * np.eye(r)
+    fd, proj = np.empty((n, r)), np.empty((r, n))  # the Woodbury arrays, refilled in place
     # Rows a, s, z, v; a and s are the primal rows, z and v their multipliers.
     x = np.empty((4, n))
     x[:2] = 0.5 * box
@@ -302,12 +303,13 @@ def _interior_point(factor, y, box):
             if iterations == _INTERIOR_MAX_ITER:
                 return np.zeros(n), iterations
             d = z / a + v / s
-            fd = factor / d[:, None]
+            np.divide(factor, d[:, None], out=fd)
             try:
                 chol = np.linalg.cholesky(eye2 + factor.T @ fd)
             except np.linalg.LinAlgError:
                 return np.zeros(n), iterations
-            proj = np.linalg.inv(chol) @ fd.T  # (D + Q)^{-1} = D^{-1} - Y proj' proj Y
+            # (D + Q)^{-1} = D^{-1} - Y proj' proj Y
+            np.matmul(np.linalg.inv(chol), fd.T, out=proj)
 
             def solve(rhs):
                 return rhs / d - y * ((proj @ (y * rhs)) @ proj)

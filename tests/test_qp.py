@@ -482,6 +482,35 @@ class TestLargeProblems:
         assert sol.converged
         assert peak < n * n * 8 / 8  # an eighth of one n x n float64 kernel
 
+    def test_cold_solve_holds_two_woodbury_arrays(self):
+        # The interior point keeps one n x r operand F / d and one r x n
+        # projection, both refilled in place, and no other n x r array.
+        n, r = 5000, 100
+        rng = np.random.default_rng(11)
+        feats = rng.standard_normal((n, r))
+        labels = np.where(feats[:, 0] + 0.5 * rng.standard_normal(n) > 0.0, 1, -1)
+        prob = SvmDualProblem(factor=feats, labels=labels, box=100.0 / n)
+        tracemalloc.start()
+        try:
+            sol = solve_svm_dual(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged and sol.interior_iterations > 0
+        fd = proj = 8 * n * r
+        # At most six r x r arrays at once: 2I, the Cholesky factor and its
+        # inverse, and the crossover polish's face rows, centered rows and
+        # SVD factors (a face of a rank-r kernel holds about r + 1
+        # coordinates).
+        squares = 6 * 8 * r * r
+        # The iterate x and a Newton step (4 rows each), the step being
+        # formed (4), the targets and complementarity rows (4), the
+        # residuals, scaling and m_y (4), the labels and two pairs of bounds
+        # (5), the crossover point, its scores and room (3), and the
+        # temporaries of one expression (4).
+        vectors = 32 * 8 * n
+        assert peak <= fd + proj + squares + vectors
+
     def test_face_polish_takes_a_large_face(self):
         m = 1500
         rng = np.random.default_rng(4)
