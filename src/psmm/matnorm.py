@@ -359,6 +359,8 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not (ridge >= 0.0 and math.isfinite(ridge)):
+        raise ValueError("ridge must be non-negative and finite")
     x = data.samples
     n = data.n
     dims = data.dims

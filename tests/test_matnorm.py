@@ -121,7 +121,9 @@ class TestFlipFlop:
         data = MatrixDataset(np.random.default_rng(5).standard_normal((20, 3, 2)))
         for bad, match in [({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
                            ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
-                           ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol")]:
+                           ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"),
+                           ({"ridge": -1.0}, "ridge"), ({"ridge": float("nan")}, "ridge"),
+                           ({"ridge": float("inf")}, "ridge")]:
             with pytest.raises(ValueError, match=match):
                 flipflop_fit(data, **bad)
 
