@@ -601,3 +601,33 @@ class TestProperties:
         w_f = 0.5 * prob.factor.T @ (flipped.labels * sol_f.alphas)
         assert np.linalg.norm(w + w_f) <= 1e-6 * max(1.0, np.linalg.norm(w))
         assert abs(sol.bias_t + sol_f.bias_t) <= 1e-6 * max(1.0, abs(sol.bias_t))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(low_rank_problems(), st.floats(-2.0, 2.0))
+    def test_scaling_the_factor_rescales_the_alphas(self, case, log_scale):
+        # F -> s F and C -> C / s^2 map a solution a to a / s^2 with the same
+        # decision values and bias.  Every stop and snap of the interior
+        # point, the polish and the loop is relative to C or to the scores
+        # y - f, so in exact arithmetic the scaled solve takes the same
+        # steps; s in [1e-2, 1e2] leaves only rounding.
+        prob, warm_alphas = case
+        s2 = (10.0 ** log_scale) ** 2
+        scaled = SvmDualProblem(factor=np.sqrt(s2) * prob.factor, labels=prob.labels,
+                                box=prob.box / s2)
+        sol = solve_svm_dual(prob, warm_alphas=warm_alphas)
+        sol_s = solve_svm_dual(scaled, warm_alphas=None if warm_alphas is None
+                               else warm_alphas / s2)
+        assert sol.converged and sol_s.converged
+        y = prob.labels
+        f = 0.5 * prob.factor @ (prob.factor.T @ (y * sol.alphas))
+        f_s = 0.5 * scaled.factor @ (scaled.factor.T @ (y * sol_s.alphas))
+        assert np.abs(f_s - f).max() <= 1e-9 * max(1.0, np.abs(f).max())
+        assert abs(sol_s.bias_t - sol.bias_t) <= 1e-9 * max(1.0, abs(sol.bias_t))
+        # s^2 a_s solves the unscaled problem.  The alphas are unique only
+        # when the kernel has full rank; otherwise they may differ along
+        # its null space, where the objective is flat.
+        back = s2 * sol_s.alphas
+        objective = dual_objective_value(prob.factor, y, back)
+        assert abs(objective - sol.dual_objective) <= 1e-9 * max(1.0, abs(sol.dual_objective))
+        if np.linalg.matrix_rank(prob.factor) == prob.n:
+            assert np.abs(back - sol.alphas).max() <= 1e-9 * prob.box
