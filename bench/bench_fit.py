@@ -1,20 +1,25 @@
-"""Time whole ``fit_psmm`` runs on large synthetic draws, one child process per cell.
+"""Time whole psmm and psvm fits on large synthetic draws, one child process per cell.
 
 Fits a fixed grid of simulated data sets with the default ``PsmmConfig``
 and one BLAS thread, and reports per cell the median fit seconds over the
 repeats, the child's peak RSS (``ru_maxrss``), the selected dims, the
 projector distance to the true subspace and ``sample_passes``, a
 deterministic work counter: the number of ``matnorm._map_blocks`` calls
-of one fit whose input is the fit's own n samples (every blocked pass of
-the flip-flop, the rank-1 fits and the psvm covariance runs through it):
+of one fit whose input shares memory with the fit's own n samples (every
+blocked pass of the flip-flop, the rank-1 fits and the psvm covariance
+runs through it; the psvm fit passes views of the samples):
 
     python3 bench/bench_fit.py --label change
 
-Grid: models 1 and 3 x n in {500, 2000, 4000} x d in {5, 10}, each drawn
-by ``gen_model(model, n, d, seed=--seed)``.  Every cell runs in its own
-child process, so that its peak RSS is its own; the child checks that
-every repeat selects the same dims at the same distance with the same
-sample passes.  The row written
+Grid: ``fit_psmm`` on models 1 and 3 x n in {500, 2000, 4000} x d in
+{5, 10}, and ``fit_psvm_baseline`` on model 1, d = 10, n in {5000,
+20000}, each drawn by ``gen_model(model, n, d, seed=--seed)``.  A cell's
+``method`` names its fit; rows written before the psvm cells have no
+such field, and their cells are psmm.  The psvm distance is that of
+``run_benchmark``: its vec(X) basis against kron(col, row) of the truth.
+Every cell runs in its own child process, so that its peak RSS is its
+own; the child checks that every repeat selects the same dims at the
+same distance with the same sample passes.  The row written
 to BENCH_fit.json replaces any row with the same label.  ``--src``
 imports psmm from another checkout's ``src``, so one copy of this script
 measures both:
@@ -45,8 +50,9 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 
-GRID = [{"model": model, "n": n, "d": d}
-        for model in (1, 3) for n in (500, 2000, 4000) for d in (5, 10)]
+GRID = ([{"method": "psmm", "model": model, "n": n, "d": d}
+         for model in (1, 3) for n in (500, 2000, 4000) for d in (5, 10)]
+        + [{"method": "psvm", "model": 1, "n": n, "d": 10} for n in (5000, 20000)])
 CHILD_TIMEOUT_S = 1800
 
 
@@ -62,35 +68,43 @@ def import_psmm(src):
 def count_sample_passes(psmm, samples):
     """Make ``matnorm._map_blocks`` count its calls on ``samples``; returns the counter.
 
-    smm holds its own reference to the function, so it is replaced there too.
+    A call counts when its input shares memory with ``samples``, so that
+    a view such as ``samples.reshape(n, -1)`` counts too.  smm holds its
+    own reference to the function, so it is replaced there too.
     """
     real = psmm.matnorm._map_blocks
     calls = [0]
 
     def counting(fn, blocks_of, *args, **kwargs):
-        calls[0] += blocks_of is samples
+        calls[0] += np.may_share_memory(blocks_of, samples)
         return real(fn, blocks_of, *args, **kwargs)
 
     psmm.matnorm._map_blocks = psmm.smm._map_blocks = counting
     return calls
 
 
-def measure(psmm, model, n, d, seed, repeats):
+def measure(psmm, method, model, n, d, seed, repeats):
     """Fit one cell ``repeats`` times; returns its median seconds and result."""
     instance = psmm.gen_model(model, n, d, seed=seed)
     passes = count_sample_passes(psmm, instance.dataset.samples)
+    if method == "psmm":
+        fit = psmm.fit_psmm
+        truth = (instance.true_row_basis, instance.true_col_basis)
+    else:
+        fit = psmm.fit_psvm_baseline
+        truth = (np.kron(instance.true_col_basis, instance.true_row_basis), np.eye(1))
     seconds = []
     results = set()
     for _ in range(repeats):
         passes[0] = 0
         start = time.perf_counter()
-        estimate = psmm.fit_psmm(instance.dataset)
+        estimate = fit(instance.dataset)
         seconds.append(time.perf_counter() - start)
-        distance = psmm.subspace_distance(estimate.row_basis, estimate.col_basis,
-                                          instance.true_row_basis, instance.true_col_basis)
+        distance = psmm.subspace_distance(estimate.row_basis, estimate.col_basis, *truth)
         results.add((tuple(estimate.selected_dims), distance, passes[0]))
     if len(results) != 1:
-        raise SystemExit(f"repeats disagree on model {model}, n={n}, d={d}: {results}")
+        raise SystemExit(f"repeats disagree on {method} model {model}, n={n}, d={d}: "
+                         f"{results}")
     ((dims, distance, sample_passes),) = results
     return {
         "median_s": round(statistics.median(seconds), 3),
@@ -108,10 +122,11 @@ def child(argv):
     parser.add_argument("--src", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--repeats", type=int, required=True)
+    parser.add_argument("--method", choices=("psmm", "psvm"), required=True)
     parser.add_argument("--cell", type=int, nargs=3, required=True, metavar=("MODEL", "N", "D"))
     args = parser.parse_args(argv)
     psmm = import_psmm(args.src)
-    print(json.dumps(measure(psmm, *args.cell, args.seed, args.repeats)))
+    print(json.dumps(measure(psmm, args.method, *args.cell, args.seed, args.repeats)))
 
 
 def run_child(args):
@@ -135,7 +150,8 @@ def main(argv=None):
 
     cells = []
     for cell in GRID:
-        result = run_child(common + ["--cell", *(str(cell[k]) for k in ("model", "n", "d"))])
+        result = run_child(common + ["--method", cell["method"],
+                                     "--cell", *(str(cell[k]) for k in ("model", "n", "d"))])
         cells.append({**cell, **result})
         print(json.dumps(cells[-1]), flush=True)
 
