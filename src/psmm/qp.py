@@ -49,8 +49,10 @@ runs a primal-dual interior point whose Newton systems cost O(n r^2)
 through the rank-r kernel, takes a crossover that puts each coordinate at
 0, at C or in the face, restores the balance and polishes that face, and
 hands the point to the loop above, which then usually stops without a
-pair update.  Warm solves start the loop at the warm start directly,
-which at the sizes the pipeline meets is cheaper than an interior point.
+pair update.  The interior point keeps one n x r operand F / d and one
+r x n projection, refilled in place, and about 30 length-n vectors.
+Warm solves start the loop at the warm start directly, which at the
+sizes the pipeline meets is cheaper than an interior point.
 """
 
 import math
@@ -254,24 +256,23 @@ def _interior_point(factor, y, box):
 
         minimize (1/2) a'Qa - 1'a  s.t.  y'a = 0,  a + s = C,  a, s >= 0,
 
-    with Q = (1/2) Y F F' Y for Y = diag(y), the multiplier z of a >= 0,
-    v of s >= 0 and b of the balance row.  The problem is read through F
-    alone: Q a = y * _decisions(F, y * a).  The slack s is carried as its
-    own iterate: recomputed as C - a it would lose its digits to
-    cancellation near the box and could reach 0.  Each Newton system
-    (D + Q) da - y db = rhs, with D = z/a + v/s, is solved through
-    Woodbury with one r x r Cholesky of 2I + F'D^{-1}F (Y D^{-1} Y = D^{-1}
-    since y = +-1), so an iteration costs O(n r^2) (Fine & Scheinberg
-    2001); db comes from the balance row.  The iteration stops when mu
-    and the balance residual fall below 1e-9 C and the stationarity
-    residual below 1e-9 times its starting size (at least 1e-9); that
-    last test is relative because the residual cannot fall below the
-    rounding of Q a, which grows with the kernel.  The crossover then puts a_i at 0 where z_i > a_i and at
-    C where v_i > s_i, moves the free a_i (all a_i, if the free ones lack
-    the room) in proportion to their room so that y'a = 0 holds to
-    rounding, and solves the face it chose with one face polish: the
-    interior point leaves the free a_i about 1e-9 from the face optimum,
-    the polish leaves them at rounding.
+    with Q = (1/2) Y F F' Y for Y = diag(y), read through F as
+    Q a = y * _decisions(F, y * a), the multiplier z of a >= 0, v of s >= 0
+    and b of the balance row.  The slack s is carried as its own iterate:
+    recomputed as C - a it would lose its digits to cancellation near the
+    box and could reach 0.  Each Newton system (D + Q) da - y db = rhs,
+    with D = z/a + v/s, is solved through Woodbury with one r x r Cholesky
+    of 2I + F'D^{-1}F (as Y D^{-1} Y = D^{-1}), so an iteration costs
+    O(n r^2) (Fine & Scheinberg 2001); db comes from the balance row.  The
+    iteration stops when mu and the balance residual fall below 1e-9 C and
+    the stationarity residual below 1e-9 times its starting size (at least
+    1e-9); that last test is relative because the residual cannot fall
+    below the rounding of Q a, which grows with the kernel.  The crossover
+    then puts a_i at 0 where z_i > a_i and at C where v_i > s_i, moves the
+    free a_i (all a_i, if the free ones lack the room) in proportion to
+    their room so that y'a = 0 holds to rounding, and solves the face it
+    chose with one face polish: the interior point leaves the free a_i
+    about 1e-9 from the face optimum, the polish leaves them at rounding.
 
     Returns (beta, iterations) with beta = y * a at the crossover point;
     the beta is the zero start when an iterate turns non-finite, the
@@ -280,7 +281,8 @@ def _interior_point(factor, y, box):
     """
     n, r = factor.shape
     eye2 = 2.0 * np.eye(r)
-    fd, proj = np.empty((n, r)), np.empty((r, n))  # the Woodbury arrays, refilled in place
+    # Woodbury arrays, refilled in place: (D + Q)^{-1} = D^{-1} - Y proj' proj Y.
+    fd, proj = np.empty((n, r)), np.empty((r, n))
     # Rows a, s, z, v; a and s are the primal rows, z and v their multipliers.
     x = np.empty((4, n))
     x[:2] = 0.5 * box
@@ -308,7 +310,6 @@ def _interior_point(factor, y, box):
                 chol = np.linalg.cholesky(eye2 + factor.T @ fd)
             except np.linalg.LinAlgError:
                 return np.zeros(n), iterations
-            # (D + Q)^{-1} = D^{-1} - Y proj' proj Y
             np.matmul(np.linalg.inv(chol), fd.T, out=proj)
 
             def solve(rhs):
@@ -435,7 +436,6 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     next_face = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            # Each pass here follows the start, a polish that moved or a pair update.
             if track_objective:
                 objective_path.append(_objective(y, beta, _decisions(factor, beta)))
             low = beta > lo
