@@ -176,14 +176,7 @@ def _cmd_reduce(args):
     if estimate.config.get("symmetric") and shape == (2, 2):
         header += ["v1", "v2", "v3"]
         flat = np.hstack([flat, symmetric_triple(coords)])
-    # Float reprs and the column names need no CSV quoting.  Rows are
-    # converted one at a time: flat.tolist() would hold every value as a
-    # Python float at once.
-    with open(args.output, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            f"{idx},{','.join(map(repr, row.tolist()))}\n" for idx, row in enumerate(flat)
-        )
+    fileio.write_coords_csv(args.output, header, flat)
     return 0
 
 

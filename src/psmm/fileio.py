@@ -9,7 +9,11 @@ Line 1 is a UTF-8 JSON header terminated by a newline::
 followed by n * prod(dims) IEEE-754 float64 little-endian values
 (sample-major, row-major within each sample) and, if has_response, n
 further float64 response values.  Total length is exactly
-header + 8 * n * (prod(dims) + has_response) bytes.
+header + 8 * n * (prod(dims) + has_response) bytes.  Reading one checks
+the header and that length, loads the responses and leaves the samples
+in the file (:class:`~psmm.data.FileSamples`), to be read block by block
+by every pass over them, so the file must not change while its dataset
+is in use.
 
 CSV dataset file
 ----------------
@@ -27,6 +31,11 @@ list them under ``mode_bases`` and ``mode_eigvals``.  Both embed the
 configuration echo, the per-slice convergence summary and
 ``format_version`` 1, and round-trip losslessly.
 
+Reduced-coordinates CSV
+-----------------------
+The output of ``psmm reduce``: a header row, then one row per sample,
+its 0-based index followed by its coordinates as ``repr`` floats.
+
 Covariance JSON
 ---------------
 The flip-flop fit of ``psmm cov``: ``mean`` (nested lists of the sample
@@ -43,11 +52,12 @@ import os
 
 import numpy as np
 
-from .data import MatrixDataset, TensorDataset
+from .data import _DTYPE, FileSamples, MatrixDataset, TensorDataset, read_payload
 from .pipeline import SubspaceEstimate, TensorSubspaceEstimate
 
 FORMAT_VERSION = 1
-_DTYPE = np.dtype("<f8")
+# Values per ``%`` call of the reduced-coordinates CSV writer.
+_CSV_BLOCK_VALUES = 1 << 12
 
 
 def write_mds1(path, dataset):
@@ -67,10 +77,13 @@ def write_mds1(path, dataset):
 
 
 def read_mds1(path):
-    """Read an MDS1 file straight into the sample and response arrays.
+    """Read an MDS1 file's header and responses; its samples stay in the file.
 
     The payload length is checked against the file size before anything
     is read, so a truncated or padded file is rejected without reading it.
+    The returned dataset's samples are a :class:`~psmm.data.FileSamples`:
+    each pass reads them in blocks, and checks each block for finite
+    values, so the file must not change while the dataset is in use.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -98,9 +111,12 @@ def read_mds1(path):
             raise ValueError(
                 f"MDS1 payload has {payload} bytes, expected {expected}"
             )
-        samples = np.fromfile(fh, dtype=_DTYPE, count=count)
-        responses = np.fromfile(fh, dtype=_DTYPE, count=n) if has_response else None
-    samples = samples.reshape(n, *dims)
+        responses = None
+        if has_response:
+            fh.seek(len(line) + 8 * count)
+            responses = np.empty(n, dtype=_DTYPE)
+            read_payload(fh, responses)
+    samples = FileSamples(path, len(line), (n, *dims))
     if len(dims) == 2:
         return MatrixDataset(samples, responses)
     return TensorDataset(samples, responses)
@@ -116,7 +132,7 @@ def write_dataset_csv(path, dataset):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for y, sample in zip(dataset.responses, dataset.samples):
+        for y, sample in zip(dataset.responses, np.asarray(dataset.samples)):
             writer.writerow([repr(float(y))] + [repr(float(v)) for v in sample.ravel()])
 
 
@@ -153,6 +169,27 @@ def read_dataset_csv(path):
         for (i, j), value in zip(coords, row[1:]):
             samples[idx, i - 1, j - 1] = float(value)
     return MatrixDataset(samples, responses)
+
+
+def write_coords_csv(path, header, coords):
+    """Write the header names, then ``index,coords[index]...`` per row of the 2-D ``coords``.
+
+    Values are written as ``repr`` floats; they and the names need no CSV
+    quoting.  Each block of rows is formatted by one ``%`` over its values;
+    the index rides along as a float column, which ``%d`` prints as the
+    integer it holds (exact up to 2**53 rows).
+    """
+    n, k = coords.shape
+    step = max(1, _CSV_BLOCK_VALUES // (k + 1))
+    line = "%d," + ",".join(["%r"] * k) + "\n"
+    rows = np.empty((min(step, n), k + 1))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, step):
+            block = rows[: min(step, n - start)]
+            block[:, 0] = np.arange(start, start + len(block))
+            block[:, 1:] = coords[start : start + len(block)]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _columns(basis):

@@ -213,11 +213,13 @@ def _fit_slices(data, config):
     """Flip-flop fit, then one rank-1 machine per retained slice.
 
     Returns the per-mode aggregates (see aggregate_directions) and the
-    per-slice convergence summary.
+    per-slice convergence summary.  The fits pass over the samples
+    thousands of times, so samples on disk are loaded once, here.
     """
     if data.responses is None:
         raise ValueError("dataset has no responses")
     _validate_fixed_dims(config.dims, tuple(data.dims))
+    data = data.in_memory()
     params = flipflop_fit(
         data,
         tol=config.flipflop_tol,
@@ -304,8 +306,9 @@ def fit_psvm_baseline(data, config=None):
     (column factor pinned to the scalar 1).  Aggregation and
     eigen-selection then proceed as usual, yielding a single basis for
     vec(X), column-major.  The fit works on the row-major view of the
-    samples, which needs no copy, and permutes the basis rows at the end.
-    Fixed dims (r1, r2) request rank r1 * r2 in the vectorized space.
+    samples, which needs no copy, and permutes the basis rows at the end;
+    samples on disk are loaded once, first.  Fixed dims (r1, r2) request
+    rank r1 * r2 in the vectorized space.
     """
     config = config if config is not None else PsmmConfig()
     if len(data.dims) != 2:
@@ -313,6 +316,7 @@ def fit_psvm_baseline(data, config=None):
     if data.responses is None:
         raise ValueError("dataset has no responses")
     _validate_fixed_dims(config.dims, tuple(data.dims))
+    data = data.in_memory()
 
     n = data.n
     d1, d2 = data.dims
@@ -358,7 +362,8 @@ def reduce(data, estimate):
 
     Each block of samples is contracted mode by mode, the first mode as one
     stacked matmul on a view of the block, into one preallocated output, so
-    the call needs the output plus O(4 MiB) memory besides the input.
+    the call needs the output plus O(4 MiB) memory besides the input; on
+    samples that stay on disk, the output plus O(4 MiB) in all.
     """
     if tuple(data.dims) != tuple(b.shape[0] for b in estimate.mode_bases):
         raise ValueError("estimate dimensions do not match the dataset")

@@ -1,10 +1,22 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from psmm import MatrixDataset, PsmmConfig, TensorDataset, gen_model
-from psmm import fileio
+from psmm import (
+    MatrixDataset,
+    PsmmConfig,
+    SubspaceEstimate,
+    TensorDataset,
+    TensorSubspaceEstimate,
+    flipflop_fit,
+    gen_model,
+    reduce,
+)
+from psmm import data as data_module
+from psmm import fileio, matnorm
 from psmm.cli import main
 
 
@@ -117,6 +129,28 @@ class TestMds1Format:
             TensorDataset(np.zeros((3, 2, 0, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="must be positive"):
             MatrixDataset(np.zeros((3, 0, 5)), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_last_block_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 8 * 4 * 10)  # 10 samples a block
+        x = np.zeros((95, 2, 2))
+        x[-1, 1, 1] = bad
+        with pytest.raises(ValueError, match="samples contains non-finite values"):
+            MatrixDataset(x)
+        y = np.zeros(95)
+        y[-1] = bad
+        with pytest.raises(ValueError, match="responses contains non-finite values"):
+            MatrixDataset(np.zeros((95, 2, 2)), y)
+
+    def test_finiteness_check_allocates_one_block_mask(self):
+        x = np.zeros((40000, 10, 10))  # 30.5 MiB; a mask of all of it would be 3.8 MiB
+        tracemalloc.start()
+        try:
+            MatrixDataset(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data_module._BLOCK_BYTES // 8 + (64 << 10)
 
 
 class TestCsvDataset:
@@ -422,3 +456,122 @@ class TestFitReduceRoundtrip:
         lines = out.read_text().splitlines()
         assert lines[0] == "sample_index,v_1_1,v_1_2"
         assert len(lines) == 81
+
+
+# An 80 KiB block holds the 80,000-byte second moment of 10 x 10 samples,
+# so 10 x 10 and 3 x 4 x 5 input take the moment path, and 28 x 28 input
+# (D = 784) the streamed path, which re-reads the samples at every update.
+_SMALL_BLOCK = 80 << 10
+
+
+def _estimate(rng, dims, ranks):
+    bases = [np.linalg.qr(rng.standard_normal((d, r)))[0] for d, r in zip(dims, ranks)]
+    eigvals = [np.linspace(1.0, 0.1, d) for d in dims]
+    if len(dims) == 2:
+        return SubspaceEstimate(*bases, *eigvals, tuple(ranks), {})
+    return TensorSubspaceEstimate(bases, eigvals, tuple(ranks), {})
+
+
+def _reference_csv(coords):
+    """The reduce CSV, one f-string per row."""
+    names = ["v_" + "_".join(str(i + 1) for i in idx) for idx in np.ndindex(*coords.shape[1:])]
+    lines = [",".join(["sample_index"] + names)]
+    lines += [f"{idx},{','.join(map(repr, row.tolist()))}"
+              for idx, row in enumerate(coords.reshape(len(coords), -1))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestStreamedInput:
+    """`psmm cov` and `psmm reduce` read MDS1 samples from the file, block by block."""
+
+    @pytest.mark.parametrize("n, dims", [(1500, (10, 10)), (300, (28, 28)), (2000, (3, 4, 5))])
+    def test_file_matches_in_memory_bytes(self, tmp_path, monkeypatch, n, dims):
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", _SMALL_BLOCK)
+        per_block = _SMALL_BLOCK // (8 * math.prod(dims))
+        assert n // per_block >= 10 and n % per_block  # many blocks, the last one ragged
+        rng = np.random.default_rng(137)
+        data = TensorDataset(rng.standard_normal((n, *dims)) * 2.0 + 0.5, rng.standard_normal(n))
+        path, est = tmp_path / "data.mds1", tmp_path / "est.json"
+        fileio.write_mds1(path, data)
+        fileio.write_estimate_json(est, _estimate(rng, dims, (1, 2, 2)[: len(dims)]))
+
+        assert run_cli("cov", "--input", path, "--output", tmp_path / "cov.json") == 0
+        fileio.write_cov_json(tmp_path / "ref.json", flipflop_fit(data))
+        assert (tmp_path / "cov.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert run_cli("reduce", "--input", path, "--model", est,
+                       "--output", tmp_path / "red.csv") == 0
+        coords = reduce(data, fileio.read_estimate_json(est))
+        assert (tmp_path / "red.csv").read_bytes() == _reference_csv(coords)
+
+    @pytest.mark.parametrize("command", ["cov", "reduce"])
+    def test_nan_in_last_block_exits_2_without_output(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", _SMALL_BLOCK)
+        rng = np.random.default_rng(139)
+        path, est, out = tmp_path / "data.mds1", tmp_path / "est.json", tmp_path / "out"
+        fileio.write_mds1(path, TensorDataset(rng.standard_normal((1000, 10, 10))))
+        fileio.write_estimate_json(est, _estimate(rng, (10, 10), (1, 2)))
+        # No responses: the file ends with the last sample's last value.
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())
+        args = {"cov": ["cov", "--input", path, "--output", out],
+                "reduce": ["reduce", "--input", path, "--model", est, "--output", out]}
+        assert run_cli(*args[command]) == 2
+        assert capsys.readouterr().err == "error: samples contains non-finite values\n"
+        assert not out.exists()
+
+    def test_bad_files_fail_before_any_payload_read(self, tmp_path, monkeypatch):
+        def no_payload(fh, out):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(data_module, "read_payload", no_payload)
+        monkeypatch.setattr(fileio, "read_payload", no_payload)
+        rng = np.random.default_rng(149)
+        good = tmp_path / "good.mds1"
+        fileio.write_mds1(good, MatrixDataset(rng.standard_normal((40, 3, 3)),
+                                              rng.standard_normal(40)))
+        raw = good.read_bytes()
+        header, payload = raw[: raw.index(b"\n") + 1], raw[raw.index(b"\n") + 1 :]
+        bad = {
+            "truncated": raw[:-8],
+            "padded": raw + bytes(8),
+            "dtype": header.replace(b"f64le", b"f32le") + payload,
+            "format": header.replace(b"MDS1", b"MDS2") + payload,
+            "json": b"{" + header + payload,
+        }
+        for name, content in bad.items():
+            path = tmp_path / f"{name}.mds1"
+            path.write_bytes(content)
+            with pytest.raises(ValueError):
+                fileio.read_mds1(path)
+            assert run_cli("cov", "--input", path, "--output", tmp_path / "c.json") == 2
+        # A good file without responses reads no payload until a pass needs it.
+        fileio.write_mds1(good, MatrixDataset(rng.standard_normal((40, 3, 3))))
+        assert fileio.read_mds1(good).samples.shape == (40, 3, 3)
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_commands_hold_a_few_blocks_at_any_n(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", _SMALL_BLOCK)
+        rng = np.random.default_rng(151)
+        path, est = tmp_path / "data.mds1", tmp_path / "est.json"
+        fileio.write_mds1(path, TensorDataset(rng.standard_normal((n, 10, 10))))
+        assert path.stat().st_size >= 16 * _SMALL_BLOCK
+        fileio.write_estimate_json(est, _estimate(rng, (10, 10), (1, 2)))
+        commands = {
+            "cov": ["cov", "--input", path, "--output", tmp_path / "cov.json"],
+            "reduce": ["reduce", "--input", path, "--model", est, "--output", tmp_path / "r.csv"],
+        }
+        peaks = {}
+        for name, args in commands.items():
+            assert run_cli(*args) == 0  # warm: lazy imports and caches
+            tracemalloc.start()
+            try:
+                assert run_cli(*args) == 0
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # cov: the read buffer and its finiteness mask, then the mean's
+        # stacked block or the centered block and the second moment.
+        assert peaks["cov"] <= 7 * _SMALL_BLOCK
+        # reduce: the read buffer and one product, one block of CSV lines,
+        # and the (n, 1, 2) coordinates it writes.
+        assert peaks["reduce"] <= 6 * _SMALL_BLOCK + 8 * n * 2

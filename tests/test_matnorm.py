@@ -66,6 +66,16 @@ class TestSampleMean:
         with pytest.raises(ValueError):
             MatrixDataset(np.empty((0, 2, 2)))
 
+    @pytest.mark.parametrize("n, dims, per_block", [
+        (50000, (10, 10), 5242),  # the default 4 MiB blocks, ragged last block
+        (3001, (4, 3, 5), 64),
+        (700, (26, 26), 1),
+    ])
+    def test_blocked_mean_is_bitwise_numpy_mean(self, monkeypatch, n, dims, per_block):
+        x = np.random.default_rng(131).standard_normal((n, *dims)) * 3.0 + 1.0
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * math.prod(dims) * per_block)
+        assert np.array_equal(sample_mean(TensorDataset(x)), x.mean(axis=0))
+
 
 class TestSymInvSqrt:
     def test_identity(self):
@@ -455,12 +465,12 @@ class TestMomentPath:
 
         monkeypatch.setattr(matnorm, "_map_blocks", counting)
         moment = flipflop_fit(data)
-        assert len(calls) == 1
+        assert len(calls) == 2  # the mean, then M
         # One block can no longer hold M: every update re-reads the samples.
         monkeypatch.setattr(matnorm, "_BLOCK_BYTES", 8 * total**2 - 8)
         calls.clear()
         streamed = flipflop_fit(data)
-        assert len(calls) == (len(dims) + 1) * streamed.iterations
+        assert len(calls) == 1 + (len(dims) + 1) * streamed.iterations
 
         assert moment.iterations == streamed.iterations
         assert moment.converged == streamed.converged
