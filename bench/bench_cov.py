@@ -21,17 +21,24 @@ A round is ``psmm cov`` and then ``psmm reduce`` onto a seeded random
 orthonormal estimate (ranks 1 and 2 per mode), run through ``cli.main``
 as a user runs them.  Timing wrappers around ``fileio.read_mds1``,
 ``cli.flipflop_fit``, ``matnorm.gaussian_loglik``, ``cli.reduce_features``
-and ``fileio.read_estimate_json`` split it into layers; the CSV write is
-the reduce command's time minus its reads and its contraction.  One
-untimed round per file runs first.  Each row records the sweep count, the
-passes over the samples that one ``psmm cov`` makes in blocks
-(``cov_sample_passes``: calls of ``matnorm._map_blocks``; the mean's pass
-is not counted), the
-child's peak RSS (``ru_maxrss``) at its end (``maxrss_mib``) and right
-after its first ``psmm cov`` (``cov_maxrss_mib``), so a row shows which
-command sets the peak, the fitted factors (float64, base64) and
-the largest relative change of those factors against the row labelled
-``parent``, max |new - base| / max |base| over every factor of every file.
+and ``fileio.read_estimate_json`` split it into layers.  ``read_mds1_s``
+is the cov command's ``read_mds1``: where the samples stay in the file
+and each pass reads them, it covers only the header and the responses,
+and the sample reads fall in ``flipflop_s`` and ``reduce_s``.
+``csv_write_s`` runs from the return of ``reduce_features`` to the end of
+the reduce command.  One untimed round per file runs first.  Each row
+records the sweep count, the passes over the samples that one ``psmm
+cov`` makes in blocks (``cov_sample_passes``: calls of
+``matnorm._map_blocks``; the mean's pass counts where the mean is one of
+them, and rows of code that took the mean with ``x.mean`` read one pass
+fewer), the child's peak RSS (``ru_maxrss``) at its end (``maxrss_mib``)
+and right after its first ``psmm cov`` (``cov_maxrss_mib``), so a row
+shows which command sets the peak, the fitted factors (float64, base64)
+and the largest relative change of those factors against the row
+labelled ``parent``, max |new - base| / max |base| over every factor of
+every file.  A second child per file runs one ``psmm reduce`` alone and
+records its peak RSS (``reduce_maxrss_mib``) next to the peak after the
+imports (``import_maxrss_mib``).
 
 ``--src`` imports psmm from another checkout's ``src``, so one copy of
 this script measures both:
@@ -115,6 +122,7 @@ def _maxrss_mib():
 def measure(psmm, workdir, name, repeats):
     """Run one file's rounds; returns the medians, sweeps, factors and peak RSS."""
     spans = defaultdict(float)
+    returned = {}  # key -> perf_counter at the last return
     fits = []
 
     def timed(module, attr, key, keep=None):
@@ -123,7 +131,8 @@ def measure(psmm, workdir, name, repeats):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             result = inner(*args, **kwargs)
-            spans[key] += time.perf_counter() - start
+            returned[key] = time.perf_counter()
+            spans[key] += returned[key] - start
             if keep is not None:
                 keep.append(result)
             return result
@@ -165,9 +174,9 @@ def measure(psmm, workdir, name, repeats):
         start = time.perf_counter()
         if psmm.cli.main(red) != 0:
             raise SystemExit(f"psmm reduce failed on {name}")
-        spans["reduce_cmd"] = time.perf_counter() - start
-        spans["csv_write"] = (spans["reduce_cmd"] - (spans["read_mds1"] - cov_read)
-                              - spans["read_estimate"] - spans["reduce"])
+        end = time.perf_counter()
+        spans["reduce_cmd"] = end - start
+        spans["csv_write"] = end - returned["reduce"]
         spans["read_mds1"] = cov_read
         rounds.append(dict(spans))
     rounds = rounds[1:]  # the first round fills caches
@@ -188,6 +197,17 @@ def measure(psmm, workdir, name, repeats):
     }
 
 
+def measure_reduce_peak(psmm, workdir, name):
+    """Peak RSS after the imports and after one ``psmm reduce`` run alone."""
+    imported = _maxrss_mib()
+    red = ["reduce", "--input", str(workdir / f"{name}.mds1"),
+           "--model", str(workdir / f"{name}.estimate.json"),
+           "--output", str(workdir / f"{name}.alone.csv")]
+    if psmm.cli.main(red) != 0:
+        raise SystemExit(f"psmm reduce failed on {name}")
+    return {"import_maxrss_mib": imported, "reduce_maxrss_mib": _maxrss_mib()}
+
+
 def decode_sigmas(draw):
     return [np.frombuffer(base64.b64decode(s), dtype="<f8") for s in draw["sigmas_b64"]]
 
@@ -201,18 +221,23 @@ def max_rel_change(draws, base_draws):
 
 
 def child(argv):
-    """Entry point of a child process: ``--make DIR`` or ``--measure DIR NAME``."""
+    """Entry point of a child process: ``--make DIR``, ``--reduce-peak DIR NAME`` or
+    ``--measure DIR NAME``."""
     parser = argparse.ArgumentParser()
     parser.add_argument("--src", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--make", default=None)
+    parser.add_argument("--reduce-peak", nargs=2, default=None)
     parser.add_argument("--measure", nargs=2, default=None)
     args = parser.parse_args(argv)
     psmm = import_psmm(args.src)
     if args.make is not None:
         make_inputs(psmm, args.seed, Path(args.make))
         print("{}")
+    elif args.reduce_peak is not None:
+        workdir, name = args.reduce_peak
+        print(json.dumps(measure_reduce_peak(psmm, Path(workdir), name)))
     else:
         workdir, name = args.measure
         print(json.dumps(measure(psmm, Path(workdir), name, args.repeats)))
@@ -244,7 +269,8 @@ def main(argv=None):
         draws = []
         for draw in GRID:
             result = run_child(common + ["--measure", tmp, draw["name"]])
-            draws.append({**draw, **result})
+            alone = run_child(common + ["--reduce-peak", tmp, draw["name"]])
+            draws.append({**draw, **result, **alone})
 
     out = Path(args.output)
     rows = json.loads(out.read_text())["rows"] if out.exists() else []
