@@ -463,17 +463,11 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
                 converged = True
                 break
 
-            bi = beta.item(i) + step
-            bj = beta.item(j) - step
-            if step == step_max:
-                # Snap the binding side exactly onto its bound so working-set
-                # membership stays crisp.
-                if cap_i <= cap_j:
-                    bi = hi.item(i)
-                if cap_j <= cap_i:
-                    bj = lo.item(j)
-            beta[i] = min(max(bi, lo.item(i)), hi.item(i))
-            beta[j] = min(max(bj, lo.item(j)), hi.item(j))
+            # A binding side lands exactly on its bound, so that working-set
+            # membership stays crisp; the other side can overshoot only by
+            # rounding, and only towards the bound it moves to.
+            beta[i] = hi.item(i) if step == cap_i else min(beta.item(i) + step, hi.item(i))
+            beta[j] = lo.item(j) if step == cap_j else max(beta.item(j) - step, lo.item(j))
             # crit = y - f, and the pair moves beta by +step at i and -step
             # at j, so f moves by (step/2) F (z_i - z_j).
             crit -= factor @ ((0.5 * step) * edge)
