@@ -39,7 +39,7 @@ sit at a bound), as in an active-set method (Scheinberg 2006).  A polish
 ends as soon as a round leaves every face coordinate strictly inside its
 bounds, because the face optimum is then reached.  First-order pairs
 alone zigzag across the rank-deficient faces of a low-rank kernel; since
-the polish solves those faces, and a cold solve starts from a polished
+the polish solves those faces, including the face of a cold solve's
 crossover point (below), the pair updates need no second-order choice
 of partner.
 
@@ -47,10 +47,11 @@ A cold solve (no usable warm start) does not start the pair updates from
 a = 0, where they would need O(#SV) updates of O(n r) each.  It first
 runs a primal-dual interior point whose Newton systems cost O(n r^2)
 through the rank-r kernel, takes a crossover that puts each coordinate at
-0, at C or in the face, restores the balance and polishes that face, and
-hands the point to the loop above, which then usually stops without a
-pair update.  The interior point keeps one n x r operand F / d and one
-r x n projection, refilled in place, and about 30 length-n vectors.
+0, at C or in the face and restores the balance, and hands that point to
+the loop above.  The loop's first polish solves the chosen face, and the
+loop then usually stops without a pair update.  The interior point keeps
+one n x r operand F / d and one r x n projection, refilled in place, and
+about 30 length-n vectors, all freed before that polish runs.
 Warm solves start the loop at the warm start directly, which at the
 sizes the pipeline meets is cheaper than an interior point.
 """
@@ -214,9 +215,9 @@ def _ride_face_direction(factor, rows, face, beta, crit, lo, hi, box, delta, max
     ``rows`` holds the factor rows of the face, factor[face].  Updates
     ``beta`` and ``crit`` in place and returns (moved, hit), where ``hit``
     says that a face coordinate reached one of its bounds.  Runs inside
-    the errstate of solve_svm_dual or _interior_point, which silences the
-    divisions by zero entries of the direction; a non-finite direction
-    gives a non-finite slope and no move.
+    the errstate of solve_svm_dual, which silences the divisions by zero
+    entries of the direction; a non-finite direction gives a non-finite
+    slope and no move.
     """
     slope = -float(crit[face] @ delta)
     if not (-np.inf < slope < 0.0 and float(np.abs(delta).max()) > 1e-16 * box):
@@ -249,7 +250,7 @@ def _step_to_boundary(x, dx):
     return min(1.0, float((-x / dx).min(where=dx < 0.0, initial=np.inf)))
 
 
-def _interior_point(factor, y, box):
+def _interior_point(factor, y, box, lo, hi):
     """Cold start: a low-rank primal-dual interior point, then a crossover.
 
     Runs Mehrotra's predictor-corrector on the a-form dual,
@@ -268,11 +269,12 @@ def _interior_point(factor, y, box):
     the stationarity residual below 1e-9 times its starting size (at least
     1e-9); that last test is relative because the residual cannot fall
     below the rounding of Q a, which grows with the kernel.  The crossover
-    then puts a_i at 0 where z_i > a_i and at C where v_i > s_i, moves the
-    free a_i (all a_i, if the free ones lack the room) in proportion to
-    their room so that y'a = 0 holds to rounding, and solves the face it
-    chose with one face polish: the interior point leaves the free a_i
-    about 1e-9 from the face optimum, the polish leaves them at rounding.
+    then puts a_i at 0 where z_i > a_i and at C where v_i > s_i, and moves
+    the free a_i (all a_i, if the free ones lack the room) within the
+    bounds ``lo``, ``hi`` of beta, in proportion to their room, so that
+    y'a = 0 holds to rounding.  The free a_i are left about 1e-9 from the
+    face optimum; the first face polish of solve_svm_dual's loop solves
+    the face.
 
     Returns (beta, iterations) with beta = y * a at the crossover point;
     the beta is the zero start when an iterate turns non-finite, the
@@ -341,7 +343,6 @@ def _interior_point(factor, y, box):
         at_zero, at_box = z > a, v > s
         beta = y * np.where(at_zero, 0.0, np.where(at_box, box, np.clip(a, 0.0, box)))
         free = ~(at_zero | at_box)
-        lo, hi = _bounds(y, box)
         excess = float(beta.sum())
         if excess != 0.0:
             room = beta - lo if excess > 0.0 else hi - beta
@@ -349,7 +350,6 @@ def _interior_point(factor, y, box):
             if free_room.sum() >= abs(excess):
                 room = free_room
             beta = np.clip(beta - excess * (room / room.sum()), lo, hi)
-        _face_polish(factor, beta, y - _decisions(factor, beta), lo, hi, box)
         return beta, iterations
 
 
@@ -427,7 +427,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
             beta = y * warm
     interior = 0
     if beta is None:
-        beta, interior = _interior_point(factor, y, box)
+        beta, interior = _interior_point(factor, y, box, lo, hi)
 
     crit = y - _decisions(factor, beta)
     objective_path = []
@@ -464,8 +464,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
                 break
 
             # A binding side lands exactly on its bound, so that working-set
-            # membership stays crisp; the other side can overshoot only by
-            # rounding, and only towards the bound it moves to.
+            # membership stays crisp; the other is clipped against rounding.
             beta[i] = hi.item(i) if step == cap_i else min(beta.item(i) + step, hi.item(i))
             beta[j] = lo.item(j) if step == cap_j else max(beta.item(j) - step, lo.item(j))
             # crit = y - f, and the pair moves beta by +step at i and -step

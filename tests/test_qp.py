@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -256,7 +257,7 @@ class TestInteriorPoint:
             box = [0.1, 1.0, 10.0][trial % 3]
             prob = random_problem(rng, box=box)
             y = prob.labels.astype(float)
-            beta, iterations = qp._interior_point(prob.factor, y, box)
+            beta, iterations = qp._interior_point(prob.factor, y, box, *qp._bounds(y, box))
             alphas = y * beta
             assert 0 < iterations <= qp._INTERIOR_MAX_ITER
             assert np.all(alphas >= 0.0) and np.all(alphas <= box)
@@ -282,6 +283,32 @@ class TestInteriorPoint:
         assert abs(sol.dual_objective - zero_start.dual_objective) <= 1e-9 * abs(
             zero_start.dual_objective
         )
+
+    def test_cold_start_is_polished_once_by_the_loop(self, monkeypatch):
+        # The interior point hands its crossover point over unpolished, and
+        # the loop's polish before its first pair update is the only one: it
+        # runs once when the crossover point is not yet optimal, else never.
+        # Problems drawn as in TestOracleEquivalence.
+        callers = []
+        real_polish = qp._face_polish
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_polish(*args)
+
+        monkeypatch.setattr(qp, "_face_polish", spy)
+        rng = np.random.default_rng(77)
+        for trial in range(30):
+            box = [0.1, 1.0, 10.0][trial % 3]
+            prob = random_problem(rng, box=box)
+            y = prob.labels.astype(float)
+            beta, _ = qp._interior_point(prob.factor, y, box, *qp._bounds(y, box))
+            assert callers == []
+            optimal = kkt_residual_value(prob.factor, prob.labels, box, y * beta) <= prob.tol
+            sol = solve_svm_dual(prob)
+            assert sol.converged and sol.iterations == 0
+            assert callers == ([] if optimal else ["solve_svm_dual"])
+            callers.clear()
 
     def test_iteration_cap_falls_back_to_the_zero_start(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -576,7 +603,7 @@ class TestProperties:
         # only descends from there.
         prob, _ = case
         y = prob.labels.astype(float)
-        beta, _ = qp._interior_point(prob.factor, y, prob.box)
+        beta, _ = qp._interior_point(prob.factor, y, prob.box, *qp._bounds(y, prob.box))
         alphas = y * beta
         assert np.all(alphas >= 0.0) and np.all(alphas <= prob.box)
         assert abs(float(alphas @ y)) <= 1e-10
