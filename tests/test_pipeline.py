@@ -389,3 +389,24 @@ class TestInvariants:
         v2 = np.linalg.solve(b.T, v)
         transformed = objective_eval([u2, v2], t, MatrixDataset(x2), labels, params2, lam)
         assert abs(transformed - base) <= 1e-8 * (1.0 + abs(base))
+
+    @pytest.mark.parametrize("model", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_is_equivariant_under_orthogonal_maps(self, model, seed):
+        # X -> A X B' for orthogonal A, B maps the standard matrix-normal
+        # model onto itself and its subspaces to A U and B V; with one start
+        # per slice the fit must follow, up to rounding.
+        inst = gen_model(model, 200, 5, seed=seed)
+        rng = np.random.default_rng(seed)
+        a = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        b = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        moved = MatrixDataset(a @ inst.dataset.samples @ b.T, inst.dataset.responses)
+        config = PsmmConfig(restarts=0)
+        est = fit_psmm(inst.dataset, config)
+        est_moved = fit_psmm(moved, config)
+        assert est_moved.selected_dims == est.selected_dims
+        np.testing.assert_allclose(est_moved.eigvals_row, est.eigvals_row, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(est_moved.eigvals_col, est.eigvals_col, rtol=1e-9, atol=0.0)
+        distance = subspace_distance(a @ est.row_basis, b @ est.col_basis,
+                                     est_moved.row_basis, est_moved.col_basis)
+        assert distance <= 1e-9
