@@ -9,7 +9,7 @@ the same replicate data so the distance comparisons are paired.
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,20 +18,6 @@ from .errors import PsmmError
 from .pipeline import PsmmConfig, _validate_fixed_dims, fit_psmm, fit_psvm_baseline
 
 BENCHMARK_METHODS = ("psmm", "psvm")
-
-_CSV_COLUMNS = (
-    "model",
-    "method",
-    "n",
-    "d",
-    "replicate",
-    "distance",
-    "runtime_seconds",
-    "r1",
-    "r2",
-    "status",
-)
-
 
 @dataclass(eq=False)
 class SyntheticInstance:
@@ -75,7 +61,7 @@ class BenchmarkResult:
         """
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_COLUMNS)
+            writer.writerow(field.name for field in fields(BenchmarkRow))
             for row in self.rows:
                 ok = row.status == "ok"
                 writer.writerow(
