@@ -47,30 +47,22 @@ this script measures both:
     python3 bench/bench_cov.py --label change
 """
 
-import os
+import common  # first: pins BLAS to one thread before numpy is imported
 
-# Pin BLAS/OpenMP threads before numpy is imported, here and in the
-# children that inherit this environment.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import base64
+import json
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
 
-import argparse  # noqa: E402
-import base64  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
+from common import ROOT, import_psmm
 
 GRID = [
     {"name": f"matrix_{i}", "n": 50000, "dims": [10, 10], "response": True} for i in range(3)
@@ -80,18 +72,6 @@ GRID = [
 ]
 RANKS = (1, 2)
 CHILD_TIMEOUT_S = 900
-
-
-def import_psmm(src):
-    sys.path.insert(0, src)
-    import psmm
-    import psmm.cli
-    import psmm.fileio
-    import psmm.matnorm
-
-    if Path(src).resolve() not in Path(psmm.__file__).resolve().parents:
-        raise SystemExit(f"imported psmm from {psmm.__file__}, not from {src}")
-    return psmm
 
 
 def make_inputs(psmm, seed, workdir):
@@ -244,11 +224,7 @@ def child(argv):
 
 
 def run_child(args):
-    done = subprocess.run([sys.executable, "-B", __file__, "--child", *args],
-                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S, check=False)
-    if done.returncode != 0:
-        raise SystemExit(f"child {args} failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return common.run_child(__file__, args, CHILD_TIMEOUT_S)
 
 
 def main(argv=None):
@@ -262,18 +238,17 @@ def main(argv=None):
                         help="directory for the input files (default: a temporary one)")
     args = parser.parse_args(argv)
     src = str(Path(args.src).resolve())
-    common = ["--src", src, "--seed", str(args.seed), "--repeats", str(args.repeats)]
+    shared = ["--src", src, "--seed", str(args.seed), "--repeats", str(args.repeats)]
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        run_child(common + ["--make", tmp])
+        run_child(shared + ["--make", tmp])
         draws = []
         for draw in GRID:
-            result = run_child(common + ["--measure", tmp, draw["name"]])
-            alone = run_child(common + ["--reduce-peak", tmp, draw["name"]])
+            result = run_child(shared + ["--measure", tmp, draw["name"]])
+            alone = run_child(shared + ["--reduce-peak", tmp, draw["name"]])
             draws.append({**draw, **result, **alone})
 
-    out = Path(args.output)
-    rows = json.loads(out.read_text())["rows"] if out.exists() else []
+    rows = common.read_rows(args.output)
     base = None if args.label == "parent" else next(
         (r for r in rows if r["label"] == "parent"), None)
     row = {
@@ -283,16 +258,9 @@ def main(argv=None):
         "round_s": round(sum(d["cov_cmd_s"] + d["reduce_cmd_s"] for d in draws), 4),
         "max_sigma_rel_change": None if base is None else max_rel_change(draws, base["draws"]),
         "draws": draws,
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "nproc": os.cpu_count(),
-            "blas_threads": 1,
-            "machine": platform.machine(),
-        },
+        "env": common.env(),
     }
-    rows = [r for r in rows if r["label"] != args.label] + [row]
-    out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+    common.write_rows(args.output, rows, [row])
     summary = {k: v for k, v in row.items() if k != "draws"}
     summary["draws"] = [{k: v for k, v in d.items() if k != "sigmas_b64"} for d in draws]
     print(json.dumps(summary))
@@ -300,7 +268,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--child"]:
-        child(sys.argv[2:])
-    else:
-        sys.exit(main())
+    sys.exit(common.run(main, child))

@@ -21,27 +21,20 @@ flips (cells whose selected dims changed).  Distances are stored as JSON
 floats, which round-trip exactly, so "changed" means not bitwise equal.
 """
 
-import os
-
 # One BLAS thread, as in perfbench, so that rounding does not depend on
 # the thread count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
+import common  # first: pins BLAS to one thread before numpy is imported
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
 
-import numpy as np  # noqa: E402
+from common import ROOT, import_psmm
 
-ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
-from bench.bench_fit import import_psmm  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 SEEDS = range(101, 121)
@@ -127,8 +120,7 @@ def main(argv=None):
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding psmm")
     parser.add_argument("--output", default=str(ROOT / "BENCH_est.json"))
     args = parser.parse_args(argv)
-    out = Path(args.output)
-    rows = json.loads(out.read_text())["rows"] if out.exists() else []
+    rows = common.read_rows(args.output)
     if args.compare:
         compare(rows, *args.compare)
         return 0
@@ -139,17 +131,12 @@ def main(argv=None):
         "seeds": [SEEDS.start, SEEDS.stop - 1],
         "grid": SIZE,
         "cells": measure(psmm),
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": 1,
-            "machine": platform.machine(),
-        },
+        # Rows of this file have always been written without nproc.
+        "env": {k: v for k, v in common.env().items() if k != "nproc"},
     }
-    rows = [r for r in rows if r["label"] != args.label] + [row]
-    out.write_text(dump(rows))
+    common.write_rows(args.output, rows, [row], dump)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(common.run(main))

@@ -28,41 +28,24 @@ measures both:
     python3 bench/bench_fit.py --label change
 """
 
-import os
+import common  # first: pins BLAS to one thread before numpy is imported
 
-# Pin BLAS/OpenMP threads before numpy is imported, here and in the
-# children that inherit this environment.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import json
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
+from common import ROOT, import_psmm
 
 GRID = ([{"method": "psmm", "model": model, "n": n, "d": d}
          for model in (1, 3) for n in (500, 2000, 4000) for d in (5, 10)]
         + [{"method": "psvm", "model": 1, "n": n, "d": 10} for n in (5000, 20000)])
 CHILD_TIMEOUT_S = 1800
-
-
-def import_psmm(src):
-    sys.path.insert(0, src)
-    import psmm
-
-    if Path(src).resolve() not in Path(psmm.__file__).resolve().parents:
-        raise SystemExit(f"imported psmm from {psmm.__file__}, not from {src}")
-    return psmm
 
 
 def count_sample_passes(psmm, samples):
@@ -129,14 +112,6 @@ def child(argv):
     print(json.dumps(measure(psmm, args.method, *args.cell, args.seed, args.repeats)))
 
 
-def run_child(args):
-    done = subprocess.run([sys.executable, "-B", __file__, "--child", *args],
-                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S, check=False)
-    if done.returncode != 0:
-        raise SystemExit(f"child {args} failed:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
@@ -146,12 +121,13 @@ def main(argv=None):
     parser.add_argument("--output", default=str(ROOT / "BENCH_fit.json"))
     args = parser.parse_args(argv)
     src = str(Path(args.src).resolve())
-    common = ["--src", src, "--seed", str(args.seed), "--repeats", str(args.repeats)]
+    shared = ["--src", src, "--seed", str(args.seed), "--repeats", str(args.repeats)]
 
     cells = []
     for cell in GRID:
-        result = run_child(common + ["--method", cell["method"],
-                                     "--cell", *(str(cell[k]) for k in ("model", "n", "d"))])
+        result = common.run_child(__file__, shared + [
+            "--method", cell["method"], "--cell", *(str(cell[k]) for k in ("model", "n", "d"))
+        ], CHILD_TIMEOUT_S)
         cells.append({**cell, **result})
         print(json.dumps(cells[-1]), flush=True)
 
@@ -160,23 +136,11 @@ def main(argv=None):
         "seed": args.seed,
         "repeats": args.repeats,
         "cells": cells,
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "nproc": os.cpu_count(),
-            "blas_threads": 1,
-            "machine": platform.machine(),
-        },
+        "env": common.env(),
     }
-    out = Path(args.output)
-    rows = json.loads(out.read_text())["rows"] if out.exists() else []
-    rows = [r for r in rows if r["label"] != args.label] + [row]
-    out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+    common.write_rows(args.output, common.read_rows(args.output), [row])
     return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--child"]:
-        child(sys.argv[2:])
-    else:
-        sys.exit(main())
+    sys.exit(common.run(main, child))

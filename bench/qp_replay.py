@@ -36,28 +36,21 @@ replay passes it back as ``SvmDualProblem(factor=...)``.
     python3 bench/qp_replay.py --label change --capture-src ../parent/src
 """
 
-import os
+import common  # first: pins BLAS to one thread before numpy is imported
 
-# Pin BLAS/OpenMP threads before numpy is imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import hashlib
+import json
+import math
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import importlib  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
+from common import ROOT, import_psmm
 
 GRID = {"models": [1, 2, 3], "methods": ["psmm", "psvm"], "n_grid": [200], "d_grid": [5]}
 
@@ -93,17 +86,6 @@ def capture(psmm, seed, factor_file):
         psmm.smm.solve_svm_dual = real_solve
     factor_file.flush()
     return records
-
-
-def import_psmm(src):
-    """Import psmm from ``src``, dropping any psmm imported before."""
-    for name in [m for m in sys.modules if m == "psmm" or m.startswith("psmm.")]:
-        del sys.modules[name]
-    sys.path.insert(0, src)
-    try:
-        return importlib.import_module("psmm")
-    finally:
-        sys.path.remove(src)
 
 
 def problems_digest(records, factor_path):
@@ -186,13 +168,7 @@ def make_row(label, args, records, solutions, times, sha, problems_sha):
         "dual_objective_sum": math.fsum(sol.dual_objective for sol in solutions),
         "solutions_sha256": sha,
         "problems_sha256": problems_sha,
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "nproc": os.cpu_count(),
-            "blas_threads": 1,
-            "machine": platform.machine(),
-        },
+        "env": common.env(),
     }
 
 
@@ -244,19 +220,16 @@ def main(argv=None):
     if two_sided:
         new_rows[0]["alternated_with"] = args.label
         new_rows[1]["alternated_with"] = "parent"
-    out = Path(args.output)
-    rows = json.loads(out.read_text())["rows"] if out.exists() else []
     labels = {row["label"] for row in new_rows}
-    rows = [r for r in rows if r["label"] not in labels]
+    rows = [r for r in common.read_rows(args.output) if r["label"] not in labels]
     parent = next((r for r in rows + new_rows if r["label"] == "parent"), None)
     for row in new_rows:
         if row is not parent and parent is not None and parent["problems_sha256"] == problems_sha:
             row["same_solutions_as_parent"] = parent["solutions_sha256"] == row["solutions_sha256"]
-        rows.append(row)
         print(json.dumps(row))
-    out.write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+    common.write_rows(args.output, rows, new_rows)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(common.run(main))
