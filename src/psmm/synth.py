@@ -19,6 +19,7 @@ from .pipeline import PsmmConfig, _validate_fixed_dims, fit_psmm, fit_psvm_basel
 
 BENCHMARK_METHODS = ("psmm", "psvm")
 
+
 @dataclass(eq=False)
 class SyntheticInstance:
     """One generated dataset with its ground truth and stored noise."""
