@@ -26,6 +26,7 @@ order.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +116,8 @@ def _mode_gram(batch, mode):
     return u @ u.T
 
 
-def _map_blocks(fn, samples, mats, mean=None):
-    """[fn(rows, Z) for consecutive blocks of about ``_BLOCK_BYTES`` of samples].
+def _map_blocks(samples, mats, mean=None):
+    """Yield (rows, Z) for consecutive blocks of about ``_BLOCK_BYTES`` of samples.
 
     Z = (X[rows] - mean) x_1 mats[0] ... x_K mats[K-1], where a ``None``
     entry of ``mats`` leaves its mode alone and ``mean=None`` skips the
@@ -126,9 +127,9 @@ def _map_blocks(fn, samples, mats, mean=None):
     prod d_k)) samples; an input of one block runs the same arithmetic as
     the whole batch at once.  The centered block and each product are
     written, in turn, into two buffers that every block of the pass
-    reuses, so ``fn`` must not keep Z past its call; with ``mats`` no
-    taller than square a pass holds two blocks besides the input (plus a
-    file's read buffer) and pages in no fresh memory per block.
+    reuses, so each Z is valid only until the next block; with ``mats``
+    no taller than square a pass holds two blocks besides the input (plus
+    a file's read buffer) and pages in no fresh memory per block.
     """
     step = _block_rows(samples.shape, _BLOCK_BYTES)
     if isinstance(samples, FileSamples):
@@ -144,7 +145,6 @@ def _map_blocks(fn, samples, mats, mean=None):
             spare[turn] = np.empty(size)
         return spare[turn][:size].reshape(shape)
 
-    results = []
     for rows, block in blocks:
         turn = 0
         z = block
@@ -156,32 +156,15 @@ def _map_blocks(fn, samples, mats, mean=None):
                 shape = z.shape[: k + 1] + (mat.shape[0],) + z.shape[k + 2 :]
                 z = _mode_multiply(z, mat, k, out=scratch(turn, shape))
                 turn = 1 - turn
-        results.append(fn(rows, z))
-    return results
-
-
-def _sum_blocks(fn, samples, mats, mean=None):
-    """fn(rows, Z) summed over the blocks of :func:`_map_blocks`, in block order.
-
-    The sum runs as the blocks are done, so a pass holds one block's term
-    instead of a list with every block's.
-    """
-    total = None
-
-    def add(rows, z):
-        nonlocal total
-        term = fn(rows, z)
-        total = term if total is None else total + term
-
-    _map_blocks(add, samples, mats, mean)
-    return total
+        yield rows, z
 
 
 def _product(samples, mats, mean=None):
     """The whole batch of :func:`_map_blocks` products, written block by block into one array."""
     out_dims = [d if m is None else m.shape[0] for d, m in zip(samples.shape[1:], mats)]
     out = np.empty((samples.shape[0], *out_dims))
-    _map_blocks(out.__setitem__, samples, mats, mean)
+    for rows, z in _map_blocks(samples, mats, mean):
+        out[rows] = z
     return out
 
 
@@ -192,8 +175,9 @@ def _second_moment(samples, mean):
     prod d_k), adds its own syrk (:func:`_mode_gram`).
     """
     total = math.prod(samples.shape[1:])
-    return _sum_blocks(lambda _, z: _mode_gram(z.reshape(len(z), total), 0),
-                       samples, [None] * (samples.ndim - 1), mean)
+    blocks = _map_blocks(samples, [None] * (samples.ndim - 1), mean)
+    return functools.reduce(operator.add,
+                            (_mode_gram(z.reshape(len(z), total), 0) for _, z in blocks))
 
 
 def _moment_contract(moment, dims, mats, keep=None):
@@ -287,14 +271,10 @@ def sample_mean(data):
     total = None
     step = _block_rows(samples.shape, _BLOCK_BYTES)
     stack = np.empty((min(step, samples.shape[0]) + 1, *samples.shape[1:]))
-
-    def add(_, z):
-        nonlocal total
+    for _, z in _map_blocks(samples, [None] * (samples.ndim - 1)):
         if total is not None:
             z = np.concatenate([total[None], z], out=stack[: len(z) + 1])
         total = np.add.reduce(z, axis=0)
-
-    _map_blocks(add, samples, [None] * (samples.ndim - 1))
     return total / samples.shape[0]
 
 
@@ -354,7 +334,7 @@ def gaussian_loglik(samples, mean, sigmas, second_moment=None):
         logdet += (total / dims[k]) * float(np.log(w).sum())
     if second_moment is None:
         whiteners = [(v * w**-0.5) @ v.T for w, v in eighs]
-        quad = _sum_blocks(lambda _, z: float(np.vdot(z, z)), samples, whiteners, mean)
+        quad = sum(float(np.vdot(z, z)) for _, z in _map_blocks(samples, whiteners, mean))
     else:
         inverses = [(v / w) @ v.T for w, v in eighs]
         quad = _moment_contract(np.asarray(second_moment, dtype=np.float64), dims, inverses)
@@ -446,7 +426,8 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
             whiteners = [None if j == k else _inv_sqrt_ridged(sigmas[j], ridge)
                          for j in range(order)]
             if moment is None:
-                gram = _sum_blocks(lambda _, z: _mode_gram(z, k), x, whiteners, mean)
+                blocks = _map_blocks(x, whiteners, mean)
+                gram = functools.reduce(operator.add, (_mode_gram(z, k) for _, z in blocks))
             else:
                 inverses = [None if w is None else w @ w for w in whiteners]
                 gram = _symmetrize(_moment_contract(moment, dims, inverses, keep=k))

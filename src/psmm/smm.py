@@ -170,13 +170,13 @@ def _initial_directions(samples, labels, params):
     """
     n = samples.shape[0]
     roots = [params.factor_inv_sqrt(k) for k in range(params.order)]
-    sums = _map_blocks(
-        lambda rows, z: (labels[rows] @ z.reshape(len(z), -1), float(np.vdot(z, z))),
-        samples, [None] * params.order, params.mean,
-    )
-    delta = sum(gap for gap, _ in sums).reshape(1, *params.dims) / n
+    gap, square = 0.0, 0.0
+    for rows, z in _map_blocks(samples, [None] * params.order, params.mean):
+        gap += labels[rows] @ z.reshape(len(z), -1)
+        square += float(np.vdot(z, z))
+    delta = gap.reshape(1, *params.dims) / n
     whitened = _product(delta, roots)
-    data_scale = float(np.sqrt(sum(sq for _, sq in sums) / n))
+    data_scale = float(np.sqrt(square / n))
     if float(np.linalg.norm(whitened)) <= 1e-13 * max(data_scale, 1e-300):
         return [_sign_fix(v[:, -1].copy()) for _, v in params._eighs]
     out = []
