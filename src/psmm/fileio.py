@@ -60,6 +60,11 @@ FORMAT_VERSION = 1
 _CSV_BLOCK_VALUES = 1 << 12
 
 
+def _is_int(value):
+    """Whether a parsed JSON value is an integer (JSON true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def write_mds1(path, dataset):
     samples = np.ascontiguousarray(dataset.samples, dtype=_DTYPE)
     header = {
@@ -93,17 +98,19 @@ def read_mds1(path):
             header = json.loads(line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"MDS1 header is not valid JSON: {exc}") from exc
-        if header.get("format") != "MDS1":
+        if not isinstance(header, dict) or header.get("format") != "MDS1":
             raise ValueError("not an MDS1 file")
         if header.get("dtype") != "f64le":
             raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
-        n = int(header["n"])
-        dims = [int(d) for d in header["dims"]]
+        n, dims, has_response = header["n"], header["dims"], header["has_response"]
+        if not (_is_int(n) and isinstance(dims, list) and all(map(_is_int, dims))):
+            raise ValueError(f"MDS1 n and dims must be integers, got n={n!r}, dims={dims!r}")
+        if not isinstance(has_response, bool):
+            raise ValueError(f"MDS1 has_response must be true or false, got {has_response!r}")
         if len(dims) < 2:
             raise ValueError("MDS1 dims must have at least two entries")
         if n < 1 or min(dims) < 1:
             raise ValueError(f"MDS1 n and dims must be positive, got n={n}, dims={dims}")
-        has_response = bool(header["has_response"])
         payload = os.fstat(fh.fileno()).st_size - len(line)
         count = n * int(np.prod(dims))
         expected = 8 * (count + (n if has_response else 0))
@@ -196,8 +203,15 @@ def _columns(basis):
     return np.asarray(basis, dtype=np.float64).T.tolist()
 
 
-def _from_columns(columns):
-    return np.asarray(columns, dtype=np.float64).T
+def _float_array(value, ndim, name):
+    """``value`` as a float64 array with ``ndim`` axes; ValueError naming it otherwise."""
+    try:
+        out = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != ndim:
+        raise ValueError(f"estimate {name} is not a {ndim}-D array of numbers")
+    return out
 
 
 # The matrix layout's names for [*mode_bases, *mode_eigvals].
@@ -221,6 +235,8 @@ def estimate_to_dict(estimate):
 
 
 def estimate_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("estimate JSON is not an object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported estimate format_version {doc.get('format_version')!r}")
     tensor = "mode_bases" in doc
@@ -229,13 +245,17 @@ def estimate_from_dict(doc):
     else:
         matrix = [doc[key] for key in _MATRIX_KEYS]
         bases, eigvals = matrix[:2], matrix[2:]
-    bases = [_from_columns(b) for b in bases]
-    eigvals = [np.asarray(w, dtype=np.float64) for w in eigvals]
-    rest = (
-        tuple(int(r) for r in doc["selected_dims"]),
-        doc.get("config", {}),
-        doc.get("convergence", []),
-    )
+    if not (isinstance(bases, list) and isinstance(eigvals, list)):
+        raise ValueError("estimate bases and eigenvalues are not lists")
+    bases = [_float_array(b, 2, "basis").T for b in bases]
+    eigvals = [_float_array(w, 1, "eigenvalue list") for w in eigvals]
+    dims = doc["selected_dims"]
+    if not (isinstance(dims, list) and len(dims) == len(bases) and all(map(_is_int, dims))):
+        raise ValueError(f"estimate selected_dims must be one integer per basis, got {dims!r}")
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError("estimate config is not an object")
+    rest = (tuple(dims), config, doc.get("convergence", []))
     if tensor:
         return TensorSubspaceEstimate(bases, eigvals, *rest)
     return SubspaceEstimate(*bases, *eigvals, *rest)

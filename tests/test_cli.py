@@ -124,6 +124,30 @@ class TestMds1Format:
         assert run_cli("cov", "--input", path, "--output", tmp_path / "c.json") == 2
         assert run_cli("fit", "--input", path, "--output", tmp_path / "o.json") == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", None), ("n", 8.9), ("n", 8.0), ("n", True),
+        ("dims", 5), ("dims", [2.5, 2]), ("dims", [2, "2"]), ("dims", [2, True]),
+        ("has_response", "false"), ("has_response", 1), ("has_response", None),
+        (None, [1]),  # the whole header
+    ])
+    def test_mistyped_header_exits_2_without_output(self, tmp_path, capsys, field, value):
+        rng = np.random.default_rng(8)
+        path, out = tmp_path / "typed.mds1", tmp_path / "cov.json"
+        fileio.write_mds1(path, MatrixDataset(rng.standard_normal((8, 2, 2)),
+                                              rng.standard_normal(8)))
+        raw = path.read_bytes()
+        end = raw.index(b"\n")
+        header = json.loads(raw[:end])
+        if field is None:
+            header = value
+        else:
+            header[field] = value
+        path.write_bytes(json.dumps(header).encode() + raw[end:])
+        assert run_cli("cov", "--input", path, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_zero_size_sample_dims_rejected(self):
         with pytest.raises(ValueError, match="must be positive"):
             TensorDataset(np.zeros((3, 2, 0, 2)), np.zeros(3))
@@ -319,6 +343,30 @@ class TestCmdReduce:
         fileio.write_estimate_json(epath, est)
         assert run_cli("reduce", "--input", model1_file, "--model", epath,
                        "--output", tmp_path / "r.csv") == 2
+
+    @pytest.mark.parametrize("change", [
+        [1],  # the whole document
+        {"row_basis": 5},
+        {"col_basis": {"a": 1}},
+        {"col_basis": [[1.0, 0.0, 0.0], "x"]},
+        {"eigvals_row": [[1.0, 0.5, 0.1]]},
+        {"eigvals_col": None},
+        {"selected_dims": None},
+        {"selected_dims": [1]},
+        {"selected_dims": [1, 2.0]},
+        {"selected_dims": [1, True]},
+        {"config": []},
+    ])
+    def test_mistyped_estimate_exits_2_without_output(self, tmp_path, model1_file, capsys,
+                                                      change):
+        epath, out = tmp_path / "e.json", tmp_path / "r.csv"
+        fileio.write_estimate_json(epath, _estimate(np.random.default_rng(10), (3, 3), (1, 2)))
+        doc = json.loads(epath.read_text())
+        epath.write_text(json.dumps(change if isinstance(change, list) else {**doc, **change}))
+        assert run_cli("reduce", "--input", model1_file, "--model", epath, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_empty_dataset_exit2(self, tmp_path):
         path = tmp_path / "empty.csv"
