@@ -5,9 +5,11 @@ and one BLAS thread, and reports per cell the median fit seconds over the
 repeats, the child's peak RSS (``ru_maxrss``), the selected dims, the
 projector distance to the true subspace and ``sample_passes``, a
 deterministic work counter: the number of ``matnorm._map_blocks`` calls
-of one fit whose input shares memory with the fit's own n samples (every
-blocked pass of the flip-flop, the rank-1 fits and the psvm covariance
-runs through it; the psvm fit passes views of the samples):
+of one fit that have a positional array argument sharing memory with the
+fit's own n samples (every blocked pass of the flip-flop, the rank-1 fits
+and the psvm covariance runs through it; the psvm fit passes views of the
+samples; :func:`count_sample_passes` says why every positional argument
+is tested):
 
     python3 bench/bench_fit.py --label change
 
@@ -51,16 +53,20 @@ CHILD_TIMEOUT_S = 1800
 def count_sample_passes(psmm, samples):
     """Make ``matnorm._map_blocks`` count its calls on ``samples``; returns the counter.
 
-    A call counts when its input shares memory with ``samples``, so that
-    a view such as ``samples.reshape(n, -1)`` counts too.  smm holds its
-    own reference to the function, so it is replaced there too.
+    A call counts when any positional array argument shares memory with
+    ``samples``, so that a view such as ``samples.reshape(n, -1)`` counts
+    too, whether the samples come first (``_map_blocks(samples, mats,
+    mean)``) or after a callback (``_map_blocks(fn, samples, mats,
+    mean)``).  smm holds its own reference to the function, so it is
+    replaced there too.
     """
     real = psmm.matnorm._map_blocks
     calls = [0]
 
-    def counting(fn, blocks_of, *args, **kwargs):
-        calls[0] += np.may_share_memory(blocks_of, samples)
-        return real(fn, blocks_of, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls[0] += any(isinstance(a, np.ndarray) and np.may_share_memory(a, samples)
+                        for a in args)
+        return real(*args, **kwargs)
 
     psmm.matnorm._map_blocks = psmm.smm._map_blocks = counting
     return calls
