@@ -525,10 +525,11 @@ class TestLargeProblems:
             tracemalloc.stop()
         assert sol.converged and sol.interior_iterations > 0
         fd = proj = 8 * n * r
-        # At most six r x r arrays at once: 2I, the Cholesky factor and its
-        # inverse, and the crossover polish's face rows, centered rows and
-        # SVD factors (a face of a rank-r kernel holds about r + 1
-        # coordinates).
+        # Six r x r arrays: the interior point holds three at once (2I, the
+        # Cholesky factor and its inverse), and three more are slack.  The
+        # pair loop's face polish (face rows, centered rows and SVD factors;
+        # a face of a rank-r kernel holds about r + 1 coordinates) runs only
+        # after F / d and the projection are freed, so it fits in their room.
         squares = 6 * 8 * r * r
         # The iterate x and a Newton step (4 rows each), the step being
         # formed (4), the targets and complementarity rows (4), the
