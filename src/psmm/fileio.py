@@ -209,8 +209,8 @@ def _float_array(value, ndim, name):
         out = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         out = None
-    if out is None or out.ndim != ndim:
-        raise ValueError(f"estimate {name} is not a {ndim}-D array of numbers")
+    if out is None or out.ndim != ndim or not np.isfinite(out).all():
+        raise ValueError(f"estimate {name} is not a {ndim}-D array of finite numbers")
     return out
 
 

@@ -349,6 +349,7 @@ class TestCmdReduce:
         {"row_basis": 5},
         {"col_basis": {"a": 1}},
         {"col_basis": [[1.0, 0.0, 0.0], "x"]},
+        {"col_basis": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0]]},
         {"eigvals_row": [[1.0, 0.5, 0.1]]},
         {"eigvals_col": None},
         {"selected_dims": None},
