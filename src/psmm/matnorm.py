@@ -176,8 +176,10 @@ def _second_moment(samples, mean):
     """
     total = math.prod(samples.shape[1:])
     blocks = _map_blocks(samples, [None] * (samples.ndim - 1), mean)
-    return functools.reduce(operator.add,
-                            (_mode_gram(z.reshape(len(z), total), 0) for _, z in blocks))
+    moment = _mode_gram(next(blocks)[1].reshape(-1, total), 0)
+    for _, z in blocks:
+        moment += _mode_gram(z.reshape(len(z), total), 0)
+    return moment
 
 
 def _moment_contract(moment, dims, mats, keep=None):
@@ -426,8 +428,9 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
             whiteners = [None if j == k else _inv_sqrt_ridged(sigmas[j], ridge)
                          for j in range(order)]
             if moment is None:
-                blocks = _map_blocks(x, whiteners, mean)
-                gram = functools.reduce(operator.add, (_mode_gram(z, k) for _, z in blocks))
+                # A generator expression: no block stays bound here past the pass.
+                grams = (_mode_gram(z, k) for _, z in _map_blocks(x, whiteners, mean))
+                gram = functools.reduce(operator.iadd, grams)
             else:
                 inverses = [None if w is None else w @ w for w in whiteners]
                 gram = _symmetrize(_moment_contract(moment, dims, inverses, keep=k))
