@@ -178,7 +178,7 @@ def _second_moment(samples, mean):
     blocks = _map_blocks(samples, [None] * (samples.ndim - 1), mean)
     moment = _mode_gram(next(blocks)[1].reshape(-1, total), 0)
     for _, z in blocks:
-        moment += _mode_gram(z.reshape(len(z), total), 0)
+        moment += _mode_gram(z.reshape(-1, total), 0)
     return moment
 
 
