@@ -14,10 +14,20 @@ is tested):
     python3 bench/bench_fit.py --label change
 
 Grid: ``fit_psmm`` on models 1 and 3 x n in {500, 2000, 4000} x d in
-{5, 10}, and ``fit_psvm_baseline`` on model 1, d = 10, n in {5000,
-20000}, each drawn by ``gen_model(model, n, d, seed=--seed)``.  A cell's
-``method`` names its fit; rows written before the psvm cells have no
-such field, and their cells are psmm.  The psvm distance is that of
+{5, 10} and on models 1 and 3 at n = 16000, d = 10, where the samples
+(12.2 MiB) outgrow one 4 MiB block; ``fit_psvm_baseline`` on model 1,
+d = 10, n in {5000, 20000}.  Each cell is drawn by ``gen_model(model, n,
+d, seed=--seed)``.  A cell's ``method`` names its fit; rows written
+before the psvm cells have no such field, and their cells are psmm.  A
+cell's ``input`` says where its samples are: ``memory`` (the draw
+itself) or ``file``, an MDS1 file of the same draw that a ``psmm
+simulate`` subprocess writes, so that the draw never takes the child's
+memory.  The n = 16000 fits have one twin of each.  A file cell times
+``fileio.read_mds1`` and the fit, as ``psmm fit`` runs them, and counts
+as ``sample_passes`` the passes that read the file
+(``FileSamples.blocks`` calls), so code that loads the file once reads
+1.  Rows written before the file cells have no ``input`` field, and
+their cells are ``memory``.  The psvm distance is that of
 ``run_benchmark``: its vec(X) basis against kron(col, row) of the truth.
 Every cell runs in its own child process, so that its peak RSS is its
 own; the child checks that every repeat selects the same dims at the
@@ -34,9 +44,12 @@ import common  # first: pins BLAS to one thread before numpy is imported
 
 import argparse
 import json
+import os
 import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,9 +57,12 @@ import numpy as np
 
 from common import ROOT, import_psmm
 
-GRID = ([{"method": "psmm", "model": model, "n": n, "d": d}
+GRID = ([{"method": "psmm", "model": model, "n": n, "d": d, "input": "memory"}
          for model in (1, 3) for n in (500, 2000, 4000) for d in (5, 10)]
-        + [{"method": "psvm", "model": 1, "n": n, "d": 10} for n in (5000, 20000)])
+        + [{"method": "psmm", "model": model, "n": 16000, "d": 10, "input": source}
+           for model in (1, 3) for source in ("memory", "file")]
+        + [{"method": "psvm", "model": 1, "n": n, "d": 10, "input": "memory"}
+           for n in (5000, 20000)])
 CHILD_TIMEOUT_S = 1800
 
 
@@ -72,22 +88,61 @@ def count_sample_passes(psmm, samples):
     return calls
 
 
-def measure(psmm, method, model, n, d, seed, repeats):
+def count_file_passes(psmm):
+    """Make ``FileSamples.blocks`` count its calls, one per pass over a file; returns the counter."""
+    real = psmm.data.FileSamples.blocks
+    calls = [0]
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return real(self, *args, **kwargs)
+
+    psmm.data.FileSamples.blocks = counting
+    return calls
+
+
+def simulate_file(src, model, n, d, seed, workdir):
+    """Write the cell's draw to an MDS1 file in a ``psmm simulate`` subprocess.
+
+    Returns the file's path and the true row and column bases.
+    """
+    path, truth = Path(workdir) / "data.mds1", Path(workdir) / "truth.json"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-B", "-m", "psmm.cli", "simulate", "--model", str(model),
+                    "--n", str(n), "--d", str(d), "--seed", str(seed), "--output", str(path),
+                    "--truth", str(truth)], env=env, check=True, timeout=CHILD_TIMEOUT_S)
+    doc = json.loads(truth.read_text())
+    return path, np.array(doc["row_basis"]).T, np.array(doc["col_basis"]).T
+
+
+def measure(psmm, method, model, n, d, seed, repeats, source, workdir):
     """Fit one cell ``repeats`` times; returns its median seconds and result."""
-    instance = psmm.gen_model(model, n, d, seed=seed)
-    passes = count_sample_passes(psmm, instance.dataset.samples)
+    if source == "file":
+        path, row, col = simulate_file(str(Path(psmm.__file__).parents[1]), model, n, d, seed,
+                                       workdir)
+        passes = count_file_passes(psmm)
+
+        def load():
+            return psmm.fileio.read_mds1(path)
+    else:
+        instance = psmm.gen_model(model, n, d, seed=seed)
+        row, col = instance.true_row_basis, instance.true_col_basis
+        passes = count_sample_passes(psmm, instance.dataset.samples)
+
+        def load():
+            return instance.dataset
     if method == "psmm":
         fit = psmm.fit_psmm
-        truth = (instance.true_row_basis, instance.true_col_basis)
+        truth = (row, col)
     else:
         fit = psmm.fit_psvm_baseline
-        truth = (np.kron(instance.true_col_basis, instance.true_row_basis), np.eye(1))
+        truth = (np.kron(col, row), np.eye(1))
     seconds = []
     results = set()
     for _ in range(repeats):
         passes[0] = 0
         start = time.perf_counter()
-        estimate = fit(instance.dataset)
+        estimate = fit(load())
         seconds.append(time.perf_counter() - start)
         distance = psmm.subspace_distance(estimate.row_basis, estimate.col_basis, *truth)
         results.add((tuple(estimate.selected_dims), distance, passes[0]))
@@ -113,9 +168,13 @@ def child(argv):
     parser.add_argument("--repeats", type=int, required=True)
     parser.add_argument("--method", choices=("psmm", "psvm"), required=True)
     parser.add_argument("--cell", type=int, nargs=3, required=True, metavar=("MODEL", "N", "D"))
+    parser.add_argument("--input", choices=("memory", "file"), default="memory")
     args = parser.parse_args(argv)
     psmm = import_psmm(args.src)
-    print(json.dumps(measure(psmm, args.method, *args.cell, args.seed, args.repeats)))
+    with tempfile.TemporaryDirectory() as workdir:
+        result = measure(psmm, args.method, *args.cell, args.seed, args.repeats, args.input,
+                         workdir)
+    print(json.dumps(result))
 
 
 def main(argv=None):
@@ -132,7 +191,8 @@ def main(argv=None):
     cells = []
     for cell in GRID:
         result = common.run_child(__file__, shared + [
-            "--method", cell["method"], "--cell", *(str(cell[k]) for k in ("model", "n", "d"))
+            "--method", cell["method"], "--cell", *(str(cell[k]) for k in ("model", "n", "d")),
+            "--input", cell["input"],
         ], CHILD_TIMEOUT_S)
         cells.append({**cell, **result})
         print(json.dumps(cells[-1]), flush=True)

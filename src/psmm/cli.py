@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical
 failure.  All configuration comes from flags (no environment variables)
-and is echoed into the outputs, so identical flags, inputs and seeds
-produce identical output bytes.
+and is echoed into the outputs, so identical flags, input bytes, seed,
+BLAS build and BLAS thread count produce identical output bytes.
 """
 
 import argparse

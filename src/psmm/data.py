@@ -52,16 +52,18 @@ class FileSamples:
 
     The ``shape[0]`` samples are little-endian float64 values in C order,
     starting ``offset`` bytes into the file at ``path``.  A pass reads them
-    in blocks (:meth:`blocks`); ``np.asarray`` loads them all.  Every read
-    checks its block for finite values and raises ValueError("samples
-    contains non-finite values") otherwise.  The file must not change
-    while the samples are in use.
+    in blocks (:meth:`blocks`); ``np.asarray`` loads them all.  The first
+    pass that reads every block checks each for finite values and raises
+    ValueError("samples contains non-finite values") otherwise; later
+    passes trust the file, which must not change while the samples are in use.
     """
 
     def __init__(self, path, offset, shape):
         self.path = os.path.abspath(path)
         self.offset = int(offset)
         self.shape = tuple(int(d) for d in shape)
+        self._checked = False
+        self._buffer = None
 
     @property
     def ndim(self):
@@ -70,34 +72,38 @@ class FileSamples:
     def __len__(self):
         return self.shape[0]
 
-    def blocks(self, step, out=None):
+    def blocks(self, step):
         """Yield (rows, block) for consecutive blocks of ``step`` samples.
 
         Every block is read into one buffer of ``step`` samples, reused for
-        the next block, so a block is valid only until the next one is
-        read.  With ``out``, an array of the full shape, each block is read
-        into its rows of ``out`` instead.
+        the next block and kept for the next pass, so a block is valid only
+        until the next one is read.  A running pass holds the kept buffer,
+        so passes that run at once never share one.
         """
-        n = self.shape[0]
-        mask = np.empty((min(step, n), *self.shape[1:]), dtype=bool)
-        reuse = out is None
-        if reuse:
-            out = np.empty(mask.shape, dtype=_DTYPE)
-        with open(self.path, "rb") as fh:
-            fh.seek(self.offset)
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                block = out[: stop - start] if reuse else out[start:stop]
-                read_payload(fh, block)
-                _check_finite(block, mask, "samples")
-                yield slice(start, stop), block
+        n, sample = self.shape[0], self.shape[1:]
+        mask = None if self._checked else np.empty((min(step, n), *sample), dtype=bool)
+        buffer, self._buffer = self._buffer, None
+        if buffer is None or len(buffer) < min(step, n):
+            buffer = np.empty((min(step, n), *sample), dtype=_DTYPE)
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self.offset)
+                for start in range(0, n, step):
+                    block = buffer[: min(step, n - start)]
+                    read_payload(fh, block)
+                    if mask is not None:
+                        _check_finite(block, mask, "samples")
+                    yield slice(start, start + len(block)), block
+            self._checked = True
+        finally:
+            self._buffer = buffer
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("samples in a file cannot be viewed without a copy")
         out = np.empty(self.shape, dtype=_DTYPE)
-        for _ in self.blocks(_block_rows(self.shape, _BLOCK_BYTES), out):
-            pass
+        for rows, block in self.blocks(_block_rows(self.shape, _BLOCK_BYTES)):
+            out[rows] = block
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
@@ -115,7 +121,7 @@ class TensorDataset:
     """n order-K arrays of common shape (d1, ..., dK), K >= 2.
 
     ``samples`` is an array or a :class:`FileSamples`; the latter stays on
-    disk and is read by every pass (see :meth:`in_memory`).
+    disk and every pass over it, the fits' included, reads it block by block.
     """
 
     samples: np.ndarray | FileSamples
@@ -136,12 +142,6 @@ class TensorDataset:
             raise ValueError(
                 f"samples must have shape (n, d1, ..., dK) with K >= 2, got {self.samples.shape}"
             )
-
-    def in_memory(self):
-        """This dataset with its samples in one array: itself, or a copy that loads them once."""
-        if not isinstance(self.samples, FileSamples):
-            return self
-        return type(self)(np.asarray(self.samples), self.responses)
 
     @property
     def n(self):

@@ -249,6 +249,8 @@ def estimate_from_dict(doc):
         raise ValueError("estimate bases and eigenvalues are not lists")
     bases = [_float_array(b, 2, "basis").T for b in bases]
     eigvals = [_float_array(w, 1, "eigenvalue list") for w in eigvals]
+    if [len(w) for w in eigvals] != [len(b) for b in bases]:
+        raise ValueError("estimate needs one eigenvalue list per basis, one value per basis row")
     dims = doc["selected_dims"]
     if not (isinstance(dims, list) and len(dims) == len(bases) and all(map(_is_int, dims))):
         raise ValueError(f"estimate selected_dims must be one integer per basis, got {dims!r}")

@@ -123,7 +123,7 @@ def _map_blocks(samples, mats, mean=None):
     entry of ``mats`` leaves its mode alone and ``mean=None`` skips the
     centering.  ``samples`` is an array or a
     :class:`~psmm.data.FileSamples`, whose blocks are read from its file
-    into one reused buffer.  Each block holds max(1, _BLOCK_BYTES // (8
+    into a buffer it keeps.  Each block holds max(1, _BLOCK_BYTES // (8
     prod d_k)) samples; an input of one block runs the same arithmetic as
     the whole batch at once.  The centered block and each product are
     written, in turn, into two buffers that every block of the pass

@@ -213,13 +213,12 @@ def _fit_slices(data, config):
     """Flip-flop fit, then one rank-1 machine per retained slice.
 
     Returns the per-mode aggregates (see aggregate_directions) and the
-    per-slice convergence summary.  The fits pass over the samples
-    thousands of times, so samples on disk are loaded once, here.
+    per-slice convergence summary.  Every pass reads the samples in blocks
+    of about 4 MiB, so samples in a file stay there.
     """
     if data.responses is None:
         raise ValueError("dataset has no responses")
     _validate_fixed_dims(config.dims, tuple(data.dims))
-    data = data.in_memory()
     params = flipflop_fit(
         data,
         tol=config.flipflop_tol,
@@ -306,8 +305,9 @@ def fit_psvm_baseline(data, config=None):
     (column factor pinned to the scalar 1).  Aggregation and
     eigen-selection then proceed as usual, yielding a single basis for
     vec(X), column-major.  The fit works on the row-major view of the
-    samples, which needs no copy, and permutes the basis rows at the end;
-    samples on disk are loaded once, first.  Fixed dims (r1, r2) request
+    samples, which needs no copy, and permutes the basis rows at the end.
+    Samples in a file are loaded, because each slice's dual factor is
+    n x d1 d2, the size of the input anyway.  Fixed dims (r1, r2) request
     rank r1 * r2 in the vectorized space.
     """
     config = config if config is not None else PsmmConfig()
@@ -316,12 +316,10 @@ def fit_psvm_baseline(data, config=None):
     if data.responses is None:
         raise ValueError("dataset has no responses")
     _validate_fixed_dims(config.dims, tuple(data.dims))
-    data = data.in_memory()
-
     n = data.n
     d1, d2 = data.dims
     dim = d1 * d2
-    vecs = data.samples.reshape(n, dim)
+    vecs = np.asarray(data.samples).reshape(n, dim)
     vbar = vecs.mean(axis=0)
     cov = _second_moment(vecs, vbar) / n
     cov = cov + 1e-6 * (np.trace(cov) / dim) * np.eye(dim)

@@ -18,7 +18,7 @@ the matrix case.
 Every pass over the samples (mode features, a start's first decision
 values, the class-mean gap) is a blocked pass of :mod:`psmm.matnorm`,
 which centers and contracts about 4 MiB of samples at a time, so a fit
-holds the input, O(4 MiB) and a few n x d_k arrays per mode step's dual QP.
+holds O(4 MiB) and a mode step's few n x d_k arrays besides the samples.
 """
 
 from dataclasses import dataclass

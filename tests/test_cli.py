@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from psmm import (
     SubspaceEstimate,
     TensorDataset,
     TensorSubspaceEstimate,
+    fit_psmm,
+    fit_pstm,
     flipflop_fit,
     gen_model,
     reduce,
@@ -212,6 +218,14 @@ class TestEstimateJson:
         gram = est.row_basis.T @ est.row_basis
         assert np.abs(gram - np.eye(r1)).max() <= 1e-8
 
+    @pytest.mark.parametrize("eigvals", [[[1.0]], [[1.0], [1.0], [1.0]]])
+    def test_eigenvalue_lists_must_match_bases(self, eigvals):
+        rng = np.random.default_rng(11)
+        doc = fileio.estimate_to_dict(_estimate(rng, (2, 3, 2), (1, 2, 1)))
+        fileio.estimate_from_dict(doc)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            fileio.estimate_from_dict({**doc, "mode_eigvals": eigvals})
+
 
 class TestCmdFit:
     def test_deterministic_output(self, tmp_path, model1_file):
@@ -357,6 +371,10 @@ class TestCmdReduce:
         {"selected_dims": [1, 2.0]},
         {"selected_dims": [1, True]},
         {"config": []},
+        # Eigenvalue lists that do not match the bases: too few lists, too short a list.
+        {"mode_bases": [[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+         "mode_eigvals": [[1.0]]},
+        {"eigvals_row": [1.0]},
     ])
     def test_mistyped_estimate_exits_2_without_output(self, tmp_path, model1_file, capsys,
                                                       change):
@@ -531,7 +549,7 @@ def _reference_csv(coords):
 
 
 class TestStreamedInput:
-    """`psmm cov` and `psmm reduce` read MDS1 samples from the file, block by block."""
+    """`psmm cov`, `psmm reduce` and `psmm fit` read MDS1 samples from the file, block by block."""
 
     @pytest.mark.parametrize("n, dims", [(1500, (10, 10)), (300, (28, 28)), (2000, (3, 4, 5))])
     def test_file_matches_in_memory_bytes(self, tmp_path, monkeypatch, n, dims):
@@ -551,6 +569,14 @@ class TestStreamedInput:
                        "--output", tmp_path / "red.csv") == 0
         coords = reduce(data, fileio.read_estimate_json(est))
         assert (tmp_path / "red.csv").read_bytes() == _reference_csv(coords)
+
+        # psmm fit streams the file through the flip-flop and every rank-1 fit.
+        assert run_cli("fit", "--input", path, "--output", tmp_path / "fit.json",
+                       "--slices", 4, "--restarts", 0) == 0
+        fit = fit_psmm if len(dims) == 2 else fit_pstm
+        fileio.write_estimate_json(tmp_path / "ref.json",
+                                   fit(data, PsmmConfig(slices=4, restarts=0)))
+        assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     @pytest.mark.parametrize("command", ["cov", "reduce"])
     def test_nan_in_last_block_exits_2_without_output(self, tmp_path, monkeypatch, capsys,
@@ -624,3 +650,113 @@ class TestStreamedInput:
         # reduce: the read buffer and one product, one block of CSV lines,
         # and the (n, 1, 2) coordinates it writes.
         assert peaks["reduce"] <= 6 * _SMALL_BLOCK + 8 * n * 2
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_fit_holds_a_few_blocks_and_its_n_by_d_arrays(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", _SMALL_BLOCK)
+        path = tmp_path / "data.mds1"
+        fileio.write_mds1(path, gen_model(1, n, 10, seed=5).dataset)
+        sample_bytes = 8 * n * 100
+        args = ["fit", "--input", path, "--output", tmp_path / "est.json",
+                "--slices", 4, "--restarts", 0]
+        assert run_cli(*args) == 0  # warm: lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert run_cli(*args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few blocks of the passes, then a mode step's n x 10 features and
+        # dual factor, the dual solver's n x 10 arrays and its length-n vectors.
+        assert peak <= 8 * _SMALL_BLOCK + 8 * (8 * n * 10)
+        if n == 8000:
+            assert peak < sample_bytes
+
+    def test_streamed_cov_checks_each_block_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matnorm, "_BLOCK_BYTES", _SMALL_BLOCK)
+        n, dims = 300, (28, 28)  # D = 784: the flip-flop re-reads the file at every update
+        path = tmp_path / "data.mds1"
+        fileio.write_mds1(path, TensorDataset(np.random.default_rng(157).standard_normal((n, *dims))))
+        checks, passes = [0], [0]
+        check, blocks = data_module._check_finite, data_module.FileSamples.blocks
+
+        def counting_check(*args):
+            checks[0] += 1
+            return check(*args)
+
+        def counting_blocks(self, step):
+            passes[0] += 1
+            return blocks(self, step)
+
+        monkeypatch.setattr(data_module, "_check_finite", counting_check)
+        monkeypatch.setattr(data_module.FileSamples, "blocks", counting_blocks)
+        assert run_cli("cov", "--input", path, "--output", tmp_path / "cov.json") == 0
+        assert passes[0] >= 5
+        assert checks[0] == -(-n // (_SMALL_BLOCK // (8 * math.prod(dims))))
+
+    def test_interleaved_passes_read_their_own_blocks(self, tmp_path):
+        x = np.random.default_rng(163).standard_normal((50, 3, 4))
+        path = tmp_path / "data.mds1"
+        fileio.write_mds1(path, TensorDataset(x))
+        x[-1, -1, -1] = np.nan  # no responses: the file ends with this value
+        path.write_bytes(path.read_bytes()[:-8] + x[-1, -1, -1:].astype("<f8").tobytes())
+        samples = fileio.read_mds1(path).samples
+
+        def check(rows, block):
+            assert np.array_equal(block, x[rows], equal_nan=True)
+
+        # A pass that stops early leaves the finiteness check pending.
+        check(*next(samples.blocks(7)))
+        outer, inner = samples.blocks(7), samples.blocks(5)
+        for rows, block in outer:
+            check(rows, block)
+            check(*next(inner))
+            if rows.start == 14:
+                nested = samples.blocks(3)  # starts after both, takes neither's buffer
+                check(*next(nested))
+                check(*next(nested))
+            check(rows, block)
+            if rows.stop == 49:
+                break
+        check(*next(nested))
+        with pytest.raises(ValueError, match="non-finite"):
+            for _ in samples.blocks(7):
+                pass
+
+    def test_nan_in_last_sample_fails_fit_without_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(167)
+        n = 400
+        path, out = tmp_path / "data.mds1", tmp_path / "est.json"
+        fileio.write_mds1(path, MatrixDataset(rng.standard_normal((n, 6, 6)),
+                                              rng.standard_normal(n)))
+        raw = bytearray(path.read_bytes())
+        # The last sample's last value sits just before the n responses.
+        raw[-8 * n - 8 : -8 * n] = np.array([np.nan], "<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        assert run_cli("fit", "--input", path, "--output", out) == 2
+        assert capsys.readouterr().err == "error: samples contains non-finite values\n"
+        assert not out.exists()
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cov_bytes_repeat_at_a_fixed_blas_thread_count(tmp_path, threads):
+    # Bytes are deterministic given the BLAS build and its thread count; runs
+    # at different thread counts may differ in the last bits, so each count
+    # is compared only with itself.
+    rng = np.random.default_rng(173)
+    path = tmp_path / "data.mds1"
+    fileio.write_mds1(path, TensorDataset(rng.standard_normal((3000, 10, 10))))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])}
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"cov{run}.json"
+        done = subprocess.run([sys.executable, "-B", "-m", "psmm.cli", "cov", "--input",
+                               str(path), "--output", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
