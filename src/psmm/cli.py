@@ -13,16 +13,9 @@ import sys
 import numpy as np
 
 from . import fileio
-from .data import MatrixDataset
 from .errors import PsmmError
 from .matnorm import flipflop_fit
-from .pipeline import (
-    PsmmConfig,
-    fit_psmm,
-    fit_pstm,
-    reduce as reduce_features,
-    symmetric_triple,
-)
+from .pipeline import PsmmConfig, fit_pstm, reduce as reduce_features, symmetric_triple
 from .synth import gen_model, run_benchmark
 
 
@@ -127,19 +120,13 @@ def _build_parser():
     return parser
 
 
-def _require_responses(dataset):
-    if dataset.responses is None:
-        raise ValueError("input dataset has no responses")
-    return dataset
-
-
 def _cmd_fit(args):
-    dataset = _require_responses(fileio.load_dataset(args.input))
-    dims = None
+    dataset = fileio.load_dataset(args.input)
     if (args.r1 is None) != (args.r2 is None):
         raise ValueError("--r1 and --r2 must both be fixed or both be auto")
-    if args.r1 is not None:
-        dims = (args.r1, args.r2)
+    dims = None if args.r1 is None else (args.r1, args.r2)
+    if dims is not None and dataset.order != 2:
+        raise ValueError("tensor input selects its ranks automatically; drop --r1/--r2")
     config = PsmmConfig(
         slices=args.slices,
         lam=args.lam,
@@ -150,15 +137,7 @@ def _cmd_fit(args):
         seed=args.seed,
         symmetric=args.symmetric,
     )
-    if isinstance(dataset, MatrixDataset):
-        estimate = fit_psmm(dataset, config)
-    else:
-        if dims is not None:
-            raise ValueError("tensor input selects its ranks automatically; drop --r1/--r2")
-        if args.symmetric:
-            raise ValueError("--symmetric applies to matrix input only")
-        estimate = fit_pstm(dataset, config)
-    fileio.write_estimate_json(args.output, estimate)
+    fileio.write_estimate_json(args.output, fit_pstm(dataset, config))
     return 0
 
 

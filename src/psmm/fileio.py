@@ -252,12 +252,18 @@ def estimate_from_dict(doc):
     if [len(w) for w in eigvals] != [len(b) for b in bases]:
         raise ValueError("estimate needs one eigenvalue list per basis, one value per basis row")
     dims = doc["selected_dims"]
-    if not (isinstance(dims, list) and len(dims) == len(bases) and all(map(_is_int, dims))):
-        raise ValueError(f"estimate selected_dims must be one integer per basis, got {dims!r}")
+    columns = [b.shape[1] for b in bases]
+    if not (isinstance(dims, list) and all(map(_is_int, dims)) and dims == columns
+            and all(1 <= r <= len(b) for r, b in zip(columns, bases))):
+        raise ValueError(f"estimate selected_dims {dims!r} must be the bases' column counts, "
+                         "each from 1 to its basis's row count")
     config = doc.get("config", {})
     if not isinstance(config, dict):
         raise ValueError("estimate config is not an object")
-    rest = (tuple(dims), config, doc.get("convergence", []))
+    convergence = doc.get("convergence", [])
+    if not (isinstance(convergence, list) and all(isinstance(e, dict) for e in convergence)):
+        raise ValueError("estimate convergence is not a list of objects")
+    rest = (tuple(dims), config, convergence)
     if tensor:
         return TensorSubspaceEstimate(bases, eigvals, *rest)
     return SubspaceEstimate(*bases, *eigvals, *rest)

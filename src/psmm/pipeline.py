@@ -15,7 +15,7 @@ import numpy as np
 from .data import MatrixDataset
 from .errors import TooFewSlices
 from .matnorm import TensorNormParams, _product, _second_moment, flipflop_fit
-from .smm import fit_rank1_smm, update_u
+from .smm import TensorDirectionSet, fit_rank1_smm, update_u
 
 
 @dataclass
@@ -209,36 +209,27 @@ def _validate_fixed_dims(dims, shape):
             raise ValueError(f"fixed rank {r} must satisfy 1 <= r < {d}")
 
 
-def _fit_slices(data, config):
-    """Flip-flop fit, then one rank-1 machine per retained slice.
-
-    Returns the per-mode aggregates (see aggregate_directions) and the
-    per-slice convergence summary.  Every pass reads the samples in blocks
-    of about 4 MiB, so samples in a file stay there.
-    """
+def _check_fit_input(data, config):
+    """Reject missing responses and fixed dims that do not fit the dataset, before any pass."""
     if data.responses is None:
         raise ValueError("dataset has no responses")
     _validate_fixed_dims(config.dims, tuple(data.dims))
-    params = flipflop_fit(
-        data,
-        tol=config.flipflop_tol,
-        max_iter=config.flipflop_max_iter,
-        ridge=config.flipflop_ridge,
-    )
+
+
+def _fit_slices(data, config, fit_slice):
+    """Slice the responses, fit each retained slice and aggregate its directions.
+
+    The only loop over retained slices: ``fit_slice(labels, seed)`` fits
+    slice h's +-1 labels with seed ``_slice_seed(config.seed, h)`` and
+    returns a TensorDirectionSet.  Returns the per-mode aggregates of the
+    slice directions (see aggregate_directions) and one convergence entry
+    per retained slice, with the set's iterations, objective and status.
+    """
     slices = slice_labels(data.responses, config.slices)
     fits = []
     convergence = []
     for h, labels in zip(slices.retained, slices.labels):
-        fitted = fit_rank1_smm(
-            data,
-            labels,
-            params,
-            lam=config.lam,
-            tol=config.smm_tol,
-            max_iter=config.smm_max_iter,
-            restarts=config.restarts,
-            seed=_slice_seed(config.seed, h),
-        )
+        fitted = fit_slice(labels, _slice_seed(config.seed, h))
         fits.append(fitted)
         convergence.append(
             {
@@ -250,15 +241,15 @@ def _fit_slices(data, config):
         )
     aggregates = [
         aggregate_directions([fitted.us[k] for fitted in fits])
-        for k in range(params.order)
+        for k in range(len(fits[0].us))
     ]
     return aggregates, convergence
 
 
-def _select_bases(eigensystems, n, config):
-    """Bases, eigenvalue lists and ranks (fixed, or by BIC) from per-mode (w, q)."""
+def _select_bases(eigensystems, n, dims):
+    """Bases, eigenvalue lists and ranks (``dims``, or by BIC if None) from per-mode (w, q)."""
     ranks = tuple(
-        select_dimension_bic(w, n) if config.dims is None else config.dims[k]
+        select_dimension_bic(w, n) if dims is None else dims[k]
         for k, (w, _) in enumerate(eigensystems)
     )
     bases = [q[:, :r] for (_, q), r in zip(eigensystems, ranks)]
@@ -266,34 +257,48 @@ def _select_bases(eigensystems, n, config):
 
 
 def fit_psmm(data, config=None):
-    """Estimate the central row/column subspaces of a matrix predictor."""
-    config = config if config is not None else PsmmConfig()
+    """Estimate the central row/column subspaces of a matrix predictor.
+
+    The order-2 guard of :func:`fit_pstm`, which does the fit.
+    """
     if len(data.dims) != 2:
         raise ValueError("fit_psmm needs matrix predictors; use fit_pstm for tensors")
-    if config.symmetric and data.dims[0] != data.dims[1]:
-        raise ValueError("symmetric mode requires square predictors")
+    return fit_pstm(data, config)
+
+
+def fit_pstm(data, config=None):
+    """Estimate one central subspace per mode, for predictors of any order.
+
+    Fits the Kronecker covariance model, then one rank-1 machine per
+    retained slice (:func:`_fit_slices`); every pass reads the samples in
+    blocks of about 4 MiB, so samples in a file stay there.  With
+    ``config.symmetric`` (square matrices only) both modes share the basis
+    of the summed aggregates.  Matrix predictors give a SubspaceEstimate,
+    higher orders a TensorSubspaceEstimate.
+    """
+    config = config if config is not None else PsmmConfig()
+    _check_fit_input(data, config)
+    if config.symmetric and (len(data.dims) != 2 or data.dims[0] != data.dims[1]):
+        raise ValueError("symmetric mode requires square matrix predictors")
     if config.symmetric and config.dims is not None and len(set(config.dims)) > 1:
         raise ValueError("symmetric mode requires equal row and column ranks")
-    aggregates, convergence = _fit_slices(data, config)
+    params = flipflop_fit(data, tol=config.flipflop_tol, max_iter=config.flipflop_max_iter,
+                          ridge=config.flipflop_ridge)
+
+    def fit_slice(labels, seed):
+        return fit_rank1_smm(data, labels, params, lam=config.lam, tol=config.smm_tol,
+                             max_iter=config.smm_max_iter, restarts=config.restarts, seed=seed)
+
+    aggregates, convergence = _fit_slices(data, config, fit_slice)
     eigensystems = [(w, q) for _, w, q in aggregates]
     if config.symmetric:
         # Both sides share the basis of the summed aggregates; the two
         # fixed ranks are equal, so the selected ranks are too.
         w, q = _eigh_descending(aggregates[0][0] + aggregates[1][0])
         eigensystems = [(w, q), (w.copy(), q)]
-    bases, eigvals, ranks = _select_bases(eigensystems, data.n, config)
-    return SubspaceEstimate(*bases, *eigvals, ranks, config.to_dict(), convergence)
-
-
-def fit_pstm(data, config=None):
-    """Estimate one central subspace per tensor mode."""
-    config = config if config is not None else PsmmConfig()
-    if config.symmetric:
-        raise ValueError("symmetric mode applies to matrix predictors only")
-    aggregates, convergence = _fit_slices(data, config)
-    bases, eigvals, ranks = _select_bases(
-        [(w, q) for _, w, q in aggregates], data.n, config
-    )
+    bases, eigvals, ranks = _select_bases(eigensystems, data.n, config.dims)
+    if len(bases) == 2:
+        return SubspaceEstimate(*bases, *eigvals, ranks, config.to_dict(), convergence)
     return TensorSubspaceEstimate(bases, eigvals, ranks, config.to_dict(), convergence)
 
 
@@ -302,20 +307,19 @@ def fit_psvm_baseline(data, config=None):
 
     The full covariance of vec(X) is estimated with a small ridge, and
     each slice solves the d1*d2-by-1 special case of the direction update
-    (column factor pinned to the scalar 1).  Aggregation and
-    eigen-selection then proceed as usual, yielding a single basis for
-    vec(X), column-major.  The fit works on the row-major view of the
-    samples, which needs no copy, and permutes the basis rows at the end.
-    Samples in a file are loaded, because each slice's dual factor is
-    n x d1 d2, the size of the input anyway.  Fixed dims (r1, r2) request
-    rank r1 * r2 in the vectorized space.
+    (column factor pinned to the scalar 1), through :func:`_fit_slices`:
+    a slice's iterations and objective are its dual's pair updates and
+    dual objective.  Eigen-selection yields one basis for vec(X),
+    column-major.  The fit works on the row-major view of the samples,
+    which needs no copy, and permutes the basis rows at the end.  Samples
+    in a file are loaded, because each slice's dual factor is n x d1 d2,
+    the size of the input anyway.  Fixed dims (r1, r2) request rank
+    r1 * r2 in the vectorized space.
     """
     config = config if config is not None else PsmmConfig()
     if len(data.dims) != 2:
         raise ValueError("fit_psvm_baseline needs matrix predictors")
-    if data.responses is None:
-        raise ValueError("dataset has no responses")
-    _validate_fixed_dims(config.dims, tuple(data.dims))
+    _check_fit_input(data, config)
     n = data.n
     d1, d2 = data.dims
     dim = d1 * d2
@@ -325,33 +329,21 @@ def fit_psvm_baseline(data, config=None):
     cov = cov + 1e-6 * (np.trace(cov) / dim) * np.eye(dim)
     params = TensorNormParams(mean=vbar[:, None], sigmas=[cov, np.eye(1)])
     vec_data = MatrixDataset(vecs[:, :, None], data.responses)
-    slices = slice_labels(data.responses, config.slices)
     pinned = np.ones(1)
-    directions = []
-    convergence = []
-    for h, labels in zip(slices.retained, slices.labels):
-        direction, solution = update_u(vec_data, labels, pinned, params, lam=config.lam)
-        directions.append(direction)
-        convergence.append(
-            {
-                "slice": h,
-                "converged": bool(solution.converged),
-                "iterations": int(solution.iterations),
-                "objective": float(solution.dual_objective),
-            }
+
+    def fit_slice(labels, seed):
+        u, dual = update_u(vec_data, labels, pinned, params, lam=config.lam)
+        return TensorDirectionSet(
+            [u], dual.bias_t, dual.dual_objective, dual.iterations, dual.converged
         )
-    _, w, q = aggregate_directions(directions)
+
+    aggregates, convergence = _fit_slices(data, config, fit_slice)
+    _, w, q = aggregates[0]
     q = q.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(dim, -1)
-    fixed = None if config.dims is None else config.dims[0] * config.dims[1]
-    r = select_dimension_bic(w, n) if fixed is None else fixed
+    fixed = None if config.dims is None else (config.dims[0] * config.dims[1],)
+    (basis,), _, (r,) = _select_bases([(w, q)], n, fixed)
     return SubspaceEstimate(
-        row_basis=q[:, :r],
-        col_basis=np.eye(1),
-        eigvals_row=w,
-        eigvals_col=np.ones(1),
-        selected_dims=(r, 1),
-        config=config.to_dict(),
-        convergence=convergence,
+        basis, np.eye(1), w, np.ones(1), (r, 1), config.to_dict(), convergence
     )
 
 

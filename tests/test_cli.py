@@ -17,6 +17,7 @@ from psmm import (
     TensorSubspaceEstimate,
     fit_psmm,
     fit_pstm,
+    fit_psvm_baseline,
     flipflop_fit,
     gen_model,
     reduce,
@@ -248,6 +249,7 @@ class TestCmdFit:
             ("fit", "--tol", -1, "smm_tol"),
             ("fit", "--tol", "nan", "smm_tol"),
             ("fit", "--lambda", "inf", "lam"),
+            ("fit", "--r1", 1, "--r1 and --r2"),
             ("cov", "--tol", "nan", "tol"),
             ("cov", "--tol", 0, "tol"),
         ]
@@ -278,11 +280,38 @@ class TestCmdFit:
         assert run_cli("fit", "--input", tmp_path / "nope.mds1",
                        "--output", tmp_path / "o.json") == 2
 
-    def test_no_responses_rejected(self, tmp_path):
+    def test_no_responses_rejected(self, tmp_path, capsys):
         data = MatrixDataset(np.random.default_rng(0).standard_normal((30, 3, 3)))
-        path = tmp_path / "noresp.mds1"
+        path, out = tmp_path / "noresp.mds1", tmp_path / "o.json"
         fileio.write_mds1(path, data)
-        assert run_cli("fit", "--input", path, "--output", tmp_path / "o.json") == 2
+        assert run_cli("fit", "--input", path, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "no responses" in err and err.count("\n") == 1
+        assert not out.exists()
+        for fit in (fit_psmm, fit_pstm, fit_psvm_baseline):
+            with pytest.raises(ValueError, match="no responses"):
+                fit(data)
+
+    def test_auto_ranks_match_no_rank_flags(self, tmp_path, model1_file):
+        plain, auto = tmp_path / "plain.json", tmp_path / "auto.json"
+        assert run_cli("fit", "--input", model1_file, "--output", plain) == 0
+        assert run_cli("fit", "--input", model1_file, "--output", auto,
+                       "--r1", "auto", "--r2", "auto") == 0
+        assert auto.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--r1", 1, "--r2", 1], "drop --r1/--r2"),
+        (["--symmetric"], "symmetric mode requires square matrix predictors"),
+    ])
+    def test_tensor_input_rejects_matrix_flags(self, tmp_path, capsys, flags, message):
+        rng = np.random.default_rng(8)
+        path, out = tmp_path / "t.mds1", tmp_path / "t.json"
+        fileio.write_mds1(path, TensorDataset(rng.standard_normal((40, 3, 3, 3)),
+                                              rng.standard_normal(40)))
+        assert run_cli("fit", "--input", path, "--output", out, *flags) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_tensor_input_fits_modes(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -375,6 +404,12 @@ class TestCmdReduce:
         {"mode_bases": [[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
          "mode_eigvals": [[1.0]]},
         {"eigvals_row": [1.0]},
+        # Dims that are not the bases' column counts, a basis with more columns
+        # than rows, and convergence entries that are not a list of objects.
+        {"selected_dims": [3, 3]},
+        {"row_basis": np.eye(4, 3).tolist(), "selected_dims": [4, 2]},
+        {"convergence": 5},
+        {"convergence": [5]},
     ])
     def test_mistyped_estimate_exits_2_without_output(self, tmp_path, model1_file, capsys,
                                                       change):
@@ -422,6 +457,13 @@ class TestCmdSimulate:
     def test_invalid_model_exit2(self, tmp_path):
         assert run_cli("simulate", "--model", 9, "--n", 4, "--d", 2,
                        "--output", tmp_path / "x.mds1") == 2
+
+    def test_zero_samples_exit2(self, tmp_path, capsys):
+        out = tmp_path / "x.mds1"
+        assert run_cli("simulate", "--model", 1, "--n", 0, "--d", 2, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "--n must be at least 1" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_truth_file(self, tmp_path):
         out = tmp_path / "sim.mds1"

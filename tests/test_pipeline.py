@@ -21,7 +21,7 @@ from psmm import (
     subspace_distance,
     symmetric_triple,
 )
-from psmm import matnorm
+from psmm import fileio, matnorm
 
 
 class TestSliceLabels:
@@ -192,6 +192,9 @@ class TestFitPstm:
         assert np.array_equal(ten.mode_bases[1], mat.col_basis)
         assert np.array_equal(ten.mode_eigvals[0], mat.eigvals_row)
         assert np.array_equal(ten.mode_eigvals[1], mat.eigvals_col)
+        # fit_pstm fits matrices itself: the same estimate, in the matrix layout.
+        assert isinstance(ten, SubspaceEstimate)
+        assert fileio.estimate_to_dict(ten) == fileio.estimate_to_dict(mat)
 
     def test_order3_recovery(self):
         rng = np.random.default_rng(21)
@@ -237,6 +240,15 @@ class TestFitPsvmBaseline:
         assert est.row_basis.shape == (16, 1)
         assert abs(np.linalg.norm(est.row_basis[:, 0]) - 1.0) <= 1e-10
         assert est.selected_dims == (1, 1)
+
+    def test_convergence_entries_name_the_retained_slices(self):
+        inst = gen_model(2, 120, 3, seed=5)
+        config = PsmmConfig(slices=6, seed=0)
+        psvm = fit_psvm_baseline(inst.dataset, config).convergence
+        psmm = fit_psmm(inst.dataset, config).convergence
+        retained = slice_labels(inst.dataset.responses, 6).retained
+        assert [entry["slice"] for entry in psvm] == retained
+        assert [list(entry) for entry in psvm] == [list(entry) for entry in psmm]
 
     def test_tensor_input_rejected(self):
         rng = np.random.default_rng(41)
