@@ -69,12 +69,10 @@ CHILD_TIMEOUT_S = 1800
 def count_sample_passes(psmm, samples):
     """Make ``matnorm._map_blocks`` count its calls on ``samples``; returns the counter.
 
-    A call counts when any positional array argument shares memory with
-    ``samples``, so that a view such as ``samples.reshape(n, -1)`` counts
-    too, whether the samples come first (``_map_blocks(samples, mats,
-    mean)``) or after a callback (``_map_blocks(fn, samples, mats,
-    mean)``).  smm holds its own reference to the function, so it is
-    replaced there too.
+    A call ``_map_blocks(samples, mats, mean)`` counts when any positional
+    array argument shares memory with ``samples``, so that a view such as
+    ``samples.reshape(n, -1)`` counts too.  smm holds its own reference to
+    the function, so it is replaced there too.
     """
     real = psmm.matnorm._map_blocks
     calls = [0]

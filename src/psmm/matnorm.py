@@ -21,7 +21,8 @@ except the first is rescaled to have trace equal to its dimension; the
 first factor carries the overall scale.  Matrices are the order-2 case:
 ``sigmas[0]`` is the row factor, ``sigmas[1]`` the column factor, and
 trace(sigmas[1]) = d2.  :class:`TensorNormParams` holds the fit for any
-order.
+order.  Every factor is decomposed, and rejected unless positive definite,
+by :func:`_eigensystem`, whose powers (:func:`_power`) give the whitening.
 """
 
 import functools
@@ -50,31 +51,35 @@ def _check_symmetric(m, name, rtol=1e-12):
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
 
 
+def _eigensystem(sigma, name, shift=0.0):
+    """(w + shift, V) of the symmetric part of sigma; the one check that a factor is PD."""
+    w, v = np.linalg.eigh(_symmetrize(sigma))
+    w = w + shift
+    if w.min() <= 0.0:
+        raise SingularCovariance(f"{name} has smallest eigenvalue {w.min():.3e}, not positive")
+    return w, v
+
+
+def _power(eigensystem, p):
+    """V diag(w**p) V^T of an eigensystem (w, V)."""
+    w, v = eigensystem
+    return (v * w**p) @ v.T
+
+
 def sym_inv_sqrt(m, ridge=0.0):
     """Symmetric inverse square root: the SPD R with R (M + ridge*I) R = I."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _check_symmetric(m, "matrix", rtol=1e-10)
-    w, v = np.linalg.eigh(_symmetrize(m))
-    wr = w + ridge
-    if wr.min() <= 0.0:
-        raise SingularCovariance(
-            f"smallest eigenvalue + ridge = {wr.min():.3e} is not positive"
-        )
-    return (v * wr**-0.5) @ v.T
+    return _power(_eigensystem(m, "matrix + ridge", shift=ridge), -0.5)
 
 
 def _inv_sqrt_ridged(sigma, ridge):
     # Ridge is applied relative to the mean eigenvalue (trace/dim) so it is
     # invariant to the overall scale of the factor.
-    w, v = np.linalg.eigh(sigma)
-    if w.min() <= 0.0:
-        raise SingularCovariance(
-            f"covariance iterate has smallest eigenvalue {w.min():.3e}"
-        )
-    wr = w + ridge * float(w.mean())
-    return (v * wr**-0.5) @ v.T
+    w, v = _eigensystem(sigma, "covariance iterate")
+    return _power((w + ridge * float(w.mean()), v), -0.5)
 
 
 def _mode_multiply(batch, mat, mode, out=None):
@@ -231,18 +236,10 @@ class TensorNormParams:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.sigmas = [np.asarray(s, dtype=np.float64) for s in self.sigmas]
-        if self.mean.ndim != len(self.sigmas):
-            raise ValueError("mean order must match the number of factors")
+        self.sigmas = _check_factors(self.sigmas, self.mean.shape, "sigmas")
         for k, s in enumerate(self.sigmas):
-            if s.shape != (self.mean.shape[k],) * 2:
-                raise ValueError(f"factor {k} shape {s.shape} does not match mean")
             _check_symmetric(s, f"sigma_{k}")
-        for w, _ in self._eighs:
-            if w.min() <= 0.0:
-                raise SingularCovariance(
-                    f"covariance factor has smallest eigenvalue {w.min():.3e}"
-                )
+        self._eighs = [_eigensystem(s, f"sigma_{k}") for k, s in enumerate(self.sigmas)]
 
     @property
     def dims(self):
@@ -252,13 +249,8 @@ class TensorNormParams:
     def order(self):
         return self.mean.ndim
 
-    @functools.cached_property
-    def _eighs(self):
-        return [np.linalg.eigh(_symmetrize(s)) for s in self.sigmas]
-
     def factor_inv_sqrt(self, k):
-        w, v = self._eighs[k]
-        return (v * w**-0.5) @ v.T
+        return _power(self._eighs[k], -0.5)
 
 
 def sample_mean(data):
@@ -281,8 +273,8 @@ def sample_mean(data):
 
 
 def _check_factors(sigmas, dims, name):
-    """Require one square d_k x d_k factor per mode; returns float64 copies."""
-    factors = [np.array(s, dtype=np.float64) for s in sigmas]
+    """Require one square d_k x d_k factor per mode; returns them as float64 arrays."""
+    factors = [np.asarray(s, dtype=np.float64) for s in sigmas]
     for k in range(max(len(factors), len(dims))):
         if k >= len(dims):
             raise ValueError(
@@ -326,16 +318,11 @@ def gaussian_loglik(samples, mean, sigmas, second_moment=None):
         raise ValueError(
             f"second_moment has shape {np.shape(second_moment)}, expected {(total, total)}"
         )
-    eighs = []
-    logdet = 0.0
-    for k, sigma in enumerate(_check_factors(sigmas, dims, "gaussian_loglik")):
-        w, v = np.linalg.eigh(_symmetrize(sigma))
-        if w.min() <= 0.0:
-            raise SingularCovariance("log-likelihood needs positive definite factors")
-        eighs.append((w, v))
-        logdet += (total / dims[k]) * float(np.log(w).sum())
+    eighs = [_eigensystem(s, f"gaussian_loglik factor for mode {k}")
+             for k, s in enumerate(_check_factors(sigmas, dims, "gaussian_loglik"))]
+    logdet = sum((total / dims[k]) * float(np.log(w).sum()) for k, (w, _) in enumerate(eighs))
     if second_moment is None:
-        whiteners = [(v * w**-0.5) @ v.T for w, v in eighs]
+        whiteners = [_power(e, -0.5) for e in eighs]
         quad = sum(float(np.vdot(z, z)) for _, z in _map_blocks(samples, whiteners, mean))
     else:
         inverses = [(v / w) @ v.T for w, v in eighs]

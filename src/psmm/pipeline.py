@@ -314,11 +314,13 @@ def fit_psvm_baseline(data, config=None):
     which needs no copy, and permutes the basis rows at the end.  Samples
     in a file are loaded, because each slice's dual factor is n x d1 d2,
     the size of the input anyway.  Fixed dims (r1, r2) request rank
-    r1 * r2 in the vectorized space.
+    r1 * r2 in the vectorized space; ``config.symmetric`` is rejected.
     """
     config = config if config is not None else PsmmConfig()
     if len(data.dims) != 2:
         raise ValueError("fit_psvm_baseline needs matrix predictors")
+    if config.symmetric:
+        raise ValueError("fit_psvm_baseline has no symmetric mode")
     _check_fit_input(data, config)
     n = data.n
     d1, d2 = data.dims

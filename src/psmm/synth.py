@@ -262,8 +262,8 @@ def run_benchmark(
     canonical (model, method, d, n, replicate) order regardless of
     ``jobs``; fits that fail with a :class:`PsmmError` or a
     ``LinAlgError`` are recorded as error rows, not raised.  A ``config``
-    whose fixed ``dims`` do not fit every d of ``d_grid`` raises
-    ``ValueError`` before any fit.
+    whose fixed ``dims`` do not fit every d of ``d_grid``, or a symmetric
+    one with the psvm method, raises ``ValueError`` before any fit.
     """
     models = list(models)
     methods = list(methods)
@@ -277,6 +277,8 @@ def run_benchmark(
     config = config if config is not None else PsmmConfig()
     for d in d_grid:
         _validate_fixed_dims(config.dims, (d, d))
+    if config.symmetric and "psvm" in methods:
+        raise ValueError("the psvm method has no symmetric mode")
 
     tasks = [
         (model, method, n, d, replicate, noise_sd, config, seed)

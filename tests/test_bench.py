@@ -1,4 +1,4 @@
-"""The bench scripts' child entry points run against the source tree."""
+"""The bench scripts run against the source tree, each in a subprocess."""
 
 import json
 import subprocess
@@ -10,20 +10,25 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _fit_cell(method, *extra):
+def _run_script(script, *args):
     # A subprocess, as the script runs: importing bench/common here would pin
-    # BLAS threads and re-import psmm in the test process.
+    # BLAS threads and re-import psmm in the test process.  -B keeps the run
+    # from writing bytecode into the tree.
     result = subprocess.run(
-        [sys.executable, "-B", str(ROOT / "bench" / "bench_fit.py"), "--child",
-         "--src", str(ROOT / "src"), "--seed", "0", "--repeats", "2",
-         "--method", method, "--cell", "1", "60", "3", *extra],
+        [sys.executable, "-B", str(ROOT / "bench" / script), *args],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return result.stdout
+
+
+def _fit_cell(method, *extra):
+    stdout = _run_script("bench_fit.py", "--child", "--src", str(ROOT / "src"), "--seed", "0",
+                         "--repeats", "2", "--method", method, "--cell", "1", "60", "3", *extra)
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("method", ["psmm", "psvm"])
@@ -39,3 +44,17 @@ def test_bench_fit_file_cell_streams_every_pass():
     assert file["sample_passes"] == memory["sample_passes"] > 1
     assert (file["dims"], file["distance"]) == (memory["dims"], memory["distance"])
     assert file["maxrss_mib"] > 0
+
+
+def test_qp_replay_row_splits_its_solves_cold_and_warm(tmp_path):
+    out = tmp_path / "qp.json"
+    _run_script("qp_replay.py", "--label", "smoke", "--repeats", "1", "--output", str(out),
+                "--workdir", str(tmp_path))
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["label"] == "smoke" and row["solves"] > 0
+    assert row["cold"]["solves"] + row["warm"]["solves"] == row["solves"]
+
+
+def test_bench_est_compares_the_committed_rows():
+    stdout = _run_script("bench_est.py", "--compare", "parent", "change")
+    assert any(line.startswith("rank flips:") for line in stdout.splitlines())

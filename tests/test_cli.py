@@ -520,6 +520,17 @@ class TestCmdCov:
         assert run_cli("cov", "--input", path, "--output", tmp_path / "c.json") == 2
         assert "max" in capsys.readouterr().err
 
+    def test_linalg_error_exits_3_without_output(self, tmp_path, model1_file, monkeypatch,
+                                                 capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("psmm.cli.flipflop_fit", fail)
+        out = tmp_path / "cov.json"
+        assert run_cli("cov", "--input", model1_file, "--output", out) == 3
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+        assert not out.exists()
+
     def test_identical_samples_exit3(self, tmp_path):
         data = MatrixDataset(np.ones((10, 3, 3)), np.zeros(10))
         path = tmp_path / "d.mds1"
@@ -635,6 +646,14 @@ class TestStreamedInput:
         assert run_cli(*args[command]) == 2
         assert capsys.readouterr().err == "error: samples contains non-finite values\n"
         assert not out.exists()
+
+    def test_file_truncated_after_open_fails_the_pass(self, tmp_path, model1_file):
+        data = fileio.read_mds1(model1_file)
+        # read_mds1 checked the length; the first pass finds the file shorter.
+        with open(model1_file, "r+b") as fh:
+            fh.truncate(data.samples.offset + 8 * 100)
+        with pytest.raises(ValueError, match="file ended before its payload"):
+            flipflop_fit(data)
 
     def test_bad_files_fail_before_any_payload_read(self, tmp_path, monkeypatch):
         def no_payload(fh, out):

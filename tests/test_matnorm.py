@@ -515,6 +515,16 @@ class TestFactorChecks:
         with pytest.raises(ValueError, match="mode 1"):
             gaussian_loglik(x, x.mean(axis=0), [np.eye(2), np.ones((3, 2))])
 
+    def test_params_reject_missing_extra_misshapen_or_singular_factor(self):
+        mean = np.zeros((2, 3))
+        cases = [([np.eye(2)], "mode 1"), ([np.eye(2), np.eye(3), np.eye(1)], "mode 2"),
+                 ([np.eye(3), np.eye(3)], "mode 0")]
+        for sigmas, match in cases:
+            with pytest.raises(ValueError, match=match):
+                TensorNormParams(mean, sigmas)
+        with pytest.raises(SingularCovariance, match="sigma_1 has smallest eigenvalue"):
+            TensorNormParams(mean, [np.eye(2), np.diag([1.0, 0.0, 1.0])])
+
     def test_loglik_rejects_mean_of_another_shape(self):
         x = np.random.default_rng(101).standard_normal((50, 4, 3))
         sigmas = [np.eye(4), np.eye(3)]

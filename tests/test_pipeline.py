@@ -21,7 +21,7 @@ from psmm import (
     subspace_distance,
     symmetric_triple,
 )
-from psmm import fileio, matnorm
+from psmm import fileio, matnorm, pipeline
 
 
 class TestSliceLabels:
@@ -255,6 +255,18 @@ class TestFitPsvmBaseline:
         data = TensorDataset(rng.standard_normal((40, 3, 2, 2)), rng.standard_normal(40))
         with pytest.raises(ValueError, match="matrix"):
             fit_psvm_baseline(data)
+
+    def test_symmetric_config_rejected_before_any_pass(self, monkeypatch):
+        # One vectorized basis has no row and column bases to share; the
+        # fit used to ignore the flag and echo it in the estimate's config.
+        passes = []
+        monkeypatch.setattr(pipeline, "_second_moment", lambda *a: passes.append(a))
+        rng = np.random.default_rng(53)
+        for shape, dims in (((60, 2, 3), None), ((60, 3, 3), (1, 2))):
+            data = MatrixDataset(rng.standard_normal(shape), rng.standard_normal(shape[0]))
+            with pytest.raises(ValueError, match="symmetric"):
+                fit_psvm_baseline(data, PsmmConfig(symmetric=True, dims=dims))
+        assert passes == []
 
     def test_basis_is_column_major(self):
         # Y depends on X[:, 0, 1] alone, entry 1 * d1 + 0 of the column-major vec(X).

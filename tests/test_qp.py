@@ -396,6 +396,29 @@ class TestWarmStart:
         assert sol.converged
 
 
+class TestPairUpdateBudget:
+    def test_exhausted_budget_returns_the_feasible_iterate_unconverged(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        n, box = 60, 0.5
+        feats = rng.standard_normal((n, 4))
+        labels = np.where(feats[:, 0] + 0.5 * rng.standard_normal(n) > 0.0, 1, -1)
+        prob = SvmDualProblem(factor=feats, labels=labels, box=box)
+        reference = solve_svm_dual(prob)
+        assert reference.converged
+        monkeypatch.setattr(qp, "_PAIR_UPDATES_PER_N2", 0)
+        # A cold solve stops at its interior-point crossover, which is not
+        # polished to the tolerance, and reports it as it is.
+        cold = solve_svm_dual(prob)
+        assert not cold.converged
+        assert cold.iterations == 0
+        assert cold.kkt_residual > prob.tol
+        assert cold.alphas.min() >= 0.0 and cold.alphas.max() <= box
+        assert abs(float(cold.alphas @ labels)) <= 1e-10 * n * box
+        # A converged warm start needs no update, so no budget.
+        warm = solve_svm_dual(prob, warm_alphas=reference.alphas)
+        assert warm.converged and warm.iterations == 0
+
+
 class TestSimGridScale:
     # The size of one benchmark subproblem: n = 200, a rank-5 kernel F F'.
 

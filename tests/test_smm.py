@@ -312,6 +312,26 @@ class TestFitRank1Smm:
         for u, u_ref in zip(fitted.us, reference.us):
             assert np.array_equal(u, u_ref)
 
+    def test_degenerate_step_ends_only_its_start(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        data = MatrixDataset(rng.standard_normal((30, 3, 4)))
+        labels = np.array([1, -1] * 15)
+        real_step = smm._mode_step
+        calls = []
+
+        def second_step_degenerates(*args, **kwargs):
+            calls.append(args[3])
+            if len(calls) == 2:  # the first start's mode-1 step
+                raise smm.DegenerateDirection("degenerate mode step")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(smm, "_mode_step", second_step_degenerates)
+        fitted = fit_rank1_smm(data, labels, identity_params(3, 4), lam=50.0)
+        assert calls[:2] == [0, 1] and len(calls) > 2  # the other starts ran
+        assert [u.shape for u in fitted.us] == [(3,), (4,)]
+        assert all(np.isfinite(u).all() for u in fitted.us)
+        assert math.isfinite(fitted.objective) and math.isfinite(fitted.t)
+
     def test_zero_step_ends_the_start(self):
         # The second class holds the first class's samples in another order,
         # so the class means agree up to rounding.  With balanced labels the

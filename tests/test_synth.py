@@ -219,6 +219,17 @@ class TestRunBenchmark:
             )
         assert fits == []
 
+    def test_symmetric_config_with_psvm_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(synth, "fit_psmm", lambda *a: fits.append(a))
+        monkeypatch.setattr(synth, "fit_psvm_baseline", lambda *a: fits.append(a))
+        with pytest.raises(ValueError, match="symmetric"):
+            run_benchmark(
+                models=[1], methods=["psmm", "psvm"], n_grid=[40], d_grid=[3],
+                replicates=1, config=PsmmConfig(symmetric=True), seed=1,
+            )
+        assert fits == []
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([1], ["folded"], [50], [3], 1)
