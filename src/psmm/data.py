@@ -27,6 +27,19 @@ def _check_finite(block, mask, name):
         raise ValueError(f"{name} contains non-finite values")
 
 
+def _is_int(value):
+    """Whether a value is a Python or numpy integer (bools, JSON true and false are not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _finite_param(values, name):
+    """``values`` as a float64 array, checked whole for finite values (a parameter, not samples)."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
 def _as_finite_array(values, name):
     arr = np.asarray(values, dtype=np.float64)
     rows = np.atleast_1d(arr)

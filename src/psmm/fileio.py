@@ -48,21 +48,17 @@ dimension.
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
 
-from .data import _DTYPE, FileSamples, MatrixDataset, TensorDataset, read_payload
+from .data import _DTYPE, FileSamples, MatrixDataset, TensorDataset, _is_int, read_payload
 from .pipeline import SubspaceEstimate, TensorSubspaceEstimate
 
 FORMAT_VERSION = 1
 # Values per ``%`` call of the reduced-coordinates CSV writer.
 _CSV_BLOCK_VALUES = 1 << 12
-
-
-def _is_int(value):
-    """Whether a parsed JSON value is an integer (JSON true and false are not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def write_mds1(path, dataset):
@@ -112,7 +108,7 @@ def read_mds1(path):
         if n < 1 or min(dims) < 1:
             raise ValueError(f"MDS1 n and dims must be positive, got n={n}, dims={dims}")
         payload = os.fstat(fh.fileno()).st_size - len(line)
-        count = n * int(np.prod(dims))
+        count = n * math.prod(dims)
         expected = 8 * (count + (n if has_response else 0))
         if payload != expected:
             raise ValueError(

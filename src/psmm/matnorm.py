@@ -34,7 +34,7 @@ import numpy as np
 
 # Every pass over the samples works on blocks of about _BLOCK_BYTES (4 MiB)
 # of float64 samples, so no batch-sized temporary is allocated.
-from .data import _BLOCK_BYTES, FileSamples, _block_rows
+from .data import _BLOCK_BYTES, FileSamples, _block_rows, _finite_param
 from .errors import SampleTooSmall, SingularCovariance
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -55,7 +55,7 @@ def _eigensystem(sigma, name, shift=0.0):
     """(w + shift, V) of the symmetric part of sigma; the one check that a factor is PD."""
     w, v = np.linalg.eigh(_symmetrize(sigma))
     w = w + shift
-    if w.min() <= 0.0:
+    if not w.min() > 0.0:  # NaN-safe
         raise SingularCovariance(f"{name} has smallest eigenvalue {w.min():.3e}, not positive")
     return w, v
 
@@ -68,7 +68,7 @@ def _power(eigensystem, p):
 
 def sym_inv_sqrt(m, ridge=0.0):
     """Symmetric inverse square root: the SPD R with R (M + ridge*I) R = I."""
-    m = np.asarray(m, dtype=np.float64)
+    m = _finite_param(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _check_symmetric(m, "matrix", rtol=1e-10)
@@ -235,7 +235,7 @@ class TensorNormParams:
     loglik_path: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.mean = _finite_param(self.mean, "mean")
         self.sigmas = _check_factors(self.sigmas, self.mean.shape, "sigmas")
         for k, s in enumerate(self.sigmas):
             _check_symmetric(s, f"sigma_{k}")
@@ -273,8 +273,8 @@ def sample_mean(data):
 
 
 def _check_factors(sigmas, dims, name):
-    """Require one square d_k x d_k factor per mode; returns them as float64 arrays."""
-    factors = [np.asarray(s, dtype=np.float64) for s in sigmas]
+    """Require one finite, square d_k x d_k factor per mode; returns them as float64 arrays."""
+    factors = [_finite_param(s, f"{name} factor for mode {k}") for k, s in enumerate(sigmas)]
     for k in range(max(len(factors), len(dims))):
         if k >= len(dims):
             raise ValueError(
@@ -308,12 +308,12 @@ def gaussian_loglik(samples, mean, sigmas, second_moment=None):
     """
     if not isinstance(samples, FileSamples):
         samples = np.asarray(samples, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
+    mean = _finite_param(mean, "mean")
     n = samples.shape[0]
     dims = samples.shape[1:]
     if mean.shape != dims:
         raise ValueError(f"mean has shape {mean.shape}, expected the sample shape {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if second_moment is not None and np.shape(second_moment) != (total, total):
         raise ValueError(
             f"second_moment has shape {np.shape(second_moment)}, expected {(total, total)}"
@@ -331,7 +331,7 @@ def gaussian_loglik(samples, mean, sigmas, second_moment=None):
 
 
 def _guard_sample_size(n, dims):
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     bound = max(d / (total // d) for d in dims) + 1.0
     if n < bound:
         raise SampleTooSmall(
@@ -397,7 +397,7 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     n = data.n
     dims = data.dims
     order = len(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     _guard_sample_size(n, dims)
 
     mean = sample_mean(data)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MatrixDataset
+from .data import MatrixDataset, _finite_param, _is_int
 from .errors import TooFewSlices
 from .matnorm import TensorNormParams, _product, _second_moment, flipflop_fit
 from .smm import TensorDirectionSet, fit_rank1_smm, update_u
@@ -41,6 +41,11 @@ class PsmmConfig:
     symmetric: bool = False
 
     def __post_init__(self):
+        for name in ("slices", "flipflop_max_iter", "smm_max_iter", "restarts", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.slices < 2:
             raise ValueError("slice count must be at least 2 (H >= 2)")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -58,6 +63,8 @@ class PsmmConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.dims is not None:
+            if not all(map(_is_int, self.dims)):
+                raise ValueError(f"fixed dims must be integers, got {self.dims!r}")
             self.dims = tuple(int(r) for r in self.dims)
             if any(r < 1 for r in self.dims):
                 raise ValueError("fixed dims must be positive")
@@ -127,7 +134,7 @@ class SubspaceEstimate(TensorSubspaceEstimate):
 
 def slice_labels(responses, n_slices):
     """Binary labelings of the response at the (h/H) sample quantiles."""
-    y = np.asarray(responses, dtype=np.float64)
+    y = _finite_param(responses, "responses")
     if y.ndim != 1:
         raise ValueError("responses must be a vector")
     n = y.size
@@ -182,7 +189,7 @@ def select_dimension_bic(eigenvalues, n):
 
     Ties break toward the smaller rank.
     """
-    vals = np.asarray(eigenvalues, dtype=np.float64)
+    vals = _finite_param(eigenvalues, "eigenvalues")
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("eigenvalues must be a non-empty vector")
     if n < 1:

@@ -213,77 +213,65 @@ def _zero_step(solution):
     return quad <= _ZERO_STEP_EPS * abs(solution.dual_objective)
 
 
+def _descend(samples, labels, params, lam, tol, max_iter, us):
+    """Cyclic mode updates from the start ``us``; returns its balanced direction set.
+
+    Sweeps stop when the relative objective decrease falls below ``tol``;
+    exhausting ``max_iter`` or an unconverged mode dual QP tags the set
+    unconverged.  A mode step whose optimum is w = 0 up to rounding ends
+    the start with that direction exactly zero.  The samples are contracted
+    once; later objectives take the last mode step's decision values.
+    """
+    t = 0.0
+    decisions = _contract(samples, us, params.mean)
+    objective = _objective_core(decisions, us, t, labels, params, lam)
+    warm = [None] * params.order
+    qp_converged = True  # an unconverged dual is not an exact mode step
+    degenerate = False
+    for sweeps in range(1, max_iter + 1):
+        for k in range(params.order):
+            try:
+                direction, solution, values = _mode_step(
+                    samples, labels, us, k, params, lam, warm[k]
+                )
+            except DegenerateDirection:
+                degenerate = True
+                break
+            qp_converged = qp_converged and solution.converged
+            warm[k] = solution.alphas
+            t = solution.bias_t
+            if _zero_step(solution):
+                us[k], decisions = np.zeros_like(direction), np.zeros_like(values)
+                degenerate = True
+                break
+            us[k], decisions = direction, values
+        new_objective = _objective_core(decisions, us, t, labels, params, lam)
+        converged = degenerate or objective - new_objective <= tol * max(objective, 1e-30)
+        objective = new_objective
+        if converged:
+            break
+    return TensorDirectionSet(us=_balance(us), t=float(t), objective=float(objective),
+                              iterations=sweeps, converged=converged and qp_converged)
+
+
 def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2, seed=0):
     """Fit the rank-1 machine of any order by cyclic mode updates.
 
-    Runs the deterministic initializer plus ``restarts`` seeded random
-    unit-vector starts and returns the lowest-objective direction set,
-    norm-balanced.  Sweeps stop when the relative objective decrease
-    falls below ``tol``; exhausting ``max_iter`` or any mode subproblem
-    whose dual QP did not converge tags the set unconverged.  A mode step
-    whose optimum is w = 0 up to rounding ends its start with that
-    direction set to exactly zero.  A start contracts the samples once;
-    each later objective takes the last mode step's decision values, which
-    the reciprocal rescaling of balancing leaves unchanged.
+    Runs :func:`_descend` from the deterministic initializer and from
+    ``restarts`` seeded random unit-vector starts (with one seed, a prefix
+    of those of ``restarts + 1``) and returns the lowest-objective set; of
+    equal objectives, the earlier start's.
     """
     labels = _check_labels(labels, data.n)
     if tuple(data.dims) != tuple(params.dims):
         raise ValueError("parameter dimensions do not match the dataset")
     if max_iter < 1 or not np.isfinite(tol):
         raise ValueError("max_iter must be at least 1 and tol finite")
-    samples = data.samples
-    order = params.order
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
         raise ValueError("each label class needs at least two samples")
-
-    starts = [_initial_directions(samples, labels, params)]
+    starts = [_initial_directions(data.samples, labels, params)]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
-        vecs = []
-        for d in params.dims:
-            g = rng.standard_normal(d)
-            vecs.append(g / np.linalg.norm(g))
-        starts.append(vecs)
-    for vecs in starts:
-        if any(np.linalg.norm(u) <= _ZERO_NORM for u in vecs):
-            raise DegenerateDirection("initialization produced a zero direction")
-
-    best = None
-    for start in starts:
-        us = [u.copy() for u in start]
-        t = 0.0
-        decisions = _contract(samples, us, params.mean)
-        objective = _objective_core(decisions, us, t, labels, params, lam)
-        warm = [None] * order
-        qp_converged = True  # an unconverged dual is not an exact mode step
-        degenerate = False
-        for sweeps in range(1, max_iter + 1):
-            for k in range(order):
-                try:
-                    direction, solution, values = _mode_step(
-                        samples, labels, us, k, params, lam, warm[k]
-                    )
-                except DegenerateDirection:
-                    degenerate = True
-                    break
-                qp_converged = qp_converged and solution.converged
-                warm[k] = solution.alphas
-                t = solution.bias_t
-                if _zero_step(solution):
-                    us[k], decisions = np.zeros_like(direction), np.zeros_like(values)
-                    degenerate = True
-                    break
-                us[k], decisions = direction, values
-            new_objective = _objective_core(decisions, us, t, labels, params, lam)
-            converged = degenerate or objective - new_objective <= tol * max(objective, 1e-30)
-            objective = new_objective
-            if converged:
-                break
-        us = _balance(us)
-        if best is None or objective < best[0]:
-            best = (objective, us, t, sweeps, converged and qp_converged)
-
-    objective, us, t, sweeps, converged = best
-    return TensorDirectionSet(
-        us=us, t=float(t), objective=float(objective), iterations=sweeps, converged=converged
-    )
+        starts.append([g / np.linalg.norm(g) for g in map(rng.standard_normal, params.dims)])
+    fits = [_descend(data.samples, labels, params, lam, tol, max_iter, us) for us in starts]
+    return min(fits, key=lambda fit: fit.objective)

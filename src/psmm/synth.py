@@ -211,18 +211,11 @@ def _run_single(task):
     try:
         if method == "psmm":
             estimate = fit_psmm(instance.dataset, cfg)
-            distance = subspace_distance(
-                estimate.row_basis,
-                estimate.col_basis,
-                instance.true_row_basis,
-                instance.true_col_basis,
-            )
+            truth = (instance.true_row_basis, instance.true_col_basis)
         else:
             estimate = fit_psvm_baseline(instance.dataset, cfg)
-            truth = np.kron(instance.true_col_basis, instance.true_row_basis)
-            distance = subspace_distance(
-                estimate.row_basis, np.eye(1), truth, np.eye(1)
-            )
+            truth = (np.kron(instance.true_col_basis, instance.true_row_basis), np.eye(1))
+        distance = subspace_distance(estimate.row_basis, estimate.col_basis, *truth)
         r1, r2 = estimate.selected_dims
         status = "ok"
     except (PsmmError, np.linalg.LinAlgError) as exc:
@@ -271,6 +264,8 @@ def run_benchmark(
     d_grid = list(d_grid)
     if not (models and methods and n_grid and d_grid and replicates >= 1):
         raise ValueError("benchmark grids must be non-empty")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     for method in methods:
         if method not in BENCHMARK_METHODS:
             raise ValueError(f"unknown method {method!r}")

@@ -531,6 +531,18 @@ class TestCmdCov:
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
         assert not out.exists()
 
+    def test_dims_product_beyond_int64_exits_2_without_output(self, tmp_path, capsys):
+        # 2**32 * 2**32 wraps to 0 in int64, which would match an empty payload.
+        path = tmp_path / "huge.mds1"
+        header = {"format": "MDS1", "n": 1, "dims": [2**32, 2**32], "dtype": "f64le",
+                  "has_response": False}
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+        out = tmp_path / "cov.json"
+        assert run_cli("cov", "--input", path, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MDS1 payload has 0 bytes") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_identical_samples_exit3(self, tmp_path):
         data = MatrixDataset(np.ones((10, 3, 3)), np.zeros(10))
         path = tmp_path / "d.mds1"

@@ -105,6 +105,13 @@ class TestSymInvSqrt:
         with pytest.raises(SingularCovariance):
             sym_inv_sqrt(np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(2)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="matrix contains non-finite values"):
+            sym_inv_sqrt(m)
+
 
 class TestFlipFlop:
     def test_vector_case_is_mle(self):
@@ -524,6 +531,25 @@ class TestFactorChecks:
                 TensorNormParams(mean, sigmas)
         with pytest.raises(SingularCovariance, match="sigma_1 has smallest eigenvalue"):
             TensorNormParams(mean, [np.eye(2), np.diag([1.0, 0.0, 1.0])])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_or_mean_rejected_by_name(self, bad):
+        x = np.random.default_rng(103).standard_normal((30, 2, 2))
+        factor = np.full((2, 2), bad)
+        with pytest.raises(ValueError, match="sigmas factor for mode 0 contains non-finite"):
+            TensorNormParams(np.zeros((2, 2)), [factor, np.eye(2)])
+        with pytest.raises(ValueError, match="mean contains non-finite"):
+            TensorNormParams(np.full((2, 2), bad), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="gaussian_loglik factor for mode 1 contains"):
+            gaussian_loglik(x, x.mean(axis=0), [np.eye(2), factor])
+        with pytest.raises(ValueError, match="mean contains non-finite"):
+            gaussian_loglik(x, np.full((2, 2), bad), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="sigmas_init factor for mode 0 contains"):
+            flipflop_fit(MatrixDataset(x), sigmas_init=[factor, np.eye(2)])
+
+    def test_nan_eigenvalue_is_not_positive(self):
+        with pytest.raises(SingularCovariance, match="smallest eigenvalue nan"):
+            matnorm._eigensystem(np.full((2, 2), np.nan), "sigma_0")
 
     def test_loglik_rejects_mean_of_another_shape(self):
         x = np.random.default_rng(101).standard_normal((50, 4, 3))

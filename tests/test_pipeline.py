@@ -51,6 +51,11 @@ class TestSliceLabels:
         with pytest.raises(ValueError):
             slice_labels(np.arange(8, dtype=float), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_responses_rejected(self, bad):
+        with pytest.raises(ValueError, match="responses contains non-finite"):
+            slice_labels([1, 2, 3, bad, 5, 6, 7, 8], 2)
+
 
 class TestAggregateDirections:
     def test_single_unit_direction(self):
@@ -91,6 +96,13 @@ class TestSelectDimensionBic:
         with pytest.raises(ValueError):
             select_dimension_bic([1.0, 2.0], 10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="eigenvalues contains non-finite"):
+            select_dimension_bic([bad, 1.0, 0.5], 10)
+        with pytest.raises(ValueError, match="eigenvalues contains non-finite"):
+            select_dimension_bic([2.0, 1.0, bad], 10)
+
 
 class TestFitPsmm:
     def test_config_validates_slices(self):
@@ -109,6 +121,19 @@ class TestFitPsmm:
                 with pytest.raises(ValueError, match=field):
                     PsmmConfig(**{field: value})
         PsmmConfig(smm_tol=0.0, flipflop_ridge=0.0, smm_max_iter=1, flipflop_max_iter=1)
+
+    def test_config_accepts_only_integer_counts(self):
+        for field in ("slices", "restarts", "seed", "smm_max_iter", "flipflop_max_iter"):
+            for value in (2.5, 3.0, True, "3", None):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    PsmmConfig(**{field: value})
+        for dims in ((1.7, 2), (True, 2), (1, np.float64(2.0))):
+            with pytest.raises(ValueError, match="fixed dims must be integers"):
+                PsmmConfig(dims=dims)
+        config = PsmmConfig(slices=np.int64(4), seed=np.uint64(7), dims=(np.int32(1), 2))
+        assert config.to_dict()["slices"] == 4 and type(config.slices) is int
+        assert type(config.seed) is int and config.to_dict()["dims"] == [1, 2]
+        assert type(config.dims[0]) is int
 
     def test_responses_required(self):
         data = MatrixDataset(np.random.default_rng(0).standard_normal((20, 3, 3)))

@@ -354,6 +354,41 @@ class TestFitRank1Smm:
         assert all(not np.any(u) for u in fitted.us)
         assert fitted.objective == pytest.approx(10.0, abs=1e-12)
 
+    def test_more_restarts_never_raise_the_objective(self):
+        # With a fixed seed the starts of restarts = r are a prefix of those
+        # of r + 1, so one more start can only lower the kept objective;
+        # where it does not, the earlier start is kept, bit for bit.
+        for draw in range(4):
+            rng = np.random.default_rng(200 + draw)
+            x = rng.standard_normal((60, 4, 3))
+            y = np.einsum("nij,i,j->n", x, rng.standard_normal(4), rng.standard_normal(3))
+            y = y + 0.3 * rng.standard_normal(60)
+            data = MatrixDataset(x, y)
+            params = flipflop_fit(data)
+            for labels in pipeline.slice_labels(y, 4).labels:
+                fits = [fit_rank1_smm(data, labels, params, lam=50.0, restarts=r, seed=draw)
+                        for r in range(5)]
+                for fewer, more in zip(fits, fits[1:]):
+                    assert more.objective <= fewer.objective
+                    if more.objective == fewer.objective:
+                        assert all(np.array_equal(a, b) for a, b in zip(more.us, fewer.us))
+                        assert more.t == fewer.t
+
+    def test_equal_objectives_keep_the_earlier_start(self, monkeypatch):
+        objectives = iter([2.0, 1.0, 1.0, 1.5])
+
+        def descend(samples, labels, params, lam, tol, max_iter, us):
+            return smm.TensorDirectionSet(us, 0.0, next(objectives), 1, True)
+
+        monkeypatch.setattr(smm, "_descend", descend)
+        x = np.random.default_rng(3).standard_normal((8, 2, 3))
+        labels = np.array([1, -1] * 4)
+        params = identity_params(2, 3)
+        expected = np.random.default_rng(5).standard_normal(2)  # the first random start
+        fitted = fit_rank1_smm(MatrixDataset(x), labels, params, lam=1.0, restarts=3, seed=5)
+        assert fitted.objective == 1.0
+        assert np.array_equal(fitted.us[0], expected / np.linalg.norm(expected))
+
     def test_min_class_count_enforced(self):
         x = np.random.default_rng(0).standard_normal((5, 2, 2))
         labels = np.array([1, -1, -1, -1, -1])

@@ -230,6 +230,15 @@ class TestRunBenchmark:
             )
         assert fits == []
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected_before_any_fit(self, monkeypatch, jobs):
+        fits = []
+        monkeypatch.setattr(synth, "fit_psmm", lambda *a: fits.append(a))
+        monkeypatch.setattr(synth, "fit_psvm_baseline", lambda *a: fits.append(a))
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_benchmark([1], ["psmm", "psvm"], [40], [3], 1, seed=1, jobs=jobs)
+        assert fits == []
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([1], ["folded"], [50], [3], 1)
