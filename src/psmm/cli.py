@@ -45,8 +45,6 @@ def _int_list(value):
             out.extend(range(start, stop + 1, step))
         else:
             out.append(int(part))
-    if not out:
-        raise argparse.ArgumentTypeError("empty list")
     return out
 
 

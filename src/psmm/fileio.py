@@ -126,11 +126,11 @@ def read_mds1(path):
 
 
 def write_dataset_csv(path, dataset):
-    if not isinstance(dataset, MatrixDataset):
+    if dataset.order != 2:
         raise ValueError("CSV datasets support matrix samples only")
     if dataset.responses is None:
         raise ValueError("CSV datasets require responses")
-    d1, d2 = dataset.d1, dataset.d2
+    d1, d2 = dataset.dims
     header = ["y"] + [f"x_{i}_{j}" for i in range(1, d1 + 1) for j in range(1, d2 + 1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -159,7 +159,8 @@ def read_dataset_csv(path):
         raise ValueError("CSV dataset has no coordinate columns")
     d1 = max(i for i, _ in coords)
     d2 = max(j for _, j in coords)
-    if sorted(coords) != [(i, j) for i in range(1, d1 + 1) for j in range(1, d2 + 1)]:
+    if len(coords) != d1 * d2 or sorted(coords) != [
+            (i, j) for i in range(1, d1 + 1) for j in range(1, d2 + 1)]:
         raise ValueError("CSV columns do not cover a full d1 x d2 grid")
     if not rows:
         raise ValueError("CSV dataset has no samples")

@@ -70,13 +70,24 @@ _INTERIOR_TOL = 1e-9  # interior-point stop, relative to C and to the first resi
 _TO_BOUNDARY = 0.995  # fraction of the step to the boundary an iteration takes
 
 
+def _check_labels(labels, n):
+    """``labels`` as float64, checked to have shape (n,) and values in {-1, +1}."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},)")
+    if not np.all((labels == 1) | (labels == -1)):
+        raise ValueError("labels must take values in {-1, +1}")
+    return labels.astype(np.float64)
+
+
 @dataclass(eq=False)
 class SvmDualProblem:
     """Factor, labels, box bound C and KKT tolerance of one dual problem.
 
     The n x r ``factor`` F holds one feature vector per row; the kernel
     is K = F F', which the solver reads through F without forming it, so
-    it is positive semidefinite by construction.
+    it is positive semidefinite by construction.  The labels are checked
+    by :func:`_check_labels` and stored as float64.
     """
 
     factor: np.ndarray
@@ -86,15 +97,9 @@ class SvmDualProblem:
 
     def __post_init__(self):
         self.factor = np.ascontiguousarray(self.factor, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
         if self.factor.ndim != 2:
             raise ValueError(f"factor must be 2-D, got shape {self.factor.shape}")
-        n = self.factor.shape[0]
-        if self.labels.shape != (n,):
-            raise ValueError("labels must have one entry per factor row")
-        labels = self.labels
-        if not np.all((labels == 1) | (labels == -1)):
-            raise ValueError("labels must take values in {-1, +1}")
+        self.labels = labels = _check_labels(self.labels, self.factor.shape[0])
         if not ((labels > 0).any() and (labels < 0).any()):
             raise InfeasibleLabels("both label classes are required")
         if not np.isfinite(self.factor).all():
@@ -355,14 +360,14 @@ def _interior_point(factor, y, box, lo, hi):
 
 def dual_objective_value(factor, labels, alphas):
     """Achieved dual objective -sum(a) + (1/4) a' YKY a for K = F F'."""
-    y = np.asarray(labels, dtype=np.float64)
+    y = _check_labels(labels, np.shape(factor)[0])
     beta = y * np.asarray(alphas, dtype=np.float64)
     return _objective(y, beta, _decisions(np.asarray(factor, dtype=np.float64), beta))
 
 
 def kkt_residual_value(factor, labels, box, alphas):
     """Maximal-violating-pair gap at ``alphas`` (0 when optimal) for K = F F'."""
-    y = np.asarray(labels, dtype=np.float64)
+    y = _check_labels(labels, np.shape(factor)[0])
     beta = y * np.asarray(alphas, dtype=np.float64)
     lo, hi = _bounds(y, box)
     crit = y - _decisions(np.asarray(factor, dtype=np.float64), beta)
@@ -376,7 +381,7 @@ def recover_bias(problem, alphas):
     averages f_i - y_i over them.  Without margin vectors, the bound
     vectors confine t to an interval and its midpoint is returned.
     """
-    y = np.asarray(problem.labels, dtype=np.float64)
+    y = problem.labels
     beta = y * np.asarray(alphas, dtype=np.float64)
     lo, hi = _bounds(y, problem.box)
     return _bias_from_decisions(_decisions(problem.factor, beta), y, beta, lo, hi, problem.box)
@@ -413,7 +418,7 @@ def solve_svm_dual(problem, warm_alphas=None, track_objective=False):
     ``converged`` means a KKT gap <= tol.
     """
     factor = problem.factor
-    y = problem.labels.astype(np.float64)
+    y = problem.labels
     n = problem.n
     box = problem.box
     tol = problem.tol

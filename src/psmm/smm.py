@@ -27,11 +27,10 @@ import numpy as np
 
 from .errors import DegenerateDirection
 from .matnorm import _map_blocks, _mode_gram, _product
-from .qp import SvmDualProblem, solve_svm_dual
+from .qp import SvmDualProblem, _check_labels, solve_svm_dual
 
 _ZERO_NORM = 1e-30
 _ZERO_STEP_EPS = 64 * np.finfo(np.float64).eps  # relative rounding of a zero step
-_QP_TOL = 1e-8  # KKT tolerance of every mode subproblem's dual
 
 
 @dataclass(eq=False)
@@ -48,15 +47,6 @@ class TensorDirectionSet:
     objective: float
     iterations: int
     converged: bool
-
-
-def _check_labels(labels, n):
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},)")
-    if not np.all(np.isin(labels, (-1, 1))):
-        raise ValueError("labels must take values in {-1, +1}")
-    return labels.astype(np.float64)
 
 
 def mode_k_contract(tensor, vectors, skip=None):
@@ -134,7 +124,7 @@ def _mode_step(samples, labels, us, k, params, lam, warm_alphas):
     n = feats.shape[0]
     root = params.factor_inv_sqrt(k) / np.sqrt(scale)
     half = feats @ root
-    problem = SvmDualProblem(factor=half, labels=labels, box=lam / n, tol=_QP_TOL)
+    problem = SvmDualProblem(factor=half, labels=labels, box=lam / n)
     solution = solve_svm_dual(problem, warm_alphas=warm_alphas)
     direction = root @ (half.T @ (0.5 * solution.alphas * labels))
     return direction, solution, feats @ direction
@@ -159,19 +149,21 @@ def _sign_fix(vec):
     return -vec if vec[idx] < 0 else vec
 
 
-def _initial_directions(samples, labels, params):
-    """Deterministic starting directions from the whitened class-mean gap.
+def init_directions(data, labels, params):
+    """Deterministic starting directions, one per mode ([u0, v0] for matrices).
 
-    Uses the per-mode leading left singular vectors of the whitened signed
-    mean difference (the leading eigenvectors of its mode Grams), mapped
-    back through the inverse square roots; when the gap vanishes, falls
-    back to the leading eigenvectors of the covariance factors.  The gap
-    and the data scale come from one blocked pass over the samples.
+    Checks the labels, then uses the per-mode leading left singular
+    vectors of the whitened signed mean difference (the leading
+    eigenvectors of its mode Grams), mapped back through the inverse
+    square roots; when the gap vanishes, falls back to the leading
+    eigenvectors of the covariance factors.  The gap and the data scale
+    come from one blocked pass over the samples.
     """
-    n = samples.shape[0]
+    labels = _check_labels(labels, data.n)
+    n = data.n
     roots = [params.factor_inv_sqrt(k) for k in range(params.order)]
     gap, square = 0.0, 0.0
-    for rows, z in _map_blocks(samples, [None] * params.order, params.mean):
+    for rows, z in _map_blocks(data.samples, [None] * params.order, params.mean):
         gap += labels[rows] @ z.reshape(len(z), -1)
         square += float(np.vdot(z, z))
     delta = gap.reshape(1, *params.dims) / n
@@ -184,12 +176,6 @@ def _initial_directions(samples, labels, params):
         left = np.linalg.eigh(_mode_gram(whitened, k))[1][:, -1]
         out.append(_sign_fix(root @ left))
     return out
-
-
-def init_directions(data, labels, params):
-    """Starting directions, one per mode ([u0, v0] for matrices)."""
-    labels = _check_labels(labels, data.n)
-    return _initial_directions(data.samples, labels, params)
 
 
 def _balance(us):
@@ -269,7 +255,7 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
         raise ValueError("max_iter must be at least 1 and tol finite")
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
         raise ValueError("each label class needs at least two samples")
-    starts = [_initial_directions(data.samples, labels, params)]
+    starts = [init_directions(data, labels, params)]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         starts.append([g / np.linalg.norm(g) for g in map(rng.standard_normal, params.dims)])

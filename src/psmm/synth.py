@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import MatrixDataset
+from .data import MatrixDataset, _is_int
 from .errors import PsmmError
 from .pipeline import PsmmConfig, _validate_fixed_dims, fit_psmm, fit_psvm_baseline
 
@@ -122,11 +122,8 @@ def model_response(model_id, samples):
 
 def _true_bases(model_id, d):
     eye = np.eye(d)
-    if model_id in (1, 2):
-        return eye[:, :1].copy(), eye[:, :2].copy()
-    if model_id == 3:
-        return eye[:, :2].copy(), eye[:, :2].copy()
-    raise ValueError(f"unknown model id {model_id}")
+    rank = 1 if model_id in (1, 2) else 2
+    return eye[:, :rank].copy(), eye[:, :2].copy()
 
 
 def gen_model(model_id, n, d, noise_sd=0.2, seed=0):
@@ -262,6 +259,10 @@ def run_benchmark(
     methods = list(methods)
     n_grid = list(n_grid)
     d_grid = list(d_grid)
+    for name, value in (("models", models), ("n_grid", n_grid), ("d_grid", d_grid),
+                        ("replicates", replicates), ("jobs", jobs)):
+        if not all(map(_is_int, value if isinstance(value, list) else [value])):
+            raise ValueError(f"{name} must be integers, got {value!r}")
     if not (models and methods and n_grid and d_grid and replicates >= 1):
         raise ValueError("benchmark grids must be non-empty")
     if jobs < 1:

@@ -1,6 +1,7 @@
 """The bench scripts run against the source tree, each in a subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def _run_script(script, *args):
     # A subprocess, as the script runs: importing bench/common here would pin
     # BLAS threads and re-import psmm in the test process.  -B keeps the run
-    # from writing bytecode into the tree.
+    # from writing bytecode into the tree.  Warnings are errors in the script
+    # and in every child it starts, as they are in the test process.
     result = subprocess.run(
         [sys.executable, "-B", str(ROOT / "bench" / script), *args],
         cwd=ROOT,
+        env=dict(os.environ, PYTHONWARNINGS="error"),
         capture_output=True,
         text=True,
         timeout=600,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from psmm import (
 )
 from psmm import data as data_module
 from psmm import fileio, matnorm
-from psmm.cli import main
+from psmm.cli import _int_list, main
 
 
 def run_cli(*args):
@@ -131,6 +132,12 @@ class TestMds1Format:
         assert run_cli("cov", "--input", path, "--output", tmp_path / "c.json") == 2
         assert run_cli("fit", "--input", path, "--output", tmp_path / "o.json") == 2
 
+    def test_single_dims_entry_rejected(self, tmp_path):
+        path = tmp_path / "vector.mds1"
+        self.write_header(path, 3, [4], 3 * 5)
+        with pytest.raises(ValueError, match="at least two entries"):
+            fileio.read_mds1(path)
+
     @pytest.mark.parametrize("field, value", [
         ("n", None), ("n", 8.9), ("n", 8.0), ("n", True),
         ("dims", 5), ("dims", [2.5, 2]), ("dims", [2, "2"]), ("dims", [2, True]),
@@ -160,6 +167,22 @@ class TestMds1Format:
             TensorDataset(np.zeros((3, 2, 0, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="must be positive"):
             MatrixDataset(np.zeros((3, 0, 5)), np.zeros(3))
+
+    def test_sample_order_and_response_length_checked(self):
+        with pytest.raises(ValueError, match="K >= 2"):
+            TensorDataset(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"shape \(n, d1, d2\)"):
+            MatrixDataset(np.zeros((3, 2, 2, 2)))
+        with pytest.raises(ValueError, match=r"responses must have shape \(3,\)"):
+            MatrixDataset(np.zeros((3, 2, 2)), np.zeros(4))
+
+    def test_file_samples_load_only_as_a_copy(self, tmp_path):
+        path = tmp_path / "data.mds1"
+        fileio.write_mds1(path, MatrixDataset(np.arange(8.0).reshape(2, 2, 2)))
+        samples = fileio.read_mds1(path).samples
+        with pytest.raises(ValueError, match="without a copy"):
+            np.asarray(samples, copy=False)
+        assert np.array_equal(np.asarray(samples), np.arange(8.0).reshape(2, 2, 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_in_last_block_rejected(self, monkeypatch, bad):
@@ -207,6 +230,48 @@ class TestCsvDataset:
         with pytest.raises(ValueError):
             fileio.read_dataset_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty"),
+        ("x_1_1,y\n1.0,2.0\n", "start with a 'y' column"),
+        ("y,x_1_1,z_1_2\n1.0,2.0,3.0\n", "unexpected CSV column 'z_1_2'"),
+        ("y,x_1\n1.0,2.0\n", "unexpected CSV column 'x_1'"),
+        ("y\n1.0\n", "no coordinate columns"),
+        ("y,x_1_1\n", "no samples"),
+        ("y,x_1_1,x_1_2\n1.0,2.0,3.0\n1.0,2.0\n", "row 3 has 2 fields"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            fileio.read_dataset_csv(path)
+
+    def test_sparse_header_rejected_without_building_the_grid(self, tmp_path):
+        # Two corner columns name a 1000 x 1000 grid; the header is rejected
+        # from its column count, not by listing the million grid cells.
+        path = tmp_path / "corners.csv"
+        path.write_text("y,x_1_1,x_1000_1000\n1.0,2.0,3.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="full d1 x d2 grid"):
+                fileio.read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert run_cli("fit", "--input", path, "--output", tmp_path / "o.json") == 2
+
+    def test_matrix_samples_of_a_tensor_dataset_written(self, tmp_path):
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((5, 2, 3)), rng.standard_normal(5)
+        fileio.write_dataset_csv(tmp_path / "t.csv", TensorDataset(x, y))
+        fileio.write_dataset_csv(tmp_path / "m.csv", MatrixDataset(x, y))
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+        with pytest.raises(ValueError, match="matrix samples only"):
+            fileio.write_dataset_csv(tmp_path / "o.csv",
+                                     TensorDataset(rng.standard_normal((5, 2, 2, 2)), y))
+        with pytest.raises(ValueError, match="require responses"):
+            fileio.write_dataset_csv(tmp_path / "o.csv", MatrixDataset(x))
+
 
 class TestEstimateJson:
     def test_roundtrip_lossless(self, tmp_path, model1_file):
@@ -218,6 +283,13 @@ class TestEstimateJson:
         r1 = est.selected_dims[0]
         gram = est.row_basis.T @ est.row_basis
         assert np.abs(gram - np.eye(r1)).max() <= 1e-8
+
+    def test_other_version_or_non_list_bases_rejected(self):
+        doc = fileio.estimate_to_dict(_estimate(np.random.default_rng(12), (3, 2), (1, 1)))
+        with pytest.raises(ValueError, match="unsupported estimate format_version 2"):
+            fileio.estimate_from_dict({**doc, "format_version": 2})
+        with pytest.raises(ValueError, match="bases and eigenvalues are not lists"):
+            fileio.estimate_from_dict({**doc, "mode_bases": {"0": 1}, "mode_eigvals": []})
 
     @pytest.mark.parametrize("eigvals", [[[1.0]], [[1.0], [1.0], [1.0]]])
     def test_eigenvalue_lists_must_match_bases(self, eigvals):
@@ -260,6 +332,12 @@ class TestCmdFit:
             err = capsys.readouterr().err
             assert message in err and err.count("\n") == 1
             assert not out.exists()
+
+    def test_rank_below_one_rejected(self, tmp_path, model1_file, capsys):
+        out = tmp_path / "x.json"
+        assert run_cli("fit", "--input", model1_file, "--output", out, "--r1", 0, "--r2", 1) == 2
+        assert "rank must be a positive integer or 'auto'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_and_mds1_agree(self, tmp_path):
         inst = gen_model(1, 60, 3, seed=21)
@@ -576,6 +654,15 @@ class TestCmdBenchmark:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + n=40 + n=60
 
+    def test_int_list_forms(self, tmp_path):
+        assert _int_list("3:5") == [3, 4, 5]
+        assert _int_list("7,10:30:10") == [7, 10, 20, 30]
+        for bad in ("5:1", "1:2:3:4", "1:3:0"):
+            with pytest.raises(argparse.ArgumentTypeError, match="bad range"):
+                _int_list(bad)
+        assert run_cli("benchmark", "--n", "5:1", "--output", tmp_path / "b.csv") == 2
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestFitReduceRoundtrip:
     def test_fit_then_reduce(self, tmp_path, model1_file):
@@ -823,7 +910,8 @@ def test_cov_bytes_repeat_at_a_fixed_blas_thread_count(tmp_path, threads):
     path = tmp_path / "data.mds1"
     fileio.write_mds1(path, TensorDataset(rng.standard_normal((3000, 10, 10))))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")]),
+           "PYTHONWARNINGS": "error"}
     outputs = []
     for run in range(2):
         out = tmp_path / f"cov{run}.json"

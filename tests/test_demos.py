@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
         cwd=ROOT,

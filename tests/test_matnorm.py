@@ -97,6 +97,10 @@ class TestSymInvSqrt:
         r = sym_inv_sqrt(m, ridge=0.5)
         assert np.allclose(r @ (m + 0.5 * np.eye(2)) @ r, np.eye(2), atol=1e-12)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            sym_inv_sqrt(np.ones((2, 3)))
+
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             sym_inv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))

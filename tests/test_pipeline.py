@@ -51,6 +51,10 @@ class TestSliceLabels:
         with pytest.raises(ValueError):
             slice_labels(np.arange(8, dtype=float), 1)
 
+    def test_matrix_responses_rejected(self):
+        with pytest.raises(ValueError, match="responses must be a vector"):
+            slice_labels(np.arange(8.0).reshape(4, 2), 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_responses_rejected(self, bad):
         with pytest.raises(ValueError, match="responses contains non-finite"):
@@ -77,6 +81,12 @@ class TestAggregateDirections:
         expected = np.outer(directions[0], directions[0]) + np.outer(directions[1], directions[1])
         assert np.array_equal(agg, expected)
 
+    def test_empty_or_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="at least one direction"):
+            aggregate_directions([])
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            aggregate_directions([np.ones(2), np.ones(3)])
+
 
 class TestSelectDimensionBic:
     def test_clear_gap(self):
@@ -95,6 +105,10 @@ class TestSelectDimensionBic:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             select_dimension_bic([1.0, 2.0], 10)
+
+    def test_sample_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            select_dimension_bic([2.0, 1.0], 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -116,6 +130,9 @@ class TestFitPsmm:
             ("flipflop_tol", [0.0, -1.0, nan, inf]),
             ("flipflop_ridge", [-1.0, nan, inf]),
             ("lam", [0.0, -1.0, nan, inf]),
+            ("restarts", [-1]),
+            ("seed", [-1]),
+            ("dims", [(0, 1)]),
         ]:
             for value in values:
                 with pytest.raises(ValueError, match=field):
@@ -176,6 +193,8 @@ class TestFitPsmm:
         inst = gen_model(1, 100, 4, seed=1)
         with pytest.raises(ValueError):
             fit_psmm(inst.dataset, PsmmConfig(dims=(4, 1)))
+        with pytest.raises(ValueError, match="dims must have 2 entries, got 3"):
+            fit_psmm(inst.dataset, PsmmConfig(dims=(1, 1, 1)))
 
     def test_symmetric_mode(self):
         rng = np.random.default_rng(33)
@@ -203,6 +222,11 @@ class TestFitPsmm:
                              np.random.default_rng(1).standard_normal(30))
         with pytest.raises(ValueError):
             fit_psmm(data, PsmmConfig(symmetric=True))
+
+    def test_symmetric_requires_equal_ranks(self):
+        inst = gen_model(1, 40, 4, seed=1)
+        with pytest.raises(ValueError, match="equal row and column ranks"):
+            fit_psmm(inst.dataset, PsmmConfig(symmetric=True, dims=(1, 2)))
 
 
 class TestFitPstm:
@@ -391,6 +415,9 @@ class TestReduce:
         coords = reduce(MatrixDataset(x), est)
         triple = symmetric_triple(coords)
         assert np.array_equal(triple[0], [1.0, 3.0, 2.0])
+        for shape in ((1, 2, 3), (2, 2)):
+            with pytest.raises(ValueError, match=r"needs \(n, 2, 2\)"):
+                symmetric_triple(np.zeros(shape))
 
     def test_dimension_mismatch(self):
         est = SubspaceEstimate(

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from psmm import qp
 from psmm import (
     InfeasibleLabels,
+    MatrixDataset,
     SvmDualProblem,
+    TensorNormParams,
     dual_objective_value,
     kkt_residual_value,
     recover_bias,
     solve_svm_dual,
+    update_u,
 )
 from qp_oracle import pg_oracle, project_feasible
 
@@ -44,9 +47,36 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SvmDualProblem(factor=np.eye(2), labels=np.array([1, 2]), box=1.0)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([1, -1], r"labels must have shape \(3,\)"),
+        ([1, 0, -1], r"labels must take values in \{-1, \+1\}"),
+    ])
+    def test_labels_checked_alike_at_every_entry_point(self, labels, message):
+        factor = np.eye(3)
+        with pytest.raises(ValueError, match=message):
+            SvmDualProblem(factor=factor, labels=labels, box=1.0)
+        with pytest.raises(ValueError, match=message):
+            dual_objective_value(factor, labels, np.zeros(3))
+        with pytest.raises(ValueError, match=message):
+            kkt_residual_value(factor, labels, 1.0, np.zeros(3))
+        data = MatrixDataset(np.random.default_rng(0).standard_normal((3, 2, 2)))
+        params = TensorNormParams(np.zeros((2, 2)), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=message):
+            update_u(data, labels, np.ones(2), params, lam=1.0)
+
+    def test_labels_stored_as_float64(self):
+        for labels in (np.array([1, -1], dtype=np.int8), [1, -1], np.array([1.0, -1.0])):
+            prob = SvmDualProblem(factor=np.eye(2), labels=labels, box=1.0)
+            assert prob.labels.dtype == np.float64
+            assert prob.labels.tolist() == [1.0, -1.0]
+
     def test_nonpositive_box_rejected(self):
         with pytest.raises(ValueError):
             SvmDualProblem(factor=np.eye(2), labels=np.array([1, -1]), box=0.0)
+
+    def test_nonpositive_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SvmDualProblem(factor=np.eye(2), labels=np.array([1, -1]), box=1.0, tol=0.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_factor_rejected(self, bad):
@@ -157,6 +187,17 @@ class TestRecoverBias:
         z = np.array([[np.sqrt(3.0)], [0.0]])
         prob = SvmDualProblem(factor=z, labels=np.array([1, -1]), box=1.0)
         assert abs(recover_bias(prob, np.array([1.0, 1.0])) - 0.75) <= 1e-12
+
+    def test_bound_vectors_of_one_side(self):
+        # Every coordinate at its upper bound of beta bounds t only from
+        # below, every one at its lower bound only from above; t is that bound.
+        factor = np.array([[1.0], [2.0]])
+        prob = SvmDualProblem(factor=factor, labels=np.array([1, -1]), box=1.0)
+        for alphas in ([1.0, 0.0], [0.0, 1.0]):
+            beta = prob.labels * np.array(alphas)
+            offset = 0.5 * factor @ (factor.T @ beta) - prob.labels
+            expected = offset.max() if alphas[0] else offset.min()
+            assert recover_bias(prob, alphas) == expected
 
     def test_bound_vectors_of_both_labels(self):
         # No margin vectors: two points for each of y = +-1 at a = 0 and at

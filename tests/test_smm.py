@@ -395,6 +395,12 @@ class TestFitRank1Smm:
         with pytest.raises(ValueError):
             fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0)
 
+    def test_parameter_dims_must_match_the_data(self):
+        x = np.random.default_rng(0).standard_normal((8, 2, 2))
+        labels = np.array([1, -1] * 4)
+        with pytest.raises(ValueError, match="parameter dimensions do not match"):
+            fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 3), lam=1.0)
+
     def test_max_iter_and_tol_validated(self):
         x = np.random.default_rng(0).standard_normal((8, 2, 2))
         labels = np.array([1, -1] * 4)
@@ -514,6 +520,8 @@ class TestModeKContract:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mode_k_contract(np.zeros((2, 2)), (np.zeros(3), np.zeros(2)))
+        with pytest.raises(ValueError, match="expected 2 vectors, got 1"):
+            mode_k_contract(np.zeros((2, 2)), (np.zeros(2),))
 
 
 class TestFitRank1Stm:

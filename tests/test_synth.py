@@ -50,6 +50,14 @@ class TestSampleMatrixNormal:
         with pytest.raises(ValueError):
             sample_matrix_normal(5, np.zeros((2, 2)), np.diag([1.0, -1.0]), np.eye(2), 0)
 
+    def test_misshapen_factor_or_count_rejected(self):
+        with pytest.raises(ValueError, match="sigma_row must be square"):
+            sample_matrix_normal(5, np.zeros((2, 2)), np.ones((2, 3)), np.eye(2), 0)
+        with pytest.raises(ValueError, match="sigma_col must be symmetric"):
+            sample_matrix_normal(5, np.zeros((2, 2)), np.eye(2), [[1.0, 0.5], [0.0, 1.0]], 0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample_matrix_normal(0, np.zeros((2, 2)), np.eye(2), np.eye(2), 0)
+
 
 class TestGenModel:
     def test_model1_formula(self):
@@ -74,6 +82,10 @@ class TestGenModel:
         assert inst1.true_col_basis.shape == (5, 2)
         inst3 = gen_model(3, 10, 5, seed=0)
         assert inst3.true_row_basis.shape == (5, 2)
+        for model, rank in ((1, 1), (2, 1), (3, 2)):
+            inst = gen_model(model, 10, 5, seed=0)
+            assert np.array_equal(inst.true_row_basis, np.eye(5)[:, :rank])
+            assert np.array_equal(inst.true_col_basis, np.eye(5)[:, :2])
 
     def test_noise_roundtrip(self):
         inst = gen_model(2, 64, 4, seed=11)
@@ -83,6 +95,10 @@ class TestGenModel:
     def test_invalid_model(self):
         with pytest.raises(ValueError):
             gen_model(4, 10, 5, seed=0)
+        with pytest.raises(ValueError, match="d >= 2"):
+            gen_model(1, 10, 1)
+        with pytest.raises(ValueError, match="unknown model id 4"):
+            model_response(4, np.zeros((1, 2, 2)))
 
 
 def dense_projector_distance(row_a, col_a, row_b, col_b):
@@ -165,6 +181,13 @@ class TestSubspaceDistance:
         d = subspace_distance(raw, np.eye(2), q, np.eye(2))
         assert d <= 1e-10
 
+    def test_vector_bases_are_single_columns(self):
+        rng = np.random.default_rng(23)
+        row, col = rng.standard_normal(4), np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        assert subspace_distance(row, col, row[:, None], col) <= 1e-12
+        assert subspace_distance(row, col, np.eye(4)[:, :1], col) == pytest.approx(
+            subspace_distance(row[:, None], col, np.eye(4)[:, :1], col), abs=1e-15)
+
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
             subspace_distance(np.eye(3), np.eye(2), np.eye(2), np.eye(2))
@@ -238,6 +261,32 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_benchmark([1], ["psmm", "psvm"], [40], [3], 1, seed=1, jobs=jobs)
         assert fits == []
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("replicates", {"replicates": 2.5}),
+        ("replicates", {"replicates": True}),
+        ("jobs", {"jobs": 1.5}),
+        ("n_grid", {"n_grid": [40.5]}),
+        ("d_grid", {"d_grid": [3.5]}),
+        ("models", {"models": [1.0]}),
+    ])
+    def test_non_integer_grid_rejected_before_any_fit(self, monkeypatch, name, kwargs):
+        fits = []
+        monkeypatch.setattr(synth, "fit_psmm", lambda *a: fits.append(a))
+        monkeypatch.setattr(synth, "fit_psvm_baseline", lambda *a: fits.append(a))
+        grid = {"models": [1], "methods": ["psmm"], "n_grid": [40], "d_grid": [3],
+                "replicates": 1, **kwargs}
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            run_benchmark(**grid, seed=1)
+        assert fits == []
+
+    @pytest.mark.parametrize("grid", [
+        ([], [40], [3], 1), ([1], [], [3], 1), ([1], [40], [], 1), ([1], [40], [3], 0),
+    ])
+    def test_empty_grid_rejected(self, grid):
+        models, n_grid, d_grid, replicates = grid
+        with pytest.raises(ValueError, match="grids must be non-empty"):
+            run_benchmark(models, ["psmm"], n_grid, d_grid, replicates)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
