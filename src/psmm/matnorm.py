@@ -429,10 +429,7 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
         prev = [s.copy() for s in sigmas]
 
     for k in range(1, order):
-        trace = float(np.trace(sigmas[k]))
-        if trace <= 0.0:
-            raise SingularCovariance("covariance factor has non-positive trace")
-        scale = dims[k] / trace
+        scale = dims[k] / float(np.trace(sigmas[k]))
         sigmas[k] = sigmas[k] * scale
         sigmas[0] = sigmas[0] / scale
 

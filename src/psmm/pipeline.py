@@ -25,14 +25,12 @@ class PsmmConfig:
     ``dims`` fixes the subspace ranks (one per mode); None selects them
     by the eigenvalue-sum criterion.  ``symmetric`` treats square matrix
     predictors as symmetric: the row and column aggregates are summed and
-    a single basis serves both sides.
+    a single basis serves both sides.  The flip-flop runs at
+    :func:`~psmm.matnorm.flipflop_fit`'s defaults, as in ``psmm cov``.
     """
 
     slices: int = 10
     lam: float = 100.0
-    flipflop_tol: float = 1e-8
-    flipflop_max_iter: int = 200
-    flipflop_ridge: float = 1e-8
     smm_tol: float = 1e-6
     smm_max_iter: int = 100
     restarts: int = 2
@@ -41,7 +39,7 @@ class PsmmConfig:
     symmetric: bool = False
 
     def __post_init__(self):
-        for name in ("slices", "flipflop_max_iter", "smm_max_iter", "restarts", "seed"):
+        for name in ("slices", "smm_max_iter", "restarts", "seed"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -50,14 +48,10 @@ class PsmmConfig:
             raise ValueError("slice count must be at least 2 (H >= 2)")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-        if self.smm_max_iter < 1 or self.flipflop_max_iter < 1:
-            raise ValueError("smm_max_iter and flipflop_max_iter must be at least 1")
+        if self.smm_max_iter < 1:
+            raise ValueError("smm_max_iter must be at least 1")
         if not (self.smm_tol >= 0.0 and math.isfinite(self.smm_tol)):
             raise ValueError("smm_tol must be non-negative and finite")
-        if not (self.flipflop_tol > 0.0 and math.isfinite(self.flipflop_tol)):
-            raise ValueError("flipflop_tol must be positive and finite")
-        if not (self.flipflop_ridge >= 0.0 and math.isfinite(self.flipflop_ridge)):
-            raise ValueError("flipflop_ridge must be non-negative and finite")
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
         if self.seed < 0:
@@ -289,8 +283,7 @@ def fit_pstm(data, config=None):
         raise ValueError("symmetric mode requires square matrix predictors")
     if config.symmetric and config.dims is not None and len(set(config.dims)) > 1:
         raise ValueError("symmetric mode requires equal row and column ranks")
-    params = flipflop_fit(data, tol=config.flipflop_tol, max_iter=config.flipflop_max_iter,
-                          ridge=config.flipflop_ridge)
+    params = flipflop_fit(data)
 
     def fit_slice(labels, seed):
         return fit_rank1_smm(data, labels, params, lam=config.lam, tol=config.smm_tol,

@@ -379,7 +379,8 @@ def recover_bias(problem, alphas):
 
     Margin support vectors (0 < a_i < C) satisfy y_i (f_i - t) = 1, so t
     averages f_i - y_i over them.  Without margin vectors, the bound
-    vectors confine t to an interval and its midpoint is returned.
+    vectors confine t to an interval and its midpoint is returned.  Only
+    infeasible alphas bound t on one side alone (t is that bound) or none (0.0).
     """
     y = problem.labels
     beta = y * np.asarray(alphas, dtype=np.float64)

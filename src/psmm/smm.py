@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _is_int
 from .errors import DegenerateDirection
 from .matnorm import _map_blocks, _mode_gram, _product
 from .qp import SvmDualProblem, _check_labels, solve_svm_dual
@@ -253,6 +254,8 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
         raise ValueError("parameter dimensions do not match the dataset")
     if max_iter < 1 or not np.isfinite(tol):
         raise ValueError("max_iter must be at least 1 and tol finite")
+    if not _is_int(restarts) or restarts < 0:
+        raise ValueError(f"restarts must be a non-negative integer, got {restarts!r}")
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
         raise ValueError("each label class needs at least two samples")
     starts = [init_directions(data, labels, params)]

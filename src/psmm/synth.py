@@ -7,6 +7,7 @@ the same replicate data so the distance comparisons are paired.
 """
 
 import csv
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -93,10 +94,19 @@ def _sym_sqrt(mat, name):
     return (v * w**0.5) @ v.T
 
 
-def sample_matrix_normal(n, mean, sigma_row, sigma_col, seed):
-    """Draw X_i = M + Sigma_r^{1/2} G_i Sigma_c^{1/2} with standard normal G_i."""
+def _check_draw(model_id=1, n=1, d=2):
+    """Reject what gen_model cannot draw; the defaults pass, so callers name what to check."""
+    if model_id not in (1, 2, 3):
+        raise ValueError(f"unknown model id {model_id}")
+    if d < 2:
+        raise ValueError("models need d >= 2")
     if n < 1:
         raise ValueError("n must be at least 1")
+
+
+def sample_matrix_normal(n, mean, sigma_row, sigma_col, seed):
+    """Draw X_i = M + Sigma_r^{1/2} G_i Sigma_c^{1/2} with standard normal G_i."""
+    _check_draw(n=n)
     mean = np.asarray(mean, dtype=np.float64)
     a = _sym_sqrt(sigma_row, "sigma_row")
     b = _sym_sqrt(sigma_col, "sigma_col")
@@ -108,16 +118,15 @@ def sample_matrix_normal(n, mean, sigma_row, sigma_col, seed):
 
 def model_response(model_id, samples):
     """Noiseless regression surface of the benchmark models."""
+    _check_draw(model_id)
     x11 = samples[:, 0, 0]
     x12 = samples[:, 0, 1]
     if model_id == 1:
         return np.exp(x11) + x12
     if model_id == 2:
         return x11 / (0.5 + (x12 + 1.0) ** 2)
-    if model_id == 3:
-        x21 = samples[:, 1, 0]
-        return x11 * (x12 + x21 + 1.0) + x11
-    raise ValueError(f"unknown model id {model_id}")
+    x21 = samples[:, 1, 0]
+    return x11 * (x12 + x21 + 1.0) + x11
 
 
 def _true_bases(model_id, d):
@@ -133,10 +142,7 @@ def gen_model(model_id, n, d, noise_sd=0.2, seed=0):
     model surface plus centered Gaussian noise with standard deviation
     ``noise_sd``.  The noise vector is stored on the instance.
     """
-    if model_id not in (1, 2, 3):
-        raise ValueError(f"unknown model id {model_id}")
-    if d < 2:
-        raise ValueError("models need d >= 2")
+    _check_draw(model_id, n, d)
     seq = np.random.SeedSequence(seed)
     x_seed, noise_seed = seq.spawn(2)
     data = sample_matrix_normal(n, np.zeros((d, d)), np.eye(d), np.eye(d), x_seed)
@@ -251,9 +257,9 @@ def run_benchmark(
     so all methods inside a cell see identical data.  Rows come back in
     canonical (model, method, d, n, replicate) order regardless of
     ``jobs``; fits that fail with a :class:`PsmmError` or a
-    ``LinAlgError`` are recorded as error rows, not raised.  A ``config``
-    whose fixed ``dims`` do not fit every d of ``d_grid``, or a symmetric
-    one with the psvm method, raises ``ValueError`` before any fit.
+    ``LinAlgError`` are recorded as error rows, not raised.  A grid value
+    that :func:`gen_model` cannot draw, fixed ``dims`` that do not fit
+    every d, or a symmetric config with psvm raise ValueError before any fit.
     """
     models = list(models)
     methods = list(methods)
@@ -271,7 +277,8 @@ def run_benchmark(
         if method not in BENCHMARK_METHODS:
             raise ValueError(f"unknown method {method!r}")
     config = config if config is not None else PsmmConfig()
-    for d in d_grid:
+    for model, n, d in itertools.product(models, n_grid, d_grid):
+        _check_draw(model, n, d)
         _validate_fixed_dims(config.dims, (d, d))
     if config.symmetric and "psvm" in methods:
         raise ValueError("the psvm method has no symmetric mode")

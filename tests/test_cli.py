@@ -24,7 +24,7 @@ from psmm import (
     reduce,
 )
 from psmm import data as data_module
-from psmm import fileio, matnorm
+from psmm import fileio, matnorm, pipeline, synth
 from psmm.cli import _int_list, main
 
 
@@ -322,8 +322,6 @@ class TestCmdFit:
             ("fit", "--tol", "nan", "smm_tol"),
             ("fit", "--lambda", "inf", "lam"),
             ("fit", "--r1", 1, "--r1 and --r2"),
-            ("cov", "--tol", "nan", "tol"),
-            ("cov", "--tol", 0, "tol"),
         ]
         for command, flag, value, message in cases:
             out = tmp_path / "x.json"
@@ -565,6 +563,24 @@ class TestCmdCov:
         assert np.allclose(doc["sigma_col"], [[1.0]], atol=1e-12)
         assert doc["converged"] is True
 
+    def test_reports_the_factors_fit_whitens_with(self, tmp_path, model1_file, monkeypatch):
+        fitted = []
+
+        def recording_flipflop(*args, **kwargs):
+            fitted.append(matnorm.flipflop_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(pipeline, "flipflop_fit", recording_flipflop)
+        assert run_cli("fit", "--input", model1_file, "--output", tmp_path / "e.json") == 0
+        out = tmp_path / "cov.json"
+        assert run_cli("cov", "--input", model1_file, "--output", out) == 0
+        doc = json.loads(out.read_text())
+        [params] = fitted
+        assert np.array_equal(doc["sigma_row"], params.sigmas[0])
+        assert np.array_equal(doc["sigma_col"], params.sigmas[1])
+        assert doc["iterations"] == params.iterations
+        assert run_cli("cov", "--input", model1_file, "--output", out, "--tol", 0.1) == 2
+
     def test_matrix_document_keys(self, tmp_path, model1_file):
         out = tmp_path / "cov.json"
         assert run_cli("cov", "--input", model1_file, "--output", out) == 0
@@ -662,6 +678,15 @@ class TestCmdBenchmark:
                 _int_list(bad)
         assert run_cli("benchmark", "--n", "5:1", "--output", tmp_path / "b.csv") == 2
         assert not (tmp_path / "b.csv").exists()
+
+    def test_unknown_model_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(synth, "_run_single", cells.append)
+        out = tmp_path / "b.csv"
+        assert run_cli("benchmark", "--models", "1,4", "--n", 40, "--d", 3,
+                       "--replicates", 1, "--output", out) == 2
+        assert "unknown model id 4" in capsys.readouterr().err
+        assert not out.exists() and cells == []
 
 
 class TestFitReduceRoundtrip:

@@ -125,10 +125,7 @@ class TestFitPsmm:
         nan, inf = float("nan"), float("inf")
         for field, values in [
             ("smm_max_iter", [0, -3]),
-            ("flipflop_max_iter", [0, -3]),
             ("smm_tol", [-1.0, nan, inf]),
-            ("flipflop_tol", [0.0, -1.0, nan, inf]),
-            ("flipflop_ridge", [-1.0, nan, inf]),
             ("lam", [0.0, -1.0, nan, inf]),
             ("restarts", [-1]),
             ("seed", [-1]),
@@ -137,10 +134,10 @@ class TestFitPsmm:
             for value in values:
                 with pytest.raises(ValueError, match=field):
                     PsmmConfig(**{field: value})
-        PsmmConfig(smm_tol=0.0, flipflop_ridge=0.0, smm_max_iter=1, flipflop_max_iter=1)
+        PsmmConfig(smm_tol=0.0, smm_max_iter=1)
 
     def test_config_accepts_only_integer_counts(self):
-        for field in ("slices", "restarts", "seed", "smm_max_iter", "flipflop_max_iter"):
+        for field in ("slices", "restarts", "seed", "smm_max_iter"):
             for value in (2.5, 3.0, True, "3", None):
                 with pytest.raises(ValueError, match=f"{field} must be an integer"):
                     PsmmConfig(**{field: value})

@@ -408,6 +408,17 @@ class TestFitRank1Smm:
             with pytest.raises(ValueError, match="max_iter must be at least 1 and tol finite"):
                 fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0, **bad)
 
+    def test_restarts_must_be_a_non_negative_integer(self):
+        x = np.random.default_rng(0).standard_normal((8, 2, 2))
+        labels = np.array([1, -1] * 4)
+        for bad in (-1, 1.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="restarts must be a non-negative integer"):
+                fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0,
+                              restarts=bad)
+        fit = fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0,
+                            restarts=np.int64(1))
+        assert np.isfinite(fit.objective)
+
     @pytest.mark.parametrize("dims", [(4, 3), (3, 3, 2)])
     def test_one_sample_pass_per_mode_step(self, monkeypatch, dims):
         # A start contracts the samples once; every objective after that

@@ -280,6 +280,20 @@ class TestRunBenchmark:
             run_benchmark(**grid, seed=1)
         assert fits == []
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"models": [1, 4]}, "unknown model id 4"),
+        ({"n_grid": [40, 0]}, "n must be at least 1"),
+        ({"d_grid": [3, 1]}, "models need d >= 2"),
+    ])
+    def test_out_of_range_grid_rejected_before_any_cell(self, monkeypatch, kwargs, message):
+        cells = []
+        monkeypatch.setattr(synth, "_run_single", cells.append)
+        grid = {"models": [1], "methods": ["psmm"], "n_grid": [40], "d_grid": [3],
+                "replicates": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(**grid, seed=1)
+        assert cells == []
+
     @pytest.mark.parametrize("grid", [
         ([], [40], [3], 1), ([1], [], [3], 1), ([1], [40], [], 1), ([1], [40], [3], 0),
     ])
