@@ -14,8 +14,9 @@ is tested):
     python3 bench/bench_fit.py --label change
 
 Grid: ``fit_psmm`` on models 1 and 3 x n in {500, 2000, 4000} x d in
-{5, 10} and on models 1 and 3 at n = 16000, d = 10, where the samples
-(12.2 MiB) outgrow one 4 MiB block; ``fit_psvm_baseline`` on model 1,
+{5, 10}, on models 1 and 3 at n = 16000, d = 10, where the samples
+(12.2 MiB) outgrow one 4 MiB block, and on model 1 at n = 50000, d =
+10, the size of a cov-reduce input; ``fit_psvm_baseline`` on model 1,
 d = 10, n in {5000, 20000}.  Each cell is drawn by ``gen_model(model, n,
 d, seed=--seed)``.  A cell's ``method`` names its fit; rows written
 before the psvm cells have no such field, and their cells are psmm.  A
@@ -61,6 +62,7 @@ GRID = ([{"method": "psmm", "model": model, "n": n, "d": d, "input": "memory"}
          for model in (1, 3) for n in (500, 2000, 4000) for d in (5, 10)]
         + [{"method": "psmm", "model": model, "n": 16000, "d": 10, "input": source}
            for model in (1, 3) for source in ("memory", "file")]
+        + [{"method": "psmm", "model": 1, "n": 50000, "d": 10, "input": "memory"}]
         + [{"method": "psvm", "model": 1, "n": n, "d": 10, "input": "memory"}
            for n in (5000, 20000)])
 CHILD_TIMEOUT_S = 1800

@@ -69,8 +69,13 @@ def _build_parser():
     fit.add_argument("--symmetric", action="store_true")
     fit.add_argument("--tol", type=float, default=defaults.smm_tol)
     fit.add_argument("--max-iter", type=int, default=defaults.smm_max_iter)
-    fit.add_argument("--restarts", type=int, default=defaults.restarts)
-    fit.add_argument("--seed", type=int, default=defaults.seed)
+    fit.add_argument("--restarts", type=int, default=defaults.restarts,
+                     help="random starts per slice beside the deterministic one; each costs "
+                          "a whole rank-1 fit, and on simulated data they changed no accuracy "
+                          "(default: %(default)s)")
+    fit.add_argument("--seed", type=int, default=defaults.seed,
+                     help="seed of the random starts only; with --restarts 0 the output "
+                          "does not depend on it (default: %(default)s)")
     fit.set_defaults(func=_cmd_fit)
 
     red = sub.add_parser("reduce", help="project a dataset onto a fitted estimate")

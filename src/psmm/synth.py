@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import MatrixDataset, _is_int
 from .errors import PsmmError
+from .matnorm import _eigensystem, _power
 from .pipeline import PsmmConfig, _validate_fixed_dims, fit_psmm, fit_psvm_baseline
 
 BENCHMARK_METHODS = ("psmm", "psvm")
@@ -88,10 +89,7 @@ def _sym_sqrt(mat, name):
         raise ValueError(f"{name} must be square")
     if np.abs(mat - mat.T).max() > 1e-10 * max(float(np.abs(mat).max()), 1.0):
         raise ValueError(f"{name} must be symmetric")
-    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    if w.min() <= 0.0:
-        raise ValueError(f"{name} must be positive definite")
-    return (v * w**0.5) @ v.T
+    return _power(_eigensystem(mat, name), 0.5)
 
 
 def _check_draw(model_id=1, n=1, d=2):

@@ -25,7 +25,7 @@ from psmm import (
 )
 from psmm import data as data_module
 from psmm import fileio, matnorm, pipeline, synth
-from psmm.cli import _int_list, main
+from psmm.cli import _build_parser, _int_list, main
 
 
 def run_cli(*args):
@@ -312,6 +312,10 @@ class TestCmdFit:
         out = tmp_path / "e.json"
         assert run_cli("fit", "--input", model1_file, "--output", out) == 0
         assert json.loads(out.read_text())["config"] == PsmmConfig().to_dict()
+
+    def test_restarts_default_is_psmm_configs(self):
+        args = _build_parser().parse_args(["fit", "--input", "x", "--output", "y"])
+        assert args.restarts == PsmmConfig().restarts == 0
 
     def test_slices_validation(self, tmp_path, model1_file, capsys):
         cases = [

@@ -173,6 +173,28 @@ class TestFitPsmm:
         assert a.selected_dims == b.selected_dims
         assert a.convergence == b.convergence
 
+    def test_default_fit_does_not_depend_on_the_seed(self):
+        # The seed seeds only the random starts, and a default fit has none.
+        assert PsmmConfig().restarts == 0
+        inst = gen_model(1, 200, 5, seed=0)
+        a = fit_psmm(inst.dataset, PsmmConfig(seed=0))
+        b = fit_psmm(inst.dataset, PsmmConfig(seed=7))
+        for name in ("row_basis", "col_basis", "eigvals_row", "eigvals_col"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.selected_dims == b.selected_dims
+        assert a.convergence == b.convergence
+        assert {**a.config, "seed": 7} == b.config and a.config["seed"] == 0
+
+    def test_restarts_never_raise_a_slice_objective(self):
+        # The random starts only add candidates to the deterministic one,
+        # and each slice keeps the lowest objective.
+        inst = gen_model(1, 200, 5, seed=0)
+        one = fit_psmm(inst.dataset, PsmmConfig(restarts=0))
+        three = fit_psmm(inst.dataset, PsmmConfig(restarts=2))
+        assert [e["slice"] for e in one.convergence] == [e["slice"] for e in three.convergence]
+        for single, best in zip(one.convergence, three.convergence):
+            assert best["objective"] <= single["objective"], single["slice"]
+
     def test_output_contracts(self):
         inst = gen_model(1, 150, 4, seed=1)
         est = fit_psmm(inst.dataset, PsmmConfig(seed=2))

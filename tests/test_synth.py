@@ -3,6 +3,7 @@ import pytest
 
 from psmm import (
     PsmmConfig,
+    SingularCovariance,
     gen_model,
     model_response,
     run_benchmark,
@@ -47,7 +48,8 @@ class TestSampleMatrixNormal:
         assert np.abs(emp - expected).max() <= 0.1
 
     def test_non_spd_rejected(self):
-        with pytest.raises(ValueError):
+        # The factor's root goes through matnorm's one positive-definiteness check.
+        with pytest.raises(SingularCovariance, match="sigma_row has smallest eigenvalue"):
             sample_matrix_normal(5, np.zeros((2, 2)), np.diag([1.0, -1.0]), np.eye(2), 0)
 
     def test_misshapen_factor_or_count_rejected(self):
