@@ -67,8 +67,6 @@ def _build_parser():
     fit.add_argument("--r1", type=_rank_flag, default=None)
     fit.add_argument("--r2", type=_rank_flag, default=None)
     fit.add_argument("--symmetric", action="store_true")
-    fit.add_argument("--tol", type=float, default=defaults.smm_tol)
-    fit.add_argument("--max-iter", type=int, default=defaults.smm_max_iter)
     fit.add_argument("--restarts", type=int, default=defaults.restarts,
                      help="random starts per slice beside the deterministic one; each costs "
                           "a whole rank-1 fit, and on simulated data they changed no accuracy "
@@ -85,7 +83,7 @@ def _build_parser():
     red.set_defaults(func=_cmd_reduce)
 
     sim = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
-    sim.add_argument("--model", type=int, required=True, choices=(1, 2, 3))
+    sim.add_argument("--model", type=int, required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--d", type=int, required=True)
     sim.add_argument("--noise-sd", type=float, default=0.2)
@@ -131,8 +129,6 @@ def _cmd_fit(args):
     config = PsmmConfig(
         slices=args.slices,
         lam=args.lam,
-        smm_tol=args.tol,
-        smm_max_iter=args.max_iter,
         restarts=args.restarts,
         dims=dims,
         seed=args.seed,
@@ -161,8 +157,6 @@ def _cmd_reduce(args):
 
 
 def _cmd_simulate(args):
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
     instance = gen_model(args.model, args.n, args.d, noise_sd=args.noise_sd, seed=args.seed)
     fileio.write_mds1(args.output, instance.dataset)
     if args.truth is not None:

@@ -34,7 +34,7 @@ import numpy as np
 
 # Every pass over the samples works on blocks of about _BLOCK_BYTES (4 MiB)
 # of float64 samples, so no batch-sized temporary is allocated.
-from .data import _BLOCK_BYTES, FileSamples, _block_rows, _finite_param
+from .data import _BLOCK_BYTES, FileSamples, _block_rows, _finite_param, _is_int
 from .errors import SampleTooSmall, SingularCovariance
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -389,8 +389,8 @@ def flipflop_fit(data, tol=1e-8, max_iter=200, ridge=1e-8, sigmas_init=None):
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not _is_int(max_iter) or max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 and an integer, got {max_iter!r}")
     if not (ridge >= 0.0 and math.isfinite(ridge)):
         raise ValueError("ridge must be non-negative and finite")
     x = data.samples

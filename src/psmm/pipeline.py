@@ -26,7 +26,9 @@ class PsmmConfig:
     by the eigenvalue-sum criterion.  ``symmetric`` treats square matrix
     predictors as symmetric: the row and column aggregates are summed and
     a single basis serves both sides.  The flip-flop runs at
-    :func:`~psmm.matnorm.flipflop_fit`'s defaults, as in ``psmm cov``.
+    :func:`~psmm.matnorm.flipflop_fit`'s defaults, as in ``psmm cov``, and
+    each rank-1 machine at :func:`~psmm.smm.fit_rank1_smm`'s ``tol`` and
+    ``max_iter``.
 
     Each slice's rank-1 machine descends from the deterministic start and
     from ``restarts`` random ones; every start costs a full coordinate
@@ -41,15 +43,13 @@ class PsmmConfig:
 
     slices: int = 10
     lam: float = 100.0
-    smm_tol: float = 1e-6
-    smm_max_iter: int = 100
     restarts: int = 0
     dims: tuple | None = None
     seed: int = 0
     symmetric: bool = False
 
     def __post_init__(self):
-        for name in ("slices", "smm_max_iter", "restarts", "seed"):
+        for name in ("slices", "restarts", "seed"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -58,10 +58,6 @@ class PsmmConfig:
             raise ValueError("slice count must be at least 2 (H >= 2)")
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-        if self.smm_max_iter < 1:
-            raise ValueError("smm_max_iter must be at least 1")
-        if not (self.smm_tol >= 0.0 and math.isfinite(self.smm_tol)):
-            raise ValueError("smm_tol must be non-negative and finite")
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
         if self.seed < 0:
@@ -142,8 +138,8 @@ def slice_labels(responses, n_slices):
     if y.ndim != 1:
         raise ValueError("responses must be a vector")
     n = y.size
-    if n_slices < 2:
-        raise ValueError("slice count must be at least 2 (H >= 2)")
+    if not _is_int(n_slices) or n_slices < 2:
+        raise ValueError(f"slice count must be at least 2 (H >= 2) and an integer: {n_slices!r}")
     if n < 4:
         raise TooFewSlices("need at least 4 responses to slice")
     order_stats = np.sort(y)
@@ -296,8 +292,8 @@ def fit_pstm(data, config=None):
     params = flipflop_fit(data)
 
     def fit_slice(labels, seed):
-        return fit_rank1_smm(data, labels, params, lam=config.lam, tol=config.smm_tol,
-                             max_iter=config.smm_max_iter, restarts=config.restarts, seed=seed)
+        return fit_rank1_smm(data, labels, params, lam=config.lam, restarts=config.restarts,
+                             seed=seed)
 
     aggregates, convergence = _fit_slices(data, config, fit_slice)
     eigensystems = [(w, q) for _, w, q in aggregates]

@@ -252,8 +252,10 @@ def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2,
     labels = _check_labels(labels, data.n)
     if tuple(data.dims) != tuple(params.dims):
         raise ValueError("parameter dimensions do not match the dataset")
-    if max_iter < 1 or not np.isfinite(tol):
-        raise ValueError("max_iter must be at least 1 and tol finite")
+    if not _is_int(max_iter) or max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 and an integer, got {max_iter!r}")
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     if not _is_int(restarts) or restarts < 0:
         raise ValueError(f"restarts must be a non-negative integer, got {restarts!r}")
     if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:

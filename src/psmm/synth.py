@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import MatrixDataset, _is_int
 from .errors import PsmmError
-from .matnorm import _eigensystem, _power
+from .matnorm import _check_symmetric, _eigensystem, _power
 from .pipeline import PsmmConfig, _validate_fixed_dims, fit_psmm, fit_psvm_baseline
 
 BENCHMARK_METHODS = ("psmm", "psvm")
@@ -87,12 +87,11 @@ def _sym_sqrt(mat, name):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square")
-    if np.abs(mat - mat.T).max() > 1e-10 * max(float(np.abs(mat).max()), 1.0):
-        raise ValueError(f"{name} must be symmetric")
+    _check_symmetric(mat, name, rtol=1e-10)
     return _power(_eigensystem(mat, name), 0.5)
 
 
-def _check_draw(model_id=1, n=1, d=2):
+def _check_draw(model_id=1, n=1, d=2, noise_sd=0.0):
     """Reject what gen_model cannot draw; the defaults pass, so callers name what to check."""
     if model_id not in (1, 2, 3):
         raise ValueError(f"unknown model id {model_id}")
@@ -100,6 +99,8 @@ def _check_draw(model_id=1, n=1, d=2):
         raise ValueError("models need d >= 2")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not (noise_sd >= 0.0 and np.isfinite(noise_sd)):
+        raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd!r}")
 
 
 def sample_matrix_normal(n, mean, sigma_row, sigma_col, seed):
@@ -140,7 +141,7 @@ def gen_model(model_id, n, d, noise_sd=0.2, seed=0):
     model surface plus centered Gaussian noise with standard deviation
     ``noise_sd``.  The noise vector is stored on the instance.
     """
-    _check_draw(model_id, n, d)
+    _check_draw(model_id, n, d, noise_sd)
     seq = np.random.SeedSequence(seed)
     x_seed, noise_seed = seq.spawn(2)
     data = sample_matrix_normal(n, np.zeros((d, d)), np.eye(d), np.eye(d), x_seed)
@@ -255,8 +256,8 @@ def run_benchmark(
     so all methods inside a cell see identical data.  Rows come back in
     canonical (model, method, d, n, replicate) order regardless of
     ``jobs``; fits that fail with a :class:`PsmmError` or a
-    ``LinAlgError`` are recorded as error rows, not raised.  A grid value
-    that :func:`gen_model` cannot draw, fixed ``dims`` that do not fit
+    ``LinAlgError`` are recorded as error rows, not raised.  Grid values or
+    ``noise_sd`` that :func:`gen_model` cannot draw, ``dims`` that do not fit
     every d, or a symmetric config with psvm raise ValueError before any fit.
     """
     models = list(models)
@@ -276,7 +277,7 @@ def run_benchmark(
             raise ValueError(f"unknown method {method!r}")
     config = config if config is not None else PsmmConfig()
     for model, n, d in itertools.product(models, n_grid, d_grid):
-        _check_draw(model, n, d)
+        _check_draw(model, n, d, noise_sd)
         _validate_fixed_dims(config.dims, (d, d))
     if config.symmetric and "psvm" in methods:
         raise ValueError("the psvm method has no symmetric mode")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -314,16 +315,30 @@ class TestCmdFit:
         assert json.loads(out.read_text())["config"] == PsmmConfig().to_dict()
 
     def test_restarts_default_is_psmm_configs(self):
-        args = _build_parser().parse_args(["fit", "--input", "x", "--output", "y"])
-        assert args.restarts == PsmmConfig().restarts == 0
+        # Each PsmmConfig field has exactly one `psmm fit` flag (dims has the
+        # pair --r1/--r2) with the field's default, and no flag has no field.
+        parser = _build_parser()
+        [fit] = [action.choices["fit"] for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        io_flags = {"-h", "--help", "--input", "--output"}
+        flags = [opt for action in fit._actions for opt in action.option_strings
+                 if opt not in io_flags]
+        renamed = {"lam": ["--lambda"], "dims": ["--r1", "--r2"]}
+        fields = [field.name for field in dataclasses.fields(PsmmConfig)]
+        assert sorted(flags) == sorted(
+            opt for name in fields for opt in renamed.get(name, ["--" + name])
+        )
+        args = parser.parse_args(["fit", "--input", "x", "--output", "y"])
+        defaults = PsmmConfig()
+        assert args.r1 is args.r2 is defaults.dims is None
+        for name in fields:
+            if name != "dims":
+                assert getattr(args, name) == getattr(defaults, name), name
+        assert args.restarts == 0
 
     def test_slices_validation(self, tmp_path, model1_file, capsys):
         cases = [
             ("fit", "--slices", 1, "H >= 2"),
-            ("fit", "--max-iter", 0, "smm_max_iter"),
-            ("fit", "--max-iter", -3, "smm_max_iter"),
-            ("fit", "--tol", -1, "smm_tol"),
-            ("fit", "--tol", "nan", "smm_tol"),
             ("fit", "--lambda", "inf", "lam"),
             ("fit", "--r1", 1, "--r1 and --r2"),
         ]
@@ -333,6 +348,11 @@ class TestCmdFit:
             assert code == 2
             err = capsys.readouterr().err
             assert message in err and err.count("\n") == 1
+            assert not out.exists()
+        # The rank-1 machine's tolerance and sweep cap are fit_rank1_smm's alone.
+        for flag, value in (("--tol", -1), ("--max-iter", 0)):
+            assert run_cli("fit", "--input", model1_file, "--output", out, flag, value) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not out.exists()
 
     def test_rank_below_one_rejected(self, tmp_path, model1_file, capsys):
@@ -534,16 +554,27 @@ class TestCmdSimulate:
                            "--seed", 5, "--output", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invalid_model_exit2(self, tmp_path):
+    def test_invalid_model_exit2(self, tmp_path, capsys):
         assert run_cli("simulate", "--model", 9, "--n", 4, "--d", 2,
                        "--output", tmp_path / "x.mds1") == 2
+        assert "unknown model id 9" in capsys.readouterr().err
 
     def test_zero_samples_exit2(self, tmp_path, capsys):
         out = tmp_path / "x.mds1"
         assert run_cli("simulate", "--model", 1, "--n", 0, "--d", 2, "--output", out) == 2
         err = capsys.readouterr().err
-        assert "--n must be at least 1" in err and err.count("\n") == 1
+        assert "n must be at least 1" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("noise_sd", ["-1", "nan", "inf"])
+    def test_bad_noise_sd_exit2(self, tmp_path, capsys, noise_sd):
+        out = tmp_path / "x.out"
+        for args in (("simulate", "--model", 1, "--n", 10, "--d", 2),
+                     ("benchmark", "--models", 1, "--n", 40, "--d", 3, "--replicates", 1)):
+            assert run_cli(*args, "--noise-sd", noise_sd, "--output", out) == 2
+            err = capsys.readouterr().err
+            assert "noise_sd must be non-negative and finite" in err and err.count("\n") == 1
+            assert not out.exists()
 
     def test_truth_file(self, tmp_path):
         out = tmp_path / "sim.mds1"

@@ -141,6 +141,8 @@ class TestFlipFlop:
     def test_max_iter_and_tol_validated(self):
         data = MatrixDataset(np.random.default_rng(5).standard_normal((20, 3, 2)))
         for bad, match in [({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+                           ({"max_iter": 2.5}, "max_iter must be at least 1"),
+                           ({"max_iter": True}, "max_iter must be at least 1"),
                            ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
                            ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"),
                            ({"ridge": -1.0}, "ridge"), ({"ridge": float("nan")}, "ridge"),

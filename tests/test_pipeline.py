@@ -48,8 +48,10 @@ class TestSliceLabels:
             slice_labels(np.arange(3, dtype=float), 2)
 
     def test_h_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            slice_labels(np.arange(8, dtype=float), 1)
+        for bad in (1, 2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="H >= 2"):
+                slice_labels(np.arange(8, dtype=float), bad)
+        assert slice_labels(np.arange(8, dtype=float), np.int64(2)).retained == [1]
 
     def test_matrix_responses_rejected(self):
         with pytest.raises(ValueError, match="responses must be a vector"):
@@ -124,8 +126,6 @@ class TestFitPsmm:
             PsmmConfig(slices=1)
         nan, inf = float("nan"), float("inf")
         for field, values in [
-            ("smm_max_iter", [0, -3]),
-            ("smm_tol", [-1.0, nan, inf]),
             ("lam", [0.0, -1.0, nan, inf]),
             ("restarts", [-1]),
             ("seed", [-1]),
@@ -134,10 +134,9 @@ class TestFitPsmm:
             for value in values:
                 with pytest.raises(ValueError, match=field):
                     PsmmConfig(**{field: value})
-        PsmmConfig(smm_tol=0.0, smm_max_iter=1)
 
     def test_config_accepts_only_integer_counts(self):
-        for field in ("slices", "restarts", "seed", "smm_max_iter"):
+        for field in ("slices", "restarts", "seed"):
             for value in (2.5, 3.0, True, "3", None):
                 with pytest.raises(ValueError, match=f"{field} must be an integer"):
                     PsmmConfig(**{field: value})

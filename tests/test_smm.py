@@ -402,11 +402,20 @@ class TestFitRank1Smm:
             fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 3), lam=1.0)
 
     def test_max_iter_and_tol_validated(self):
+        # fit_rank1_smm alone owns the coordinate descent's sweep cap and tolerance.
         x = np.random.default_rng(0).standard_normal((8, 2, 2))
         labels = np.array([1, -1] * 4)
-        for bad in ({"max_iter": 0}, {"max_iter": -3}, {"tol": math.nan}, {"tol": math.inf}):
-            with pytest.raises(ValueError, match="max_iter must be at least 1 and tol finite"):
-                fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0, **bad)
+        cases = [("max_iter", v, "max_iter must be at least 1 and an integer")
+                 for v in (0, -3, 2.5, 3.0, True, "3", None)]
+        cases += [("tol", v, "tol must be non-negative and finite")
+                  for v in (-1.0, math.nan, math.inf)]
+        for name, value, message in cases:
+            with pytest.raises(ValueError, match=message):
+                fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0,
+                              **{name: value})
+        fit = fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0,
+                            tol=0.0, max_iter=np.int64(1))
+        assert fit.iterations == 1
 
     def test_restarts_must_be_a_non_negative_integer(self):
         x = np.random.default_rng(0).standard_normal((8, 2, 2))

@@ -55,7 +55,7 @@ class TestSampleMatrixNormal:
     def test_misshapen_factor_or_count_rejected(self):
         with pytest.raises(ValueError, match="sigma_row must be square"):
             sample_matrix_normal(5, np.zeros((2, 2)), np.ones((2, 3)), np.eye(2), 0)
-        with pytest.raises(ValueError, match="sigma_col must be symmetric"):
+        with pytest.raises(ValueError, match="sigma_col is not symmetric"):
             sample_matrix_normal(5, np.zeros((2, 2)), np.eye(2), [[1.0, 0.5], [0.0, 1.0]], 0)
         with pytest.raises(ValueError, match="n must be at least 1"):
             sample_matrix_normal(0, np.zeros((2, 2)), np.eye(2), np.eye(2), 0)
@@ -101,6 +101,10 @@ class TestGenModel:
             gen_model(1, 10, 1)
         with pytest.raises(ValueError, match="unknown model id 4"):
             model_response(4, np.zeros((1, 2, 2)))
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_sd must be non-negative and finite"):
+                gen_model(1, 10, 5, noise_sd=bad)
+        assert np.array_equal(gen_model(1, 10, 5, noise_sd=0.0).noise, np.zeros(10))
 
 
 def dense_projector_distance(row_a, col_a, row_b, col_b):
@@ -286,6 +290,9 @@ class TestRunBenchmark:
         ({"models": [1, 4]}, "unknown model id 4"),
         ({"n_grid": [40, 0]}, "n must be at least 1"),
         ({"d_grid": [3, 1]}, "models need d >= 2"),
+        ({"noise_sd": -1.0}, "noise_sd must be non-negative and finite"),
+        ({"noise_sd": float("nan")}, "noise_sd must be non-negative and finite"),
+        ({"noise_sd": float("inf")}, "noise_sd must be non-negative and finite"),
     ])
     def test_out_of_range_grid_rejected_before_any_cell(self, monkeypatch, kwargs, message):
         cells = []
