@@ -27,7 +27,7 @@ print(f"Model 1 instance: n={data.n}, d={data.d1}x{data.d2}")
 slices = slice_labels(data.responses, 10)
 print(f"retained slices: {slices.retained}")
 
-config = PsmmConfig(slices=10, lam=100.0, seed=0)
+config = PsmmConfig(slices=10, lam=100.0)
 est = fit_psmm(data, config)
 print(f"\nselected dims by the eigenvalue criterion: {est.selected_dims}")
 print(f"row aggregation spectrum: {np.round(est.eigvals_row, 2)}")

@@ -19,7 +19,7 @@ y = np.einsum("nijk,i,j,k->n", x, e1, e1, e1) + rng.normal(0.0, 0.2, n)
 data = TensorDataset(x, y)
 print(f"order-3 dataset: n={n}, dims={dims}")
 
-est = fit_pstm(data, PsmmConfig(dims=(1, 1, 1), seed=0))
+est = fit_pstm(data, PsmmConfig(dims=(1, 1, 1)))
 for k, basis in enumerate(est.mode_bases):
     align = abs(float(basis[:, 0] @ e1))
     print(f"mode {k + 1}: alignment with e1 = {align:.4f}, "

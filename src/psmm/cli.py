@@ -19,12 +19,7 @@ from .synth import gen_model, run_benchmark
 
 
 def _rank_flag(value):
-    if value == "auto":
-        return None
-    rank = int(value)
-    if rank < 1:
-        raise argparse.ArgumentTypeError("rank must be a positive integer or 'auto'")
-    return rank
+    return None if value == "auto" else int(value)
 
 
 def _int_list(value):
@@ -67,13 +62,6 @@ def _build_parser():
     fit.add_argument("--r1", type=_rank_flag, default=None)
     fit.add_argument("--r2", type=_rank_flag, default=None)
     fit.add_argument("--symmetric", action="store_true")
-    fit.add_argument("--restarts", type=int, default=defaults.restarts,
-                     help="random starts per slice beside the deterministic one; each costs "
-                          "a whole rank-1 fit, and on simulated data they changed no accuracy "
-                          "(default: %(default)s)")
-    fit.add_argument("--seed", type=int, default=defaults.seed,
-                     help="seed of the random starts only; with --restarts 0 the output "
-                          "does not depend on it (default: %(default)s)")
     fit.set_defaults(func=_cmd_fit)
 
     red = sub.add_parser("reduce", help="project a dataset onto a fitted estimate")
@@ -129,9 +117,7 @@ def _cmd_fit(args):
     config = PsmmConfig(
         slices=args.slices,
         lam=args.lam,
-        restarts=args.restarts,
         dims=dims,
-        seed=args.seed,
         symmetric=args.symmetric,
     )
     fileio.write_estimate_json(args.output, fit_pstm(dataset, config))

@@ -18,6 +18,13 @@ from .matnorm import TensorNormParams, _product, _second_moment, flipflop_fit
 from .smm import TensorDirectionSet, fit_rank1_smm, update_u
 
 
+def _check_slice_count(slices):
+    """The slice count H as an int; raises ValueError unless it is an integer >= 2."""
+    if not _is_int(slices) or slices < 2:
+        raise ValueError(f"slices must be an integer of at least 2 (H >= 2), got {slices!r}")
+    return int(slices)
+
+
 @dataclass
 class PsmmConfig:
     """Hyperparameters for the estimation pipeline.
@@ -30,38 +37,19 @@ class PsmmConfig:
     each rank-1 machine at :func:`~psmm.smm.fit_rank1_smm`'s ``tol`` and
     ``max_iter``.
 
-    Each slice's rank-1 machine descends from the deterministic start and
-    from ``restarts`` random ones; every start costs a full coordinate
-    descent, its QP solves and its passes over the samples.  The default
-    is the deterministic start alone: on the simulated grids random starts
-    changed no accuracy, since on the unbalanced extreme slices most stop
-    at w = 0, the hinge loss's optimum below a threshold of ``lam``.  The
-    objective is not convex, so ``restarts`` stays for data with other
-    local minima.  ``seed`` seeds only the random starts, so a fit with
-    ``restarts=0`` does not depend on it.
+    Each slice's rank-1 machine descends once, from the deterministic
+    start of :func:`~psmm.smm.init_directions`.
     """
 
     slices: int = 10
     lam: float = 100.0
-    restarts: int = 0
     dims: tuple | None = None
-    seed: int = 0
     symmetric: bool = False
 
     def __post_init__(self):
-        for name in ("slices", "restarts", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        if self.slices < 2:
-            raise ValueError("slice count must be at least 2 (H >= 2)")
+        self.slices = _check_slice_count(self.slices)
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-        if self.restarts < 0:
-            raise ValueError("restarts must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.dims is not None:
             if not all(map(_is_int, self.dims)):
                 raise ValueError(f"fixed dims must be integers, got {self.dims!r}")
@@ -138,8 +126,7 @@ def slice_labels(responses, n_slices):
     if y.ndim != 1:
         raise ValueError("responses must be a vector")
     n = y.size
-    if not _is_int(n_slices) or n_slices < 2:
-        raise ValueError(f"slice count must be at least 2 (H >= 2) and an integer: {n_slices!r}")
+    n_slices = _check_slice_count(n_slices)
     if n < 4:
         raise TooFewSlices("need at least 4 responses to slice")
     order_stats = np.sort(y)
@@ -202,10 +189,6 @@ def select_dimension_bic(eigenvalues, n):
     return int(np.argmax(criterion)) + 1
 
 
-def _slice_seed(seed, h):
-    return int(np.random.SeedSequence((seed, h)).generate_state(1, np.uint64)[0])
-
-
 def _validate_fixed_dims(dims, shape):
     if dims is None:
         return
@@ -226,17 +209,17 @@ def _check_fit_input(data, config):
 def _fit_slices(data, config, fit_slice):
     """Slice the responses, fit each retained slice and aggregate its directions.
 
-    The only loop over retained slices: ``fit_slice(labels, seed)`` fits
-    slice h's +-1 labels with seed ``_slice_seed(config.seed, h)`` and
-    returns a TensorDirectionSet.  Returns the per-mode aggregates of the
-    slice directions (see aggregate_directions) and one convergence entry
-    per retained slice, with the set's iterations, objective and status.
+    The only loop over retained slices: ``fit_slice(labels)`` fits a
+    slice's +-1 labels and returns a TensorDirectionSet.  Returns the
+    per-mode aggregates of the slice directions (see aggregate_directions)
+    and one convergence entry per retained slice, with the set's
+    iterations, objective and status.
     """
     slices = slice_labels(data.responses, config.slices)
     fits = []
     convergence = []
     for h, labels in zip(slices.retained, slices.labels):
-        fitted = fit_slice(labels, _slice_seed(config.seed, h))
+        fitted = fit_slice(labels)
         fits.append(fitted)
         convergence.append(
             {
@@ -291,9 +274,8 @@ def fit_pstm(data, config=None):
         raise ValueError("symmetric mode requires equal row and column ranks")
     params = flipflop_fit(data)
 
-    def fit_slice(labels, seed):
-        return fit_rank1_smm(data, labels, params, lam=config.lam, restarts=config.restarts,
-                             seed=seed)
+    def fit_slice(labels):
+        return fit_rank1_smm(data, labels, params, lam=config.lam)
 
     aggregates, convergence = _fit_slices(data, config, fit_slice)
     eigensystems = [(w, q) for _, w, q in aggregates]
@@ -339,7 +321,7 @@ def fit_psvm_baseline(data, config=None):
     vec_data = MatrixDataset(vecs[:, :, None], data.responses)
     pinned = np.ones(1)
 
-    def fit_slice(labels, seed):
+    def fit_slice(labels):
         u, dual = update_u(vec_data, labels, pinned, params, lam=config.lam)
         return TensorDirectionSet(
             [u], dual.bias_t, dual.dual_objective, dual.iterations, dual.converged

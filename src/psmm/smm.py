@@ -15,7 +15,7 @@ Every function takes a dataset and a :class:`~psmm.matnorm.TensorNormParams`
 of any order; ``update_u`` and ``update_v`` are the two mode updates of
 the matrix case.
 
-Every pass over the samples (mode features, a start's first decision
+Every pass over the samples (mode features, a fit's first decision
 values, the class-mean gap) is a blocked pass of :mod:`psmm.matnorm`,
 which centers and contracts about 4 MiB of samples at a time, so a fit
 holds O(4 MiB) and a mode step's few n x d_k arrays besides the samples.
@@ -200,17 +200,28 @@ def _zero_step(solution):
     return quad <= _ZERO_STEP_EPS * abs(solution.dual_objective)
 
 
-def _descend(samples, labels, params, lam, tol, max_iter, us):
-    """Cyclic mode updates from the start ``us``; returns its balanced direction set.
+def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100):
+    """Fit the rank-1 machine of any order by cyclic mode updates from :func:`init_directions`.
 
     Sweeps stop when the relative objective decrease falls below ``tol``;
     exhausting ``max_iter`` or an unconverged mode dual QP tags the set
     unconverged.  A mode step whose optimum is w = 0 up to rounding ends
-    the start with that direction exactly zero.  The samples are contracted
+    the fit with that direction exactly zero.  The samples are contracted
     once; later objectives take the last mode step's decision values.
+    Returns the balanced direction set.
     """
+    labels = _check_labels(labels, data.n)
+    if tuple(data.dims) != tuple(params.dims):
+        raise ValueError("parameter dimensions do not match the dataset")
+    if not _is_int(max_iter) or max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 and an integer, got {max_iter!r}")
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
+    if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
+        raise ValueError("each label class needs at least two samples")
+    us = init_directions(data, labels, params)
     t = 0.0
-    decisions = _contract(samples, us, params.mean)
+    decisions = _contract(data.samples, us, params.mean)
     objective = _objective_core(decisions, us, t, labels, params, lam)
     warm = [None] * params.order
     qp_converged = True  # an unconverged dual is not an exact mode step
@@ -219,7 +230,7 @@ def _descend(samples, labels, params, lam, tol, max_iter, us):
         for k in range(params.order):
             try:
                 direction, solution, values = _mode_step(
-                    samples, labels, us, k, params, lam, warm[k]
+                    data.samples, labels, us, k, params, lam, warm[k]
                 )
             except DegenerateDirection:
                 degenerate = True
@@ -239,30 +250,3 @@ def _descend(samples, labels, params, lam, tol, max_iter, us):
             break
     return TensorDirectionSet(us=_balance(us), t=float(t), objective=float(objective),
                               iterations=sweeps, converged=converged and qp_converged)
-
-
-def fit_rank1_smm(data, labels, params, lam, tol=1e-6, max_iter=100, restarts=2, seed=0):
-    """Fit the rank-1 machine of any order by cyclic mode updates.
-
-    Runs :func:`_descend` from the deterministic initializer and from
-    ``restarts`` seeded random unit-vector starts (with one seed, a prefix
-    of those of ``restarts + 1``) and returns the lowest-objective set; of
-    equal objectives, the earlier start's.
-    """
-    labels = _check_labels(labels, data.n)
-    if tuple(data.dims) != tuple(params.dims):
-        raise ValueError("parameter dimensions do not match the dataset")
-    if not _is_int(max_iter) or max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1 and an integer, got {max_iter!r}")
-    if not (tol >= 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
-    if not _is_int(restarts) or restarts < 0:
-        raise ValueError(f"restarts must be a non-negative integer, got {restarts!r}")
-    if min(int((labels > 0).sum()), int((labels < 0).sum())) < 2:
-        raise ValueError("each label class needs at least two samples")
-    starts = [init_directions(data, labels, params)]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append([g / np.linalg.norm(g) for g in map(rng.standard_normal, params.dims)])
-    fits = [_descend(data.samples, labels, params, lam, tol, max_iter, us) for us in starts]
-    return min(fits, key=lambda fit: fit.objective)

@@ -201,7 +201,7 @@ def test_criterion_4_rank1_recovery():
         v0 /= np.linalg.norm(v0)
         x = rng.standard_normal((n, d, d))
         y = np.einsum("i,nij,j->n", u0, x, v0) + rng.normal(0.0, 0.2, n)
-        est = fit_psmm(MatrixDataset(x, y), PsmmConfig(dims=(1, 1), seed=seed))
+        est = fit_psmm(MatrixDataset(x, y), PsmmConfig(dims=(1, 1)))
         cos_u.append(abs(float(est.row_basis[:, 0] @ u0)))
         cos_v.append(abs(float(est.col_basis[:, 0] @ v0)))
     med_u, med_v = np.median(cos_u), np.median(cos_v)
@@ -299,8 +299,8 @@ def test_criterion_8_pstm():
     x = rng.standard_normal((60, 3, 4))
     labels = np.array([1, -1] * 30)
     params = TensorNormParams(x.mean(axis=0), [np.eye(3), np.eye(4)])
-    matrix = fit_rank1_smm(MatrixDataset(x), labels, params, lam=50.0, seed=9)
-    fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=50.0, seed=9)
+    matrix = fit_rank1_smm(MatrixDataset(x), labels, params, lam=50.0)
+    fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=50.0)
     k2_gap = abs(matrix.objective - fitted.objective)
 
     # order-3 recovery, 10 seeds
@@ -312,7 +312,7 @@ def test_criterion_8_pstm():
         x = rng.standard_normal((n,) + dims)
         e1 = np.eye(4)[0]
         y = np.einsum("nijk,i,j,k->n", x, e1, e1, e1) + rng.normal(0.0, 0.2, n)
-        est = fit_pstm(TensorDataset(x, y), PsmmConfig(dims=(1, 1, 1), seed=seed))
+        est = fit_pstm(TensorDataset(x, y), PsmmConfig(dims=(1, 1, 1)))
         aligns.append([abs(float(b[:, 0] @ e1)) for b in est.mode_bases])
     medians = np.median(np.asarray(aligns), axis=0)
     report(
@@ -350,8 +350,8 @@ def test_criterion_9_determinism_and_io(tmp_path):
     fileio.write_dataset_csv(csvf, inst.dataset)
     est_a = tmp_path / "a.json"
     est_b = tmp_path / "b.json"
-    assert cli_main(["fit", "--input", str(mds), "--output", str(est_a), "--seed", "5"]) == 0
-    assert cli_main(["fit", "--input", str(csvf), "--output", str(est_b), "--seed", "5"]) == 0
+    assert cli_main(["fit", "--input", str(mds), "--output", str(est_a)]) == 0
+    assert cli_main(["fit", "--input", str(csvf), "--output", str(est_b)]) == 0
     ea = fileio.read_estimate_json(est_a)
     eb = fileio.read_estimate_json(est_b)
     est_gap = max(

@@ -277,7 +277,7 @@ class TestCsvDataset:
 class TestEstimateJson:
     def test_roundtrip_lossless(self, tmp_path, model1_file):
         out = tmp_path / "est.json"
-        assert run_cli("fit", "--input", model1_file, "--output", out, "--seed", 3) == 0
+        assert run_cli("fit", "--input", model1_file, "--output", out) == 0
         est = fileio.read_estimate_json(out)
         fileio.write_estimate_json(tmp_path / "est2.json", est)
         assert (tmp_path / "est2.json").read_bytes() == out.read_bytes()
@@ -301,12 +301,27 @@ class TestEstimateJson:
             fileio.estimate_from_dict({**doc, "mode_eigvals": eigvals})
 
 
+    def test_removed_config_keys_still_load_and_reduce(self, tmp_path, model1_file):
+        # Estimates written before these settings left PsmmConfig still
+        # echo them in their config; reading treats the config as opaque.
+        est, old = tmp_path / "est.json", tmp_path / "old.json"
+        assert run_cli("fit", "--input", model1_file, "--output", est) == 0
+        doc = json.loads(est.read_text())
+        removed = {"restarts": 2, "seed": 7, "smm_tol": 1e-6, "flipflop_tol": 1e-8}
+        old.write_text(json.dumps({**doc, "config": {**doc["config"], **removed}}))
+        assert fileio.read_estimate_json(old).config == {**doc["config"], **removed}
+        for model, out in ((est, "new.csv"), (old, "old.csv")):
+            assert run_cli("reduce", "--input", model1_file, "--model", model,
+                           "--output", tmp_path / out) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
 class TestCmdFit:
     def test_deterministic_output(self, tmp_path, model1_file):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        assert run_cli("fit", "--input", model1_file, "--output", out1, "--seed", 7) == 0
-        assert run_cli("fit", "--input", model1_file, "--output", out2, "--seed", 7) == 0
+        assert run_cli("fit", "--input", model1_file, "--output", out1) == 0
+        assert run_cli("fit", "--input", model1_file, "--output", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_defaults_echo_psmm_config(self, tmp_path, model1_file):
@@ -334,7 +349,6 @@ class TestCmdFit:
         for name in fields:
             if name != "dims":
                 assert getattr(args, name) == getattr(defaults, name), name
-        assert args.restarts == 0
 
     def test_slices_validation(self, tmp_path, model1_file, capsys):
         cases = [
@@ -349,8 +363,10 @@ class TestCmdFit:
             err = capsys.readouterr().err
             assert message in err and err.count("\n") == 1
             assert not out.exists()
-        # The rank-1 machine's tolerance and sweep cap are fit_rank1_smm's alone.
-        for flag, value in (("--tol", -1), ("--max-iter", 0)):
+        # The rank-1 machine's tolerance and sweep cap are fit_rank1_smm's
+        # alone, and each slice has one deterministic start.
+        for flag, value in (("--tol", -1), ("--max-iter", 0), ("--restarts", 1),
+                            ("--seed", 3)):
             assert run_cli("fit", "--input", model1_file, "--output", out, flag, value) == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not out.exists()
@@ -358,7 +374,7 @@ class TestCmdFit:
     def test_rank_below_one_rejected(self, tmp_path, model1_file, capsys):
         out = tmp_path / "x.json"
         assert run_cli("fit", "--input", model1_file, "--output", out, "--r1", 0, "--r2", 1) == 2
-        assert "rank must be a positive integer or 'auto'" in capsys.readouterr().err
+        assert "fixed dims must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_and_mds1_agree(self, tmp_path):
@@ -369,8 +385,8 @@ class TestCmdFit:
         fileio.write_dataset_csv(csvf, inst.dataset)
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
-        assert run_cli("fit", "--input", mds, "--output", out_a, "--seed", 1) == 0
-        assert run_cli("fit", "--input", csvf, "--output", out_b, "--seed", 1) == 0
+        assert run_cli("fit", "--input", mds, "--output", out_a) == 0
+        assert run_cli("fit", "--input", csvf, "--output", out_b) == 0
         est_a = fileio.read_estimate_json(out_a)
         est_b = fileio.read_estimate_json(out_b)
         assert np.abs(est_a.row_basis - est_b.row_basis).max() <= 1e-12
@@ -420,7 +436,7 @@ class TestCmdFit:
         path = tmp_path / "t.mds1"
         fileio.write_mds1(path, TensorDataset(x, y))
         out = tmp_path / "t.json"
-        assert run_cli("fit", "--input", path, "--output", out, "--seed", 2) == 0
+        assert run_cli("fit", "--input", path, "--output", out) == 0
         doc = json.loads(out.read_text())
         assert len(doc["mode_bases"]) == 3
 
@@ -723,12 +739,23 @@ class TestCmdBenchmark:
         assert "unknown model id 4" in capsys.readouterr().err
         assert not out.exists() and cells == []
 
+    def test_slice_count_checked_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # PsmmConfig and slice_labels share one slice-count rule; the config
+        # applies it before the grid starts.
+        cells = []
+        monkeypatch.setattr(synth, "_run_single", cells.append)
+        out = tmp_path / "b.csv"
+        assert run_cli("benchmark", "--slices", 1, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "slices must be an integer of at least 2 (H >= 2), got 1" in err
+        assert not out.exists() and cells == []
+
 
 class TestFitReduceRoundtrip:
     def test_fit_then_reduce(self, tmp_path, model1_file):
         est_path = tmp_path / "est.json"
         assert run_cli("fit", "--input", model1_file, "--output", est_path,
-                       "--r1", 1, "--r2", 2, "--seed", 2) == 0
+                       "--r1", 1, "--r2", 2) == 0
         out = tmp_path / "red.csv"
         assert run_cli("reduce", "--input", model1_file, "--model", est_path,
                        "--output", out) == 0
@@ -784,10 +811,10 @@ class TestStreamedInput:
 
         # psmm fit streams the file through the flip-flop and every rank-1 fit.
         assert run_cli("fit", "--input", path, "--output", tmp_path / "fit.json",
-                       "--slices", 4, "--restarts", 0) == 0
+                       "--slices", 4) == 0
         fit = fit_psmm if len(dims) == 2 else fit_pstm
         fileio.write_estimate_json(tmp_path / "ref.json",
-                                   fit(data, PsmmConfig(slices=4, restarts=0)))
+                                   fit(data, PsmmConfig(slices=4)))
         assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     @pytest.mark.parametrize("command", ["cov", "reduce"])
@@ -878,7 +905,7 @@ class TestStreamedInput:
         fileio.write_mds1(path, gen_model(1, n, 10, seed=5).dataset)
         sample_bytes = 8 * n * 100
         args = ["fit", "--input", path, "--output", tmp_path / "est.json",
-                "--slices", 4, "--restarts", 0]
+                "--slices", 4]
         assert run_cli(*args) == 0  # warm: lazy imports and caches
         tracemalloc.start()
         try:

@@ -127,8 +127,6 @@ class TestFitPsmm:
         nan, inf = float("nan"), float("inf")
         for field, values in [
             ("lam", [0.0, -1.0, nan, inf]),
-            ("restarts", [-1]),
-            ("seed", [-1]),
             ("dims", [(0, 1)]),
         ]:
             for value in values:
@@ -136,16 +134,15 @@ class TestFitPsmm:
                     PsmmConfig(**{field: value})
 
     def test_config_accepts_only_integer_counts(self):
-        for field in ("slices", "restarts", "seed"):
-            for value in (2.5, 3.0, True, "3", None):
-                with pytest.raises(ValueError, match=f"{field} must be an integer"):
-                    PsmmConfig(**{field: value})
+        for value in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="slices must be an integer"):
+                PsmmConfig(slices=value)
         for dims in ((1.7, 2), (True, 2), (1, np.float64(2.0))):
             with pytest.raises(ValueError, match="fixed dims must be integers"):
                 PsmmConfig(dims=dims)
-        config = PsmmConfig(slices=np.int64(4), seed=np.uint64(7), dims=(np.int32(1), 2))
+        config = PsmmConfig(slices=np.int64(4), dims=(np.int32(1), 2))
         assert config.to_dict()["slices"] == 4 and type(config.slices) is int
-        assert type(config.seed) is int and config.to_dict()["dims"] == [1, 2]
+        assert config.to_dict()["dims"] == [1, 2]
         assert type(config.dims[0]) is int
 
     def test_responses_required(self):
@@ -155,7 +152,7 @@ class TestFitPsmm:
 
     def test_recovery_rank_one(self):
         inst = gen_model(1, 300, 4, seed=5)
-        est = fit_psmm(inst.dataset, PsmmConfig(dims=(1, 2), seed=0))
+        est = fit_psmm(inst.dataset, PsmmConfig(dims=(1, 2)))
         u_cos = abs(float(est.row_basis[:, 0] @ inst.true_row_basis[:, 0]))
         assert u_cos >= 0.9
         col_proj = est.col_basis @ est.col_basis.T
@@ -164,39 +161,17 @@ class TestFitPsmm:
 
     def test_determinism_bitwise(self):
         inst = gen_model(2, 120, 4, seed=9)
-        a = fit_psmm(inst.dataset, PsmmConfig(seed=4))
-        b = fit_psmm(inst.dataset, PsmmConfig(seed=4))
+        a = fit_psmm(inst.dataset, PsmmConfig())
+        b = fit_psmm(inst.dataset, PsmmConfig())
         assert np.array_equal(a.row_basis, b.row_basis)
         assert np.array_equal(a.col_basis, b.col_basis)
         assert np.array_equal(a.eigvals_row, b.eigvals_row)
         assert a.selected_dims == b.selected_dims
         assert a.convergence == b.convergence
 
-    def test_default_fit_does_not_depend_on_the_seed(self):
-        # The seed seeds only the random starts, and a default fit has none.
-        assert PsmmConfig().restarts == 0
-        inst = gen_model(1, 200, 5, seed=0)
-        a = fit_psmm(inst.dataset, PsmmConfig(seed=0))
-        b = fit_psmm(inst.dataset, PsmmConfig(seed=7))
-        for name in ("row_basis", "col_basis", "eigvals_row", "eigvals_col"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.selected_dims == b.selected_dims
-        assert a.convergence == b.convergence
-        assert {**a.config, "seed": 7} == b.config and a.config["seed"] == 0
-
-    def test_restarts_never_raise_a_slice_objective(self):
-        # The random starts only add candidates to the deterministic one,
-        # and each slice keeps the lowest objective.
-        inst = gen_model(1, 200, 5, seed=0)
-        one = fit_psmm(inst.dataset, PsmmConfig(restarts=0))
-        three = fit_psmm(inst.dataset, PsmmConfig(restarts=2))
-        assert [e["slice"] for e in one.convergence] == [e["slice"] for e in three.convergence]
-        for single, best in zip(one.convergence, three.convergence):
-            assert best["objective"] <= single["objective"], single["slice"]
-
     def test_output_contracts(self):
         inst = gen_model(1, 150, 4, seed=1)
-        est = fit_psmm(inst.dataset, PsmmConfig(seed=2))
+        est = fit_psmm(inst.dataset, PsmmConfig())
         r1, r2 = est.selected_dims
         assert est.row_basis.shape == (4, r1)
         assert est.col_basis.shape == (4, r2)
@@ -221,7 +196,7 @@ class TestFitPsmm:
         x = (raw + raw.transpose(0, 2, 1)) / np.sqrt(2.0)
         y = x[:, 0, 0] + 0.5 * x[:, 1, 1] + rng.normal(0, 0.2, n)
         data = MatrixDataset(x, y)
-        est = fit_psmm(data, PsmmConfig(symmetric=True, dims=(2, 2), seed=0))
+        est = fit_psmm(data, PsmmConfig(symmetric=True, dims=(2, 2)))
         assert np.array_equal(est.row_basis, est.col_basis)
         assert est.row_basis.shape == (4, 2)
         assert est.selected_dims == (2, 2)
@@ -250,7 +225,7 @@ class TestFitPsmm:
 class TestFitPstm:
     def test_matches_matrix_pipeline_spans(self):
         inst = gen_model(1, 150, 4, seed=13)
-        config = PsmmConfig(seed=6)
+        config = PsmmConfig()
         mat = fit_psmm(inst.dataset, config)
         ten = fit_pstm(TensorDataset(inst.dataset.samples, inst.dataset.responses), config)
         assert ten.selected_dims == mat.selected_dims
@@ -270,13 +245,13 @@ class TestFitPstm:
         x = rng.standard_normal((n,) + dims)
         y = np.einsum("nijk,i,j,k->n", x, *[np.eye(4)[0]] * 3) + rng.normal(0, 0.2, n)
         data = TensorDataset(x, y)
-        est = fit_pstm(data, PsmmConfig(dims=(1, 1, 1), seed=3))
+        est = fit_pstm(data, PsmmConfig(dims=(1, 1, 1)))
         for basis in est.mode_bases:
             assert abs(float(basis[:, 0] @ np.eye(4)[0])) >= 0.8
 
     def test_reduce_matches_matrix_pipeline(self):
         inst = gen_model(1, 120, 4, seed=7)
-        config = PsmmConfig(dims=(1, 2), restarts=0)
+        config = PsmmConfig(dims=(1, 2))
         mat = fit_psmm(inst.dataset, config)
         ten = fit_pstm(TensorDataset(inst.dataset.samples, inst.dataset.responses), config)
         assert np.array_equal(
@@ -287,7 +262,7 @@ class TestFitPstm:
         rng = np.random.default_rng(23)
         x = rng.standard_normal((80, 3, 1, 2))
         y = x[:, 0, 0, 0] + rng.normal(0, 0.1, 80)
-        est = fit_pstm(TensorDataset(x, y), PsmmConfig(seed=0))
+        est = fit_pstm(TensorDataset(x, y), PsmmConfig())
         assert est.mode_bases[1].shape == (1, 1)
         assert abs(abs(est.mode_bases[1][0, 0]) - 1.0) <= 1e-12
 
@@ -295,7 +270,7 @@ class TestFitPstm:
 class TestFitPsvmBaseline:
     def test_rank_one_alignment(self):
         inst = gen_model(1, 300, 4, seed=17)
-        est = fit_psvm_baseline(inst.dataset, PsmmConfig(dims=(1, 2), seed=0))
+        est = fit_psvm_baseline(inst.dataset, PsmmConfig(dims=(1, 2)))
         assert est.row_basis.shape == (16, 2)
         truth = np.kron(inst.true_col_basis, inst.true_row_basis)
         dist = subspace_distance(est.row_basis, np.eye(1), truth, np.eye(1))
@@ -303,14 +278,14 @@ class TestFitPsvmBaseline:
 
     def test_forced_rank_one(self):
         inst = gen_model(1, 120, 4, seed=19)
-        est = fit_psvm_baseline(inst.dataset, PsmmConfig(dims=(1, 1), seed=0))
+        est = fit_psvm_baseline(inst.dataset, PsmmConfig(dims=(1, 1)))
         assert est.row_basis.shape == (16, 1)
         assert abs(np.linalg.norm(est.row_basis[:, 0]) - 1.0) <= 1e-10
         assert est.selected_dims == (1, 1)
 
     def test_convergence_entries_name_the_retained_slices(self):
         inst = gen_model(2, 120, 3, seed=5)
-        config = PsmmConfig(slices=6, seed=0)
+        config = PsmmConfig(slices=6)
         psvm = fit_psvm_baseline(inst.dataset, config).convergence
         psmm = fit_psmm(inst.dataset, config).convergence
         retained = slice_labels(inst.dataset.responses, 6).retained
@@ -341,7 +316,7 @@ class TestFitPsvmBaseline:
         n, d1, d2 = 400, 3, 4
         x = rng.standard_normal((n, d1, d2))
         data = MatrixDataset(x, x[:, 0, 1] + rng.normal(0.0, 0.1, n))
-        est = fit_psvm_baseline(data, PsmmConfig(dims=(1, 1), seed=0))
+        est = fit_psvm_baseline(data, PsmmConfig(dims=(1, 1)))
         assert abs(est.row_basis[d1, 0]) >= 0.99
 
     def test_memory_holds_no_copy_of_the_input(self):
@@ -371,7 +346,7 @@ class TestFitPsvmBaseline:
         x = rng.standard_normal((n, d, 1))
         y = np.exp(x[:, 0, 0]) + rng.normal(0, 0.2, n)
         data = MatrixDataset(x, y)
-        config = PsmmConfig(dims=None, seed=1)
+        config = PsmmConfig(dims=None)
         psmm_est = fit_psmm(data, config)
         psvm_est = fit_psvm_baseline(data, config)
         r = min(psmm_est.selected_dims[0], psvm_est.selected_dims[0])
@@ -495,7 +470,7 @@ class TestInvariants:
         a = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         b = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         moved = MatrixDataset(a @ inst.dataset.samples @ b.T, inst.dataset.responses)
-        config = PsmmConfig(restarts=0)
+        config = PsmmConfig()
         est = fit_psmm(inst.dataset, config)
         est_moved = fit_psmm(moved, config)
         assert est_moved.selected_dims == est.selected_dims

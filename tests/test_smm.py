@@ -206,7 +206,7 @@ class TestFitRank1Smm:
         v0[1] = 1.0
         labels = rank1_labels(x, u0, v0)
         data = MatrixDataset(x)
-        fitted = fit_rank1_smm(data, labels, identity_params(d, d), lam=100.0, seed=3)
+        fitted = fit_rank1_smm(data, labels, identity_params(d, d), lam=100.0)
         assert fitted.converged
         assert cosine(fitted.us[0], u0) >= 0.99
         assert cosine(fitted.us[1], v0) >= 0.99
@@ -238,8 +238,8 @@ class TestFitRank1Smm:
         labels = np.array([1, -1] * 30)
         p1 = flipflop_fit(MatrixDataset(x))
         p2 = flipflop_fit(MatrixDataset(x + shift))
-        t1 = fit_rank1_smm(MatrixDataset(x), labels, p1, lam=40.0, seed=2)
-        t2 = fit_rank1_smm(MatrixDataset(x + shift), labels, p2, lam=40.0, seed=2)
+        t1 = fit_rank1_smm(MatrixDataset(x), labels, p1, lam=40.0)
+        t2 = fit_rank1_smm(MatrixDataset(x + shift), labels, p2, lam=40.0)
         assert abs(t1.objective - t2.objective) <= 1e-8 * (1.0 + abs(t1.objective))
 
     def test_uncorrelated_labels_near_degenerate(self):
@@ -321,13 +321,13 @@ class TestFitRank1Smm:
 
         def second_step_degenerates(*args, **kwargs):
             calls.append(args[3])
-            if len(calls) == 2:  # the first start's mode-1 step
+            if len(calls) == 2:  # the first sweep's mode-1 step
                 raise smm.DegenerateDirection("degenerate mode step")
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(smm, "_mode_step", second_step_degenerates)
         fitted = fit_rank1_smm(data, labels, identity_params(3, 4), lam=50.0)
-        assert calls[:2] == [0, 1] and len(calls) > 2  # the other starts ran
+        assert calls == [0, 1]  # the fit ends at that step
         assert [u.shape for u in fitted.us] == [(3,), (4,)]
         assert all(np.isfinite(u).all() for u in fitted.us)
         assert math.isfinite(fitted.objective) and math.isfinite(fitted.t)
@@ -348,46 +348,11 @@ class TestFitRank1Smm:
         u, sol = update_u(data, labels, init_directions(data, labels, params)[1], params, 10.0)
         assert np.allclose(sol.alphas, 10.0 / 24, atol=1e-12)
         assert 0.0 < np.linalg.norm(u) <= 1e-14
-        fitted = fit_rank1_smm(data, labels, params, lam=10.0, restarts=0)
+        fitted = fit_rank1_smm(data, labels, params, lam=10.0)
         assert fitted.converged
         assert fitted.iterations == 1
         assert all(not np.any(u) for u in fitted.us)
         assert fitted.objective == pytest.approx(10.0, abs=1e-12)
-
-    def test_more_restarts_never_raise_the_objective(self):
-        # With a fixed seed the starts of restarts = r are a prefix of those
-        # of r + 1, so one more start can only lower the kept objective;
-        # where it does not, the earlier start is kept, bit for bit.
-        for draw in range(4):
-            rng = np.random.default_rng(200 + draw)
-            x = rng.standard_normal((60, 4, 3))
-            y = np.einsum("nij,i,j->n", x, rng.standard_normal(4), rng.standard_normal(3))
-            y = y + 0.3 * rng.standard_normal(60)
-            data = MatrixDataset(x, y)
-            params = flipflop_fit(data)
-            for labels in pipeline.slice_labels(y, 4).labels:
-                fits = [fit_rank1_smm(data, labels, params, lam=50.0, restarts=r, seed=draw)
-                        for r in range(5)]
-                for fewer, more in zip(fits, fits[1:]):
-                    assert more.objective <= fewer.objective
-                    if more.objective == fewer.objective:
-                        assert all(np.array_equal(a, b) for a, b in zip(more.us, fewer.us))
-                        assert more.t == fewer.t
-
-    def test_equal_objectives_keep_the_earlier_start(self, monkeypatch):
-        objectives = iter([2.0, 1.0, 1.0, 1.5])
-
-        def descend(samples, labels, params, lam, tol, max_iter, us):
-            return smm.TensorDirectionSet(us, 0.0, next(objectives), 1, True)
-
-        monkeypatch.setattr(smm, "_descend", descend)
-        x = np.random.default_rng(3).standard_normal((8, 2, 3))
-        labels = np.array([1, -1] * 4)
-        params = identity_params(2, 3)
-        expected = np.random.default_rng(5).standard_normal(2)  # the first random start
-        fitted = fit_rank1_smm(MatrixDataset(x), labels, params, lam=1.0, restarts=3, seed=5)
-        assert fitted.objective == 1.0
-        assert np.array_equal(fitted.us[0], expected / np.linalg.norm(expected))
 
     def test_min_class_count_enforced(self):
         x = np.random.default_rng(0).standard_normal((5, 2, 2))
@@ -417,21 +382,10 @@ class TestFitRank1Smm:
                             tol=0.0, max_iter=np.int64(1))
         assert fit.iterations == 1
 
-    def test_restarts_must_be_a_non_negative_integer(self):
-        x = np.random.default_rng(0).standard_normal((8, 2, 2))
-        labels = np.array([1, -1] * 4)
-        for bad in (-1, 1.5, 2.0, True, "2", None):
-            with pytest.raises(ValueError, match="restarts must be a non-negative integer"):
-                fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0,
-                              restarts=bad)
-        fit = fit_rank1_smm(MatrixDataset(x), labels, identity_params(2, 2), lam=1.0,
-                            restarts=np.int64(1))
-        assert np.isfinite(fit.objective)
-
     @pytest.mark.parametrize("dims", [(4, 3), (3, 3, 2)])
     def test_one_sample_pass_per_mode_step(self, monkeypatch, dims):
-        # A start contracts the samples once; every objective after that
-        # takes the last mode step's decision values, so a start of s
+        # A fit contracts the samples once; every objective after that
+        # takes the last mode step's decision values, so a fit of s
         # sweeps makes 1 + K s passes, none for the objective after each
         # sweep or after balancing.
         rng = np.random.default_rng(71)
@@ -450,7 +404,7 @@ class TestFitRank1Smm:
             return real_contract(*args, **kwargs)
 
         monkeypatch.setattr(smm, "_contract", counting)
-        fitted = fit_rank1_smm(data, labels, params, lam=50.0, restarts=0)
+        fitted = fit_rank1_smm(data, labels, params, lam=50.0)
         assert fitted.converged and fitted.iterations >= 2
         assert all(np.linalg.norm(u) > 0.0 for u in fitted.us)
         sweeps = fitted.iterations
@@ -550,8 +504,8 @@ class TestFitRank1Stm:
         x = rng.standard_normal((40, 3, 4))
         labels = np.array([1, -1] * 20)
         params = identity_params(3, 4)
-        matrix = fit_rank1_smm(MatrixDataset(x), labels, params, lam=35.0, seed=5)
-        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=35.0, seed=5)
+        matrix = fit_rank1_smm(MatrixDataset(x), labels, params, lam=35.0)
+        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=35.0)
         assert abs(matrix.objective - fitted.objective) <= 1e-8
 
     def test_order3_separable_recovery(self):
@@ -563,7 +517,7 @@ class TestFitRank1Stm:
         scores = np.einsum("nijk,i,j,k->n", x, *us0)
         labels = np.where(scores > 0, 1, -1)
         params = TensorNormParams(np.zeros(dims), [np.eye(d) for d in dims])
-        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=100.0, seed=7)
+        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=100.0)
         for u, u0 in zip(fitted.us, us0):
             assert cosine(u, u0) >= 0.99
 
@@ -572,7 +526,7 @@ class TestFitRank1Stm:
         x = rng.standard_normal((30, 3, 1, 2))
         labels = np.array([1, -1] * 15)
         params = TensorNormParams(np.zeros((3, 1, 2)), [np.eye(3), np.eye(1), np.eye(2)])
-        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=20.0, seed=1)
+        fitted = fit_rank1_smm(TensorDataset(x), labels, params, lam=20.0)
         assert fitted.us[1].shape == (1,)
         norms = [np.linalg.norm(u) for u in fitted.us]
         assert max(norms) - min(norms) <= 1e-10 * sum(norms)
@@ -585,7 +539,7 @@ class TestFitRank1Stm:
             np.zeros((2, 3, 2)), [np.eye(2), np.eye(3), np.eye(2)]
         )
         data = TensorDataset(x)
-        fitted = fit_rank1_smm(data, labels, params, lam=12.0, seed=2)
+        fitted = fit_rank1_smm(data, labels, params, lam=12.0)
         value = objective_eval(fitted.us, fitted.t, data, labels, params, 12.0)
         assert abs(fitted.objective - value) <= 1e-10
 
@@ -671,7 +625,7 @@ def test_fit_memory_is_blocks_plus_qp_arrays():
     params = flipflop_fit(data)
     tracemalloc.start()
     try:
-        fit_rank1_smm(data, labels, params, lam=100.0, restarts=0, max_iter=2)
+        fit_rank1_smm(data, labels, params, lam=100.0, max_iter=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
